@@ -14,12 +14,11 @@ for OLS reproduces them exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .bounds import BoundMatrix
-from .designs import Assignment, IndexLayout, JointProbMatrix, PiDiagonal
+from .designs import Assignment, ExactMatrix, IndexLayout, JointProbMatrix, PiDiagonal, elementwise
 from .errors import (
     EstimationInfeasibleError,
     LayoutMismatchError,
@@ -34,7 +33,7 @@ class IpwBoundMatrix:
 
     layout: IndexLayout
     matrix: np.ndarray
-    frac: list[list[Fraction]] | None = None
+    frac: ExactMatrix | None = None
 
     def __post_init__(self):
         self.matrix = self.layout.check_matrix(self.matrix, "weighted bound matrix")
@@ -62,29 +61,16 @@ def ipw_bound_matrix(bound: BoundMatrix, p: JointProbMatrix) -> IpwBoundMatrix:
         raise NotIdentifiedBoundError(
             "bound is certified non-identified; cannot inverse-probability weight it"
         )
-    kn = bound.layout.kn
-    if bound.frac is not None and p.frac is not None:
-        frac = [[Fraction(0)] * kn for _ in range(kn)]
-        for a in range(kn):
-            for b in range(kn):
-                if p.frac[a][b] == 0:
-                    if bound.frac[a][b] != 0:
-                        raise NotIdentifiedBoundError(
-                            f"bound entry ({a},{b}) is nonzero but the joint "
-                            "assignment probability is zero"
-                        )
-                else:
-                    frac[a][b] = bound.frac[a][b] / p.frac[a][b]
-        matrix = np.array([[float(x) for x in row] for row in frac])
-        return IpwBoundMatrix(bound.layout, matrix, frac=frac)
-    zero_p = p.p == 0.0
-    if np.any(bound.dtilde[zero_p] != 0.0):
+    dt, joint = bound.frac or bound.dtilde, p.frac or p.p
+    unidentified, _ = elementwise(lambda t, pab: (t != 0) * (pab == 0), dt, joint)
+    if np.any(unidentified):
+        a, b = np.argwhere(unidentified)[0]
         raise NotIdentifiedBoundError(
-            "bound is nonzero at a zero-probability joint assignment"
+            f"bound entry ({a},{b}) is nonzero but the joint assignment probability is zero"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        matrix = np.where(zero_p, 0.0, bound.dtilde / np.where(zero_p, 1.0, p.p))
-    return IpwBoundMatrix(bound.layout, matrix)
+    # where p is zero so is dtilde, and dividing by p + 1 = 1 gives the 0
+    matrix, frac = elementwise(lambda t, pab: t / (pab + (pab == 0)), dt, joint)
+    return IpwBoundMatrix(bound.layout, matrix, frac=frac)
 
 
 def ht_bound_estimate(

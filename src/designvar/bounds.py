@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import DesignMatrix, ImpossibilityMask, IndexLayout
+from .designs import DesignMatrix, ExactMatrix, ImpossibilityMask, IndexLayout, elementwise
 from .errors import (
     LayoutMismatchError,
     NeymanPreconditionError,
@@ -39,7 +39,7 @@ class BoundMatrix:
     layout: IndexLayout
     dtilde: np.ndarray
     method: str  # "neyman" | "aronow-samii" | "algorithm-m" | "user"
-    frac: list[list[Fraction]] | None = None
+    frac: ExactMatrix | None = None
     certified_bounding: str = "unchecked"
     certified_identified: str = "unchecked"
     iterations: int | None = None
@@ -63,15 +63,9 @@ def derive_mask(dmat: DesignMatrix) -> ImpossibilityMask:
 
     Rational-backed matrices are checked exactly; float-backed ones rely
     on the construction invariant that impossible positions hold exactly
-    -1.0 (they are set analytically, never by rounding).
+    -1.0 (p_ab = 0 gives 0 / (pi_a pi_b) - 1, which involves no rounding).
     """
-    kn = dmat.layout.kn
-    if dmat.frac is not None:
-        mask = np.array(
-            [[1.0 if dmat.frac[a][b] == -1 else 0.0 for b in range(kn)] for a in range(kn)]
-        )
-    else:
-        mask = (dmat.d == -1.0).astype(float)
+    mask, _ = elementwise(lambda d: d == -1, dmat.frac or dmat.d)
     return ImpossibilityMask(dmat.layout, mask)
 
 
@@ -123,19 +117,16 @@ def _check_neyman_preconditions(
             "the block-diagonal bound does not apply: diagonal block(s) "
             f"{bad} contain -1 entries (impossible same-arm joint assignments)"
         )
+    # every block set against block (0, 1): exact values must agree exactly,
+    # floats (read from files) within 1e-12
+    unit = np.tile(np.arange(n), k)
+    d = dmat.frac or dmat.d
+    gap, exact_gap = elementwise(lambda x, y: abs(x - y), d, d[np.ix_(unit, n + unit)])
+    limit = 1e-12 if exact_gap is None else 0.0
+    worst = gap.reshape(k, n, k, n).max(axis=(1, 3))
     for r in range(k):
         for s in range(k):
-            if r == s or (r, s) == (0, 1):
-                continue
-            if dmat.frac is not None:
-                ref_ok = all(
-                    dmat.frac[r * n + i][s * n + j] == dmat.frac[i][n + j]
-                    for i in range(n)
-                    for j in range(n)
-                )
-            else:
-                ref_ok = np.max(np.abs(dmat.block(r, s) - dmat.block(0, 1))) <= 1e-12
-            if not ref_ok:
+            if r != s and not worst[r, s] <= limit:
                 raise NeymanPreconditionError(
                     f"off-diagonal blocks ({r},{s}) and (0,1) differ; the "
                     "block-diagonal bound needs them all equal"
@@ -166,27 +157,26 @@ def neyman_bound(
         mask = derive_mask(dmat)
     _check_neyman_preconditions(dmat, c, mask)
 
-    dt = np.zeros((layout.kn, layout.kn))
-    frac = None
-    if dmat.frac is not None:
-        zero = Fraction(0)
-        frac = [[zero] * layout.kn for _ in range(layout.kn)]
-        cf = [Fraction(float(x)) for x in c]
-        for r in range(k):
-            for i in range(n):
-                for j in range(n):
-                    acc = Fraction(0)
-                    for s in range(k):
-                        acc += (cf[s] / cf[r]) * dmat.frac[r * n + i][s * n + j]
-                    frac[r * n + i][r * n + j] = acc
-                    dt[r * n + i, r * n + j] = float(acc)
-    else:
-        for r in range(k):
-            block = np.zeros((n, n))
-            for s in range(k):
-                block += (c[s] / c[r]) * dmat.block(r, s)
-            dt[r * n : (r + 1) * n, r * n : (r + 1) * n] = block
+    # dtilde[a, b] = [arm a == arm b] sum_s (c_s / c_{arm a}) d[a, s n + unit b]
+    flat = np.arange(layout.kn)
+    arm, unit = flat // n, flat % n
+    cf = ExactMatrix.of(Fraction(float(x)) for x in c)  # exact binary values of c
+    same_arm = ExactMatrix.of((0, 1), arm[:, None] == arm[None, :])
+    d = dmat.frac or dmat.d
 
+    def diagonal_blocks(c_r, same, *rest):
+        acc = 0
+        for c_s, d_s in zip(rest[:k], rest[k:]):
+            acc = acc + same * c_s / c_r * d_s
+        return acc
+
+    dt, frac = elementwise(
+        diagonal_blocks,
+        cf[arm][:, None],
+        same_arm,
+        *(cf[[s]] for s in range(k)),
+        *(d[:, s * n + unit] for s in range(k)),
+    )
     bound = BoundMatrix(layout, dt, "neyman", frac=frac)
     return certify(bound, dmat, mask, tol)
 
@@ -237,20 +227,12 @@ def aronow_samii_bound(
         mask = derive_mask(dmat)
     if mask.layout != layout:
         raise LayoutMismatchError("mask and design matrix use different layouts")
-    rowsums = mask.mask.sum(axis=1)
-    dt = dmat.d + mask.mask + np.diag(rowsums)
-    frac = None
-    if dmat.frac is not None:
-        frac = [
-            [
-                dmat.frac[a][b]
-                + int(mask.mask[a, b])
-                + (int(rowsums[a]) if a == b else 0)
-                for b in range(layout.kn)
-            ]
-            for a in range(layout.kn)
-        ]
-        dt = np.array([[float(x) for x in row] for row in frac])
+    dt, frac = elementwise(
+        lambda d, m, r: d + m + r,
+        dmat.frac or dmat.d,
+        ExactMatrix.of((0, 1), mask.mask),
+        ExactMatrix.of(range(layout.kn + 1), np.diag(mask.mask.sum(axis=1))),
+    )
     bound = BoundMatrix(layout, dt, "aronow-samii", frac=frac)
     return certify(bound, dmat, mask, tol)
 

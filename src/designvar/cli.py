@@ -46,7 +46,15 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _layout_for_matrix(matrix: np.ndarray, k: int) -> IndexLayout:
+def _layout_for_matrix(matrix: np.ndarray, path, k: int | None) -> IndexLayout:
+    """Layout of a kn x kn matrix, k from --k and the design.json written beside it."""
+    sidecar = Path(path).parent / "design.json"
+    recorded = _load_json(sidecar).get("k") if sidecar.is_file() else None
+    if k is None and recorded is None:
+        raise ValidationError(f"arm count unknown: pass --k or keep design.json beside {path}")
+    if k is not None and recorded is not None and k != recorded:
+        raise ValidationError(f"--k {k} disagrees with k={recorded} in {sidecar}")
+    k = int(k if k is not None else recorded)
     kn = matrix.shape[0]
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
@@ -76,7 +84,7 @@ def cmd_design(args) -> int:
 
 def cmd_bound(args) -> int:
     d = ser.read_matrix_csv(args.d)
-    layout = _layout_for_matrix(d, args.k)
+    layout = _layout_for_matrix(d, args.d, args.k)
     dmat = DesignMatrix(layout, d)
     mask = ImpossibilityMask(layout, ser.read_matrix_csv(args.mask))
     out = Path(args.out)
@@ -153,8 +161,8 @@ def cmd_estimate(args) -> int:
 def cmd_compare(args) -> int:
     a = ser.read_matrix_csv(args.a)
     b = ser.read_matrix_csv(args.b)
-    layout = _layout_for_matrix(a, args.k)
     if args.as_what == "designs":
+        layout = _layout_for_matrix(a, args.a, args.k)
         comparison = compare_designs(
             DesignMatrix(layout, a), DesignMatrix(layout, b), tol=args.tol
         )
@@ -255,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initialization for the projection algorithm")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
-    p.add_argument("--k", type=int, default=2, help="arm count (default 2)")
+    p.add_argument("--k", type=int, default=None,
+                   help="arm count (default: k in the design.json beside --d)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_bound)
 
@@ -275,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--as", dest="as_what", required=True, choices=["designs", "bounds"])
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--k", type=int, default=2, help="arm count (default 2)")
+    p.add_argument("--k", type=int, default=None,
+                   help="arm count for --as designs (default: k in the design.json beside --a)")
     p.add_argument("--vectors", help="optional CSV sidecar for eigenvectors")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=cmd_compare)

@@ -6,15 +6,20 @@ arm r and unit i (0-based) live at flat position r*n + i, so stacked
 vectors have length kn and joint matrices are kn x kn.
 
 Probabilities for the combinatorial families (bernoulli, complete,
-paired, block, cluster, enumerated custom) are kept as exact rationals
-and converted to floats only when matrices are assembled.  That is what
-makes entries like -1/3 or exact -1 reproducible bit-for-bit.
+paired, block, cluster, enumerated custom) are kept as exact rationals.
+An exact matrix (ExactMatrix) is an integer code array over a codebook
+of distinct Fractions, and its floats are a view of it, values[codes].
+That is what makes entries like -1/3 or exact -1 reproducible
+bit-for-bit.  Formulas over such matrices are written once and run
+through ``elementwise``: once per distinct tuple of exact operand values,
+or directly on the floats when an operand has no exact values.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -31,7 +36,67 @@ from .errors import (
 
 DEFAULT_SUPPORT_CAP = 10**6
 
-FracMatrix = list[list[Fraction]]
+
+@dataclass(frozen=True, eq=False)
+class ExactMatrix:
+    """Exact rational array: integer codes into a tuple of distinct Fractions.
+
+    ``m[a][b]`` and ``m[a, b]`` are Fractions; slices are ExactMatrix views
+    over the same codebook, and iterating a matrix yields its rows.
+    """
+
+    codes: np.ndarray
+    values: tuple[Fraction, ...]
+
+    @classmethod
+    def of(cls, values, codes=None) -> "ExactMatrix":
+        """Codes into rational ``values`` (one per value when omitted), repeats merged."""
+        first: dict[tuple[int, int], tuple[int, Fraction]] = {}  # cheaper to hash than Fractions
+        remap = np.array(
+            [first.setdefault((v.numerator, v.denominator), (len(first), v))[0] for v in values],
+            dtype=np.intp,
+        )
+        codes = np.arange(len(remap)) if codes is None else np.asarray(codes, dtype=np.intp)
+        return cls(remap[codes], tuple(Fraction(v) for _, v in first.values()))
+
+    def to_float(self) -> np.ndarray:
+        return np.array([float(v) for v in self.values])[self.codes]
+
+    def __getitem__(self, index):
+        codes = self.codes[index]
+        if np.ndim(codes) == 0:
+            return self.values[codes]
+        return ExactMatrix(codes, self.values)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.codes)))
+
+
+def elementwise(fn, *operands) -> tuple[np.ndarray, ExactMatrix | None]:
+    """``fn`` applied entrywise to broadcast operands, as (floats, exact values).
+
+    When every operand is an ExactMatrix, ``fn`` runs on Fractions once per
+    distinct tuple of operand codes and the result is exact.  Otherwise it
+    runs once on the float arrays and there are no exact values.  This is
+    the only place where exact and float arithmetic part ways.
+    """
+    if not all(isinstance(op, ExactMatrix) for op in operands):
+        floats = [op.to_float() if isinstance(op, ExactMatrix) else op for op in operands]
+        return np.asarray(fn(*floats), dtype=float), None
+    shape = np.broadcast_shapes(*(op.codes.shape for op in operands))
+    columns = [np.broadcast_to(op.codes, shape).ravel() for op in operands]
+    # one integer key per entry, mixed-radix over the operand codebooks
+    key, radix = np.zeros(math.prod(shape), dtype=np.int64), 1
+    for op, col in zip(operands, columns):
+        if radix * len(op.values) >= 2**62:  # renumber densely before it overflows
+            key = np.unique(key, return_inverse=True)[1].ravel()
+            radix = int(key.max()) + 1
+        key, radix = key * len(op.values) + col, radix * len(op.values)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    args = [[op.values[c] for c in col[first].tolist()] for op, col in zip(operands, columns)]
+    results = [fn(*row) for row in zip(*args)]
+    exact = ExactMatrix.of(results, inverse.reshape(shape))
+    return exact.to_float(), exact
 
 
 @dataclass(frozen=True)
@@ -57,12 +122,6 @@ class IndexLayout:
 
     def flat(self, arm: int, unit: int) -> int:
         return arm * self.n + unit
-
-    def arm_of(self, a: int) -> int:
-        return a // self.n
-
-    def unit_of(self, a: int) -> int:
-        return a % self.n
 
     def check_vector(self, v: np.ndarray, what: str = "vector") -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -129,7 +188,7 @@ class PiDiagonal:
 
     layout: IndexLayout
     probs: np.ndarray
-    frac: list[Fraction] | None = None
+    frac: ExactMatrix | None = None
     estimated: bool = False
     se: np.ndarray | None = None
 
@@ -137,9 +196,10 @@ class PiDiagonal:
         self.probs = self.layout.check_vector(self.probs, "inclusion probabilities")
         if np.any(self.probs <= 0.0) or np.any(self.probs >= 1.0):
             bad = int(np.argmin(np.minimum(self.probs, 1.0 - self.probs)))
+            arm, unit = divmod(bad, self.layout.n)
             raise NonIdentifiedDesignError(
                 "non-identified design: inclusion probability at flat index "
-                f"{bad} (arm {self.layout.arm_of(bad)}, unit {self.layout.unit_of(bad)}) "
+                f"{bad} (arm {arm}, unit {unit}) "
                 f"is {self.probs[bad]}, outside (0, 1)"
             )
         unit_sums = self.probs.reshape(self.layout.k, self.layout.n).sum(axis=0)
@@ -155,7 +215,7 @@ class JointProbMatrix:
 
     layout: IndexLayout
     p: np.ndarray
-    frac: FracMatrix | None = None
+    frac: ExactMatrix | None = None
     estimated: bool = False
     se: np.ndarray | None = None
 
@@ -174,7 +234,7 @@ class DesignMatrix:
 
     layout: IndexLayout
     d: np.ndarray
-    frac: FracMatrix | None = None
+    frac: ExactMatrix | None = None
     estimated: bool = False
 
     def __post_init__(self):
@@ -216,8 +276,8 @@ class Design:
     sampler: Callable[[np.random.Generator], np.ndarray] | None = None
     mc_replicates: int = 10000
     seed: int | None = None
-    pi_frac: list[Fraction] | None = None
-    p_frac: FracMatrix | None = None
+    pi_frac: ExactMatrix | None = None
+    p_frac: ExactMatrix | None = None
     support_size: int | None = None
     _empirical: tuple | None = field(default=None, repr=False)
 
@@ -286,13 +346,23 @@ def _as_fraction(x) -> Fraction:
     raise ValidationError(f"cannot interpret {x!r} as a probability")
 
 
-def _zeros_frac(kn: int) -> FracMatrix:
-    zero = Fraction(0)
-    return [[zero] * kn for _ in range(kn)]
+def _pair_indicators(layout: IndexLayout) -> tuple[ExactMatrix, ExactMatrix]:
+    """0/1 matrices marking flat index pairs (a, b) in the same unit / arm."""
+    flat = np.arange(layout.kn)
+    unit, arm = flat % layout.n, flat // layout.n
+    return (
+        ExactMatrix.of((0, 1), unit[:, None] == unit[None, :]),
+        ExactMatrix.of((0, 1), arm[:, None] == arm[None, :]),
+    )
 
 
-def _frac_matrix_to_float(m: FracMatrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in m])
+def _embed(codes: np.ndarray, pieces, values=()) -> ExactMatrix:
+    """``codes`` over ``values``, with each (index, ExactMatrix) piece written in."""
+    values = list(values)
+    for index, piece in pieces:
+        codes[index] = piece.codes + len(values)
+        values.extend(piece.values)
+    return ExactMatrix.of(values, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +433,11 @@ def bernoulli_design(
         if any(float(x) < 0 for x in row):
             raise InfeasibleSpecError("arm probabilities must be nonnegative")
 
-    pi_frac = [table[i][r] for r in range(k) for i in range(n)]
-    p_frac = _zeros_frac(layout.kn)
-    for a in range(layout.kn):
-        ra, ia = layout.arm_of(a), layout.unit_of(a)
-        for b in range(a, layout.kn):
-            rb, ib = layout.arm_of(b), layout.unit_of(b)
-            if ia == ib:
-                val = table[ia][ra] if ra == rb else Fraction(0)
-            else:
-                val = table[ia][ra] * table[ib][rb]
-            p_frac[a][b] = p_frac[b][a] = val
+    pi_frac = ExactMatrix.of([table[i][r] for r in range(k) for i in range(n)])
+    _, p_frac = elementwise(
+        lambda pa, pb, same_unit, same_arm: (pa if same_arm else 0) if same_unit else pa * pb,
+        pi_frac[:, None], pi_frac[None, :], *_pair_indicators(layout),
+    )
 
     size = k**n
     support = None
@@ -450,22 +514,15 @@ def complete_design(
     k = len(counts)
     layout = IndexLayout(k, n)
 
-    nf = [Fraction(c) for c in counts]
-    nn = Fraction(n)
-    pi_frac = [nf[r] / nn for r in range(k) for _ in range(n)]
-    p_frac = _zeros_frac(layout.kn)
-    denom_pair = nn * (nn - 1)
-    for a in range(layout.kn):
-        ra, ia = layout.arm_of(a), layout.unit_of(a)
-        for b in range(a, layout.kn):
-            rb, ib = layout.arm_of(b), layout.unit_of(b)
-            if ia == ib:
-                val = nf[ra] / nn if ra == rb else Fraction(0)
-            elif ra == rb:
-                val = nf[ra] * (nf[ra] - 1) / denom_pair
-            else:
-                val = nf[ra] * nf[rb] / denom_pair
-            p_frac[a][b] = p_frac[b][a] = val
+    # arm size of each flat index; n_a (n_b - [same arm]) / (n (n - 1)) across units
+    sizes = ExactMatrix.of(counts, np.repeat(np.arange(k), n))
+    _, pi_frac = elementwise(lambda na: na / n, sizes)
+    _, p_frac = elementwise(
+        lambda na, nb, same_unit, same_arm: (
+            (na / n if same_arm else 0) if same_unit else na * (nb - same_arm) / (n * (n - 1))
+        ),
+        sizes[:, None], sizes[None, :], *_pair_indicators(layout),
+    )
 
     size = _multinomial(counts)
     support = None
@@ -530,33 +587,16 @@ def block_design(
         )
     layout = IndexLayout(k, n)
 
-    subs_exact = all(sub.pi_frac is not None and sub.p_frac is not None for _, sub in blocks)
     pi_frac = p_frac = None
-    if subs_exact:
-        pi_frac = [Fraction(0)] * layout.kn
-        p_frac = _zeros_frac(layout.kn)
-        for units, sub in blocks:
-            for r in range(k):
-                for li, u in enumerate(units):
-                    pi_frac[layout.flat(r, u)] = sub.pi_frac[sub.layout.flat(r, li)]
-        for units, sub in blocks:
-            for r in range(k):
-                for s in range(k):
-                    for li, u in enumerate(units):
-                        for lj, v in enumerate(units):
-                            p_frac[layout.flat(r, u)][layout.flat(s, v)] = sub.p_frac[
-                                sub.layout.flat(r, li)
-                            ][sub.layout.flat(s, lj)]
-        for bi in range(len(blocks)):
-            for bj in range(bi + 1, len(blocks)):
-                for r in range(k):
-                    for u in blocks[bi][0]:
-                        a = layout.flat(r, u)
-                        for s in range(k):
-                            for v in blocks[bj][0]:
-                                b = layout.flat(s, v)
-                                val = pi_frac[a] * pi_frac[b]
-                                p_frac[a][b] = p_frac[b][a] = val
+    if all(sub.pi_frac is not None and sub.p_frac is not None for _, sub in blocks):
+        # flat indices of each block, in its sub-design's own arm-major order
+        flats = [np.array([layout.flat(r, u) for r in range(k) for u in us]) for us in unit_sets]
+        subs = [sub for _, sub in blocks]
+        pi_frac = _embed(np.empty(layout.kn, dtype=np.intp), zip(flats, (s.pi_frac for s in subs)))
+        # independent across blocks: joints are products of marginals
+        _, across = elementwise(operator.mul, pi_frac[:, None], pi_frac[None, :])
+        within = [(np.ix_(idx, idx), sub.p_frac) for idx, sub in zip(flats, subs)]
+        p_frac = _embed(across.codes.copy(), within, across.values)
 
     sizes = [sub.support_size for _, sub in blocks]
     size = math.prod(sizes) if all(s is not None for s in sizes) else None
@@ -654,20 +694,11 @@ def cluster_design(
 
     pi_frac = p_frac = None
     if cluster_level.pi_frac is not None and cluster_level.p_frac is not None:
-        cl_layout = cluster_level.layout
-        pi_frac = [
-            cluster_level.pi_frac[cl_layout.flat(r, group[i])]
-            for r in range(k)
-            for i in range(n)
-        ]
-        p_frac = _zeros_frac(layout.kn)
-        for a in range(layout.kn):
-            ra, ia = layout.arm_of(a), layout.unit_of(a)
-            ca = cl_layout.flat(ra, group[ia])
-            for b in range(a, layout.kn):
-                rb, ib = layout.arm_of(b), layout.unit_of(b)
-                val = cluster_level.p_frac[ca][cl_layout.flat(rb, group[ib])]
-                p_frac[a][b] = p_frac[b][a] = val
+        # flat index of each (arm, unit) in the cluster-level design
+        flat = np.arange(layout.kn)
+        to_cluster = cluster_level.layout.flat(flat // n, group[flat % n])
+        pi_frac = cluster_level.pi_frac[to_cluster]
+        p_frac = cluster_level.p_frac[np.ix_(to_cluster, to_cluster)]
 
     support = None
     if cluster_level.support is not None:
@@ -710,29 +741,14 @@ def custom_design(
     """
     if support is None and sampler is None:
         raise InfeasibleSpecError("custom design needs a support or a sampler")
-    pi_frac = p_frac = None
     sup = None
     if support is not None:
         if len(support) > support_cap:
             raise SupportOverflowError(
                 f"custom support has {len(support)} points, above the cap {support_cap}"
             )
-        sup = [
-            (np.asarray(arms, dtype=int), _as_fraction(prob)) for arms, prob in support
-        ]
-        kn, n = layout.kn, layout.n
-        pi_frac = [Fraction(0)] * kn
-        p_frac = _zeros_frac(kn)
-        cols = np.arange(n)
-        for arms, prob in sup:
-            flat = arms * n + cols
-            for a in flat:
-                pi_frac[a] += prob
-            for a in flat:
-                row = p_frac[a]
-                for b in flat:
-                    row[b] += prob
-    return Design(
+        sup = [(np.asarray(arms, dtype=int), _as_fraction(prob)) for arms, prob in support]
+    design = Design(
         layout=layout,
         family="custom",
         mode="exact" if sup is not None else "mc",
@@ -740,10 +756,22 @@ def custom_design(
         sampler=sampler,
         mc_replicates=mc_replicates,
         seed=seed,
-        pi_frac=pi_frac,
-        p_frac=p_frac,
         support_size=len(sup) if sup is not None else None,
     )
+    if sup is not None:
+        # p sums prob * outer(indicators) over the support: an integer matmul over
+        # the common denominator, in int64 while the (positive) weights sum below 2**62
+        denom = math.lcm(*(prob.denominator for _, prob in sup))
+        weights = [prob.numerator * (denom // prob.denominator) for _, prob in sup]
+        weights = np.array(weights, dtype=np.int64 if sum(weights) < 2**62 else object)
+        ind = design.support_arrays()[0].astype(np.int64)
+        counts = (ind.T * weights) @ ind
+        uniq, inverse = np.unique(counts, return_inverse=True)
+        design.p_frac = ExactMatrix.of(
+            [Fraction(int(v), denom) for v in uniq], inverse.reshape(counts.shape)
+        )
+        design.pi_frac = design.p_frac[np.diag_indices(layout.kn)]
+    return design
 
 
 def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
@@ -861,8 +889,7 @@ def _empirical_moments(design: Design) -> tuple:
 def inclusion_probabilities(design: Design) -> PiDiagonal:
     """Marginal assignment probabilities, exact where the family allows."""
     if design.pi_frac is not None:
-        probs = np.array([float(x) for x in design.pi_frac])
-        return PiDiagonal(design.layout, probs, frac=list(design.pi_frac))
+        return PiDiagonal(design.layout, design.pi_frac.to_float(), frac=design.pi_frac)
     pi_hat, _, pi_se, _ = _empirical_moments(design)
     return PiDiagonal(design.layout, pi_hat, estimated=True, se=pi_se)
 
@@ -870,8 +897,7 @@ def inclusion_probabilities(design: Design) -> PiDiagonal:
 def joint_probabilities(design: Design) -> JointProbMatrix:
     """Joint assignment probabilities, exact where the family allows."""
     if design.p_frac is not None:
-        p = _frac_matrix_to_float(design.p_frac)
-        return JointProbMatrix(design.layout, p, frac=design.p_frac)
+        return JointProbMatrix(design.layout, design.p_frac.to_float(), frac=design.p_frac)
     _, p_hat, _, p_se = _empirical_moments(design)
     return JointProbMatrix(design.layout, p_hat, estimated=True, se=p_se)
 
@@ -885,25 +911,12 @@ def first_order_design_matrix(design: Design) -> tuple[DesignMatrix, Impossibili
     """
     pi = inclusion_probabilities(design)  # raises if non-identified
     p = joint_probabilities(design)
-    kn = design.layout.kn
-    if pi.frac is not None and p.frac is not None:
-        d_frac = [
-            [p.frac[a][b] / (pi.frac[a] * pi.frac[b]) - 1 for b in range(kn)]
-            for a in range(kn)
-        ]
-        d = _frac_matrix_to_float(d_frac)
-        mask = np.array(
-            [[1.0 if p.frac[a][b] == 0 else 0.0 for b in range(kn)] for a in range(kn)]
-        )
-        return (
-            DesignMatrix(design.layout, d, frac=d_frac),
-            ImpossibilityMask(design.layout, mask),
-        )
-    outer = np.outer(pi.probs, pi.probs)
-    d = p.p / outer - 1.0
-    mask = (p.p == 0.0).astype(float)
-    d[mask == 1.0] = -1.0
+    pis, joint = pi.frac or pi.probs, p.frac or p.p
+    d, d_frac = elementwise(
+        lambda pab, pa, pb: pab / (pa * pb) - 1, joint, pis[:, None], pis[None, :]
+    )
+    mask, _ = elementwise(lambda pab: pab == 0, joint)
     return (
-        DesignMatrix(design.layout, d, estimated=True),
+        DesignMatrix(design.layout, d, frac=d_frac, estimated=p.estimated),
         ImpossibilityMask(design.layout, mask),
     )

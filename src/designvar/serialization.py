@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import BoundMatrix
 from .designs import Assignment, Design, IndexLayout
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .estimators import ObservedData
 from .spectral import EigenReport
 
@@ -64,9 +64,12 @@ def read_vector_csv(path) -> np.ndarray:
 
 
 def write_json(path, obj) -> None:
+    try:  # strict JSON: a NaN or infinity is a numerical failure, not a "NaN" token
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: result holds a non-finite value ({exc})") from exc
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):
@@ -179,4 +182,6 @@ def read_observed(path, layout: IndexLayout) -> ObservedData:
             raise ValidationError(f"{path}: duplicate unit {unit}")
         arms[unit] = arm
         y_obs[layout.flat(arm, unit)] = float(row["y_obs"])
+    if not np.all(np.isfinite(y_obs)):
+        raise ValidationError(f"{path}: y_obs values must be finite")
     return ObservedData(Assignment(layout, arms), y_obs)

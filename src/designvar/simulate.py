@@ -278,6 +278,8 @@ def consistency_sweep(
     linearized estimator, the max linearization gap (times n), and the
     first-order condition norm, all of which should stay bounded.
     """
+    if not n_list:
+        raise ValidationError("the sweep needs at least one n in n_list")
     base_y = np.atleast_2d(np.asarray(base_y, dtype=float))
     if base_y.shape[0] != 2:
         raise ValidationError("the sweep uses two-arm designs; base_y needs 2 rows")

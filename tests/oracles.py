@@ -7,10 +7,27 @@ bound machinery, so agreement between the two is informative.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 import designvar as dv
 from designvar import Design
+
+
+def exact_moments(design: Design) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Inclusion and joint probabilities as Fractions, summed over the support."""
+    layout = design.layout
+    kn, n = layout.kn, layout.n
+    pi = [Fraction(0)] * kn
+    p = [[Fraction(0)] * kn for _ in range(kn)]
+    for arms, prob in design.support:
+        flat = [int(arms[i]) * n + i for i in range(n)]
+        for a in flat:
+            pi[a] += prob
+            for b in flat:
+                p[a][b] += prob
+    return pi, p
 
 
 def intercept(k: int, n: int) -> np.ndarray:

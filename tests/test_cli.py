@@ -121,6 +121,50 @@ class TestBoundCommand:
         assert code == 3
 
 
+class TestArmCount:
+    """k for `bound` and `compare` comes from design.json, never from a default."""
+
+    @pytest.fixture()
+    def three_arm_dir(self, tmp_path):
+        spec = write_json(tmp_path / "spec.json", {"type": "complete", "counts": [2, 2, 2]})
+        out = tmp_path / "three"
+        assert main(["design", spec, "--out", str(out)]) == 0
+        return out
+
+    def bound(self, ddir, tmp_path, *extra):
+        return main([
+            "bound", "--d", str(ddir / "d.csv"), "--mask", str(ddir / "mask.csv"),
+            "--method", "neyman", "--contrast=-2,1,1", "--out", str(tmp_path / "b"), *extra,
+        ])
+
+    def test_bound_reads_k_from_design_json(self, three_arm_dir, tmp_path):
+        assert self.bound(three_arm_dir, tmp_path) == 0
+        dtilde = ser.read_matrix_csv(tmp_path / "b" / "dtilde.csv")
+        assert dtilde.shape == (18, 18)
+        assert np.all(dtilde[:6, 6:] == 0.0)  # block-diagonal over 3 arms of 6 units
+
+    def test_bound_k_disagreeing_with_design_json_exits_2(self, three_arm_dir, tmp_path, capsys):
+        assert self.bound(three_arm_dir, tmp_path, "--k", "2") == 2
+        assert "disagrees" in capsys.readouterr().err
+
+    def test_bound_without_any_k_exits_2(self, three_arm_dir, tmp_path, capsys):
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for name in ("d.csv", "mask.csv"):
+            (bare / name).write_bytes((three_arm_dir / name).read_bytes())
+        assert self.bound(bare, tmp_path) == 2
+        assert "arm count unknown" in capsys.readouterr().err
+        assert self.bound(bare, tmp_path, "--k", "3") == 0
+
+    def test_compare_designs_k_from_design_json(self, three_arm_dir, tmp_path):
+        d = str(three_arm_dir / "d.csv")
+        out = tmp_path / "cmp.json"
+        args = ["compare", "--a", d, "--b", d, "--as", "designs", "--out", str(out)]
+        assert main(args + ["--k", "2"]) == 2
+        assert main(args) == 0
+        assert len(json.loads(out.read_text())["eigenvalues"]) == 18
+
+
 class TestCompareCommand:
     def test_design_spectrum(self, paired_dir, tmp_path):
         spec = write_json(tmp_path / "spec.json", COMPLETE_SPEC)
@@ -245,6 +289,19 @@ class TestEstimateCommand:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_outcome_exits_2(self, tmp_path, bad):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(f"unit_id,arm_assigned,y_obs\n0,0,1.0\n1,1,{bad}\n2,1,3.0\n3,0,4.0\n")
+        out = tmp_path / "r.json"
+        code = main([
+            "estimate", "--design", write_json(tmp_path / "d.json", PAIRED_SPEC),
+            "--data", str(obs), "--estimator", "hj", "--contrast=-1,1",
+            "--bound", "as", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_ht_paired_algm_pipeline(self, tmp_path):
         obs = tmp_path / "obs.csv"
         obs.write_text(
@@ -289,6 +346,33 @@ class TestSimulateCommand:
         code = main(["simulate", write_json(tmp_path / "s.json", scenario),
                      "--out", str(tmp_path / "sim")])
         assert code == 2
+
+    def test_non_finite_report_exits_3(self, tmp_path):
+        # one replicate leaves every Monte Carlo standard error undefined
+        scenario = {
+            "design": PAIRED_SPEC,
+            "y": [0.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 4.0],
+            "estimator": {"kind": "ht", "contrast": [-1, 1]},
+            "mode": "mc",
+            "replicates": 1,
+            "seed": 0,
+        }
+        out = tmp_path / "sim"
+        with pytest.warns(RuntimeWarning):
+            code = main(["simulate", write_json(tmp_path / "s.json", scenario), "--out", str(out)])
+        assert code == 3
+        assert not (out / "report.json").exists()
+
+    def test_empty_sweep_exits_2(self, tmp_path):
+        scenario = {
+            "sweep": {
+                "estimator": {"kind": "cm", "contrast": [-1, 1]},
+                "base_y": [[0.0, 1.0], [1.0, 2.0]],
+                "n_list": [],
+            }
+        }
+        out = tmp_path / "sweep"
+        assert main(["simulate", write_json(tmp_path / "s.json", scenario), "--out", str(out)]) == 2
 
     def test_sweep_writes_trend(self, tmp_path):
         scenario = {

@@ -6,6 +6,13 @@ import designvar as dv
 from designvar import serialization as ser
 
 
+def test_write_json_refuses_non_finite(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(dv.NumericalError):
+        ser.write_json(path, {"value": float("nan")})
+    assert not path.exists()
+
+
 class TestMatrixRoundTrip:
     def test_exact_float_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -139,6 +139,10 @@ class TestConsistencySweep:
         assert rows[0]["taylor_gap"] <= 1e-12
         assert rows[1]["taylor_gap"] <= 1e-11
 
+    def test_empty_n_list_is_a_validation_error(self):
+        with pytest.raises(dv.ValidationError):
+            dv.consistency_sweep(dv.EstimatorSpec("cm", c2()), np.zeros((2, 2)), [])
+
     def test_count_class_path_matches_enumeration(self):
         base = np.array([[0.5, -1.0], [2.0, 1.0]])
         spec = dv.EstimatorSpec("hj", c2())
