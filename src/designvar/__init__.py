@@ -68,11 +68,9 @@ from .estimators import (
     linearization_vector,
     linearized_estimator,
     observe,
-    plug_in_rz,
     point_estimate,
     taylor_gap,
     taylor_variance,
-    weight_matrix_at,
 )
 from .simulate import SimReport, SimScenario, consistency_sweep, run_scenario
 from .spectral import (

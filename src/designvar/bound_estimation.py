@@ -24,7 +24,7 @@ from .errors import (
     LayoutMismatchError,
     NotIdentifiedBoundError,
 )
-from .estimators import EstimatorSpec, ObservedData, ht_linearization, plug_in_rz
+from .estimators import EstimatorSpec, ObservedData, _evaluate_one, ht_linearization
 
 
 @dataclass(eq=False)
@@ -107,8 +107,7 @@ def plugin_bound_estimate(
     Population quantities in the linearization vector are replaced by
     realized-denominator analogues fitted on the observed data.
     """
-    rz = plug_in_rz(spec, data, pi)
-    value = float(rz @ ipw.matrix @ rz)
+    value = _evaluate_one(spec, data, pi, ipw.matrix)[1]
     return BoundEstimate(value, spec.kind, bound_method, plug_in=spec.kind != "ht")
 
 

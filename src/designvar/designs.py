@@ -35,6 +35,7 @@ from .errors import (
 )
 
 DEFAULT_SUPPORT_CAP = 10**6
+DRAW_CHUNK = 4096  # draws per batch wherever draws are generated or evaluated
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,11 +144,11 @@ class IndexLayout:
 
 
 def arms_to_indicators(arms: np.ndarray, layout: IndexLayout) -> np.ndarray:
-    """0/1 indicator vector of length kn from an arm-per-unit vector."""
+    """0/1 indicators of length kn from an arm-per-unit vector, or an
+    S x kn batch of them from an S x n batch of arm vectors."""
     arms = np.asarray(arms, dtype=int)
-    ind = np.zeros(layout.kn)
-    ind[arms * layout.n + np.arange(layout.n)] = 1.0
-    return ind
+    onehot = arms[..., None, :] == np.arange(layout.k)[:, None]  # (..., k, n), arm-major
+    return onehot.reshape(arms.shape[:-1] + (layout.kn,)).astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,14 +321,21 @@ class Design:
         """Support as (S x kn indicator matrix, length-S float probabilities)."""
         if self.support is None:
             raise ValidationError("design has no enumerated support")
-        n, kn = self.layout.n, self.layout.kn
-        mat = np.zeros((len(self.support), kn))
-        probs = np.empty(len(self.support))
-        cols = np.arange(n)
-        for s, (arms, prob) in enumerate(self.support):
-            mat[s, arms * n + cols] = 1.0
-            probs[s] = float(prob)
-        return mat, probs
+        arms = np.array([arms for arms, _ in self.support])
+        probs = np.array([float(prob) for _, prob in self.support])
+        return arms_to_indicators(arms, self.layout), probs
+
+    def replicate_indicators(self, seed: int, replicates: int) -> Iterator[np.ndarray]:
+        """Seeded replicate draws as indicator batches of at most DRAW_CHUNK rows.
+
+        Replicate ``rep`` draws from its own child generator
+        ``default_rng((seed, rep))``, so any replicate can be reproduced
+        on its own.
+        """
+        for start in range(0, replicates, DRAW_CHUNK):
+            reps = range(start, min(start + DRAW_CHUNK, replicates))
+            arms = [self.draw(np.random.default_rng((seed, rep))) for rep in reps]
+            yield arms_to_indicators(np.array(arms), self.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +440,9 @@ def bernoulli_design(
             raise InfeasibleSpecError(f"arm probabilities for unit {i} do not sum to 1")
         if any(float(x) < 0 for x in row):
             raise InfeasibleSpecError("arm probabilities must be nonnegative")
+    # float rows need not sum to exactly 1 in binary: normalize them exactly,
+    # so the support is a probability measure whose marginals are pi
+    table = [[x / sum(row) for x in row] for row in table]
 
     pi_frac = ExactMatrix.of([table[i][r] for r in range(k) for i in range(n)])
     _, p_frac = elementwise(
@@ -867,17 +878,9 @@ def _empirical_moments(design: Design) -> tuple:
     kn = design.layout.kn
     pi_sum = np.zeros(kn)
     p_sum = np.zeros((kn, kn))
-    chunk = 4096
-    done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
-        mat = np.empty((take, kn))
-        for j in range(take):
-            rng = np.random.default_rng((design.seed, done + j))
-            mat[j] = arms_to_indicators(design.draw(rng), design.layout)
+    for mat in design.replicate_indicators(design.seed, reps):
         pi_sum += mat.sum(axis=0)
         p_sum += mat.T @ mat
-        done += take
     pi_hat = pi_sum / reps
     p_hat = p_sum / reps
     pi_se = np.sqrt(np.clip(pi_hat * (1 - pi_hat), 0, None) / reps)

@@ -7,6 +7,13 @@ Hajek (inverse-probability weights, intercept-only), and OLS (identity
 weights) as special cases; Horvitz-Thompson has a nonrandom W and is
 handled on its own.
 
+One batched engine evaluates every draw: an S x kn batch of 0/1
+indicators, DRAW_CHUNK rows at a time, gives point estimates, plug-in
+bound estimates and a feasibility mask.  The WLS family shares one
+stacked realized fit (one condition check and one solve per batch); a
+single estimate is a batch of one, and the population fit is the same
+fit at R = pi.
+
 Each family member also has a population linearization vector z such
 that the estimator behaves, to first order around R = E[R], like an
 inverse-probability weighted sum of z.  Quadratic forms of z in the
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import (
+    DRAW_CHUNK,
     Assignment,
     Design,
     DesignMatrix,
@@ -45,7 +53,7 @@ COND_FAIL = 1e15
 
 def intercept_matrix(layout: IndexLayout) -> np.ndarray:
     """kn x k block matrix with a ones-column per arm."""
-    return np.kron(np.eye(layout.k), np.ones((layout.n, 1)))
+    return np.repeat(np.eye(layout.k), layout.n, axis=0)
 
 
 def expand_covariates(x: np.ndarray | None, layout: IndexLayout) -> np.ndarray:
@@ -183,52 +191,97 @@ class LinearizationVector:
         self.z = self.layout.check_vector(self.z, "linearization vector")
 
 
-def _checked_solve(denom: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(denom)
-    if not np.isfinite(cond) or cond > COND_FAIL:
-        raise EstimationInfeasibleError(
-            f"singular {what} (condition number {cond:.3g}); "
-            "likely an arm with no assigned units"
-        )
-    if cond > COND_WARN:
-        warnings.warn(
-            f"{what} is ill conditioned (condition number {cond:.3g})",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
-    try:
-        return np.linalg.solve(denom, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationInfeasibleError(f"singular {what}: {exc}") from exc
+def _realized_fit(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, r: np.ndarray):
+    """The weighted-least-squares fit at each row of r, an S x kn batch of diagonals.
 
-
-def weight_matrix_at(
-    spec: EstimatorSpec, rdiag: np.ndarray, pi: PiDiagonal
-) -> np.ndarray:
-    """The estimator's weight matrix W evaluated at a given diagonal R.
-
-    rdiag may be any nonnegative vector, not just 0/1 indicators; the
-    population version W(pi) is the special case rdiag = pi.
+    Solves the stacked system (X' diag(m r_s) X) [b_s, v_s] = [X' diag(m r_s) y, c]
+    with one condition check over the whole stack: b_s is the fitted
+    coefficient and v_s the bread vector.  Indicator rows give the realized
+    fit, r = pi the population one.  Rows whose denominator is singular
+    (condition number above COND_FAIL, or not finite) are infeasible and
+    come back as NaN.  Returns (X, m, b, v, feasible).
     """
     layout = pi.layout
-    rdiag = layout.check_vector(rdiag, "assignment diagonal")
-    if spec.kind == "ht":
-        ones = intercept_matrix(layout)
-        return ones.T / (layout.n * pi.probs)[None, :]
-    m = spec.weight_diag(pi)
     xx = spec.design_x(layout)
-    denom = (xx * (m * rdiag)[:, None]).T @ xx
-    return _checked_solve(denom, (xx * m[:, None]).T, "realized denominator")
+    m = spec.weight_diag(pi)
+    q = xx.shape[1]
+    mr = m * r
+    outer = (xx[:, :, None] * xx[:, None, :]).reshape(layout.kn, q * q)
+    denom = (mr @ outer).reshape(-1, q, q)
+    rhs = np.stack([(mr * y) @ xx, np.broadcast_to(spec.padded_contrast(layout), (len(r), q))], 2)
+    cond = np.linalg.cond(denom)
+    feasible = cond <= COND_FAIL
+    if np.any(cond[feasible] > COND_WARN):
+        worst = cond[feasible].max()
+        warnings.warn(f"ill-conditioned denominator (condition number up to {worst:.3g})",
+                      IllConditionedWarning, stacklevel=3)
+    sol = np.full(rhs.shape, np.nan)
+    sol[feasible] = np.linalg.solve(denom[feasible], rhs[feasible])
+    return xx, m, sol[:, :, 0], sol[:, :, 1], feasible
+
+
+def _population_fit(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray):
+    """(X, m, b, v) of the fit at r = pi; raises if its denominator is singular."""
+    xx, m, b, v, feasible = _realized_fit(spec, pi, y, pi.probs[None, :])
+    if not feasible[0]:
+        raise EstimationInfeasibleError("singular population denominator")
+    return xx, m, b[0], v[0]
+
+
+def _evaluate_draws(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, r: np.ndarray,
+                    ipw_matrix: np.ndarray | None = None):
+    """The estimator and its plug-in bound estimate on a batch of draws.
+
+    r is an S x kn batch of 0/1 indicators and y the outcomes (full
+    potential outcomes or an observed vector; only R y enters).  Rows are
+    evaluated DRAW_CHUNK at a time.  Horvitz-Thompson is one product with
+    its fixed weight vector; the rest of the family goes through the
+    stacked realized fit.  The plug-in vector R z-hat replaces population
+    denominators and coefficients by realized ones, and the bound estimate
+    is R z-hat' (dtilde / p) R z-hat.
+
+    Returns (points, bounds or None without ipw_matrix, feasible); rows
+    with a singular realized denominator are infeasible and hold NaN.
+    """
+    layout = pi.layout
+    fc = spec.padded_contrast(layout)
+    points = np.full(len(r), np.nan)
+    bounds = None if ipw_matrix is None else np.full(len(r), np.nan)
+    feasible = np.ones(len(r), dtype=bool)
+    for start in range(0, len(r), DRAW_CHUNK):
+        rows = slice(start, start + DRAW_CHUNK)
+        y_obs = r[rows] * y
+        if spec.kind == "ht":
+            carm = np.repeat(spec.contrast, layout.n)
+            points[rows] = y_obs @ (carm / (layout.n * pi.probs))
+            rz = y_obs * carm / layout.n
+        else:
+            xx, m, b, v, feasible[rows] = _realized_fit(spec, pi, y, r[rows])
+            points[rows] = b @ fc
+            rz = pi.probs * (y_obs - r[rows] * (b @ xx.T)) * (m * (v @ xx.T))
+        if bounds is not None:
+            bounds[rows] = np.einsum("sa,sa->s", rz @ ipw_matrix, rz)
+    return points, bounds, feasible
+
+
+def _evaluate_one(spec: EstimatorSpec, data: ObservedData, pi: PiDiagonal,
+                  ipw_matrix: np.ndarray | None = None) -> tuple[float, float | None]:
+    """Point and plug-in bound estimate at one realized assignment."""
+    if data.assignment.layout != pi.layout:
+        raise LayoutMismatchError("data and probabilities use different layouts")
+    points, bounds, feasible = _evaluate_draws(
+        spec, pi, data.y_obs, data.assignment.indicators()[None, :], ipw_matrix
+    )
+    if not feasible[0]:
+        raise EstimationInfeasibleError(
+            "singular realized denominator; likely an arm with no assigned units"
+        )
+    return float(points[0]), None if bounds is None else float(bounds[0])
 
 
 def point_estimate(spec: EstimatorSpec, data: ObservedData, pi: PiDiagonal) -> float:
     """Evaluate c' W(R) R y at the realized assignment."""
-    layout = pi.layout
-    if data.assignment.layout != layout:
-        raise LayoutMismatchError("data and probabilities use different layouts")
-    fc = spec.padded_contrast(layout)
-    w = weight_matrix_at(spec, data.assignment.indicators(), pi)
-    return float(fc @ (w @ data.y_obs))
+    return _evaluate_one(spec, data, pi)[0]
 
 
 def linearization_vector(
@@ -244,19 +297,10 @@ def linearization_vector(
     y = layout.check_vector(y, "potential outcomes")
     if not np.all(np.isfinite(y)):
         raise ValidationError("potential outcomes must be finite")
-    fc = spec.padded_contrast(layout)
     if spec.kind == "ht":
-        carm = np.repeat(spec.contrast, layout.n)
-        z = y * carm / layout.n
-        return LinearizationVector(layout, z, "ht", "population")
-    m = spec.weight_diag(pi)
-    xx = spec.design_x(layout)
-    mpi = m * pi.probs
-    denom = (xx * mpi[:, None]).T @ xx
-    b = _checked_solve(denom, xx.T @ (mpi * y), "population denominator")
-    resid = y - xx @ b
-    right = m * (xx @ _checked_solve(denom, fc, "population denominator"))
-    z = pi.probs * resid * right
+        return ht_linearization(y, spec.contrast, layout)
+    xx, m, b, v = _population_fit(spec, pi, y)
+    z = pi.probs * (y - xx @ b) * (m * (xx @ v))
     return LinearizationVector(layout, z, spec.kind, "population")
 
 
@@ -296,35 +340,57 @@ def ht_exact_variance(y: np.ndarray, c: np.ndarray, dmat: DesignMatrix) -> float
 
 
 def linearized_estimator(spec: EstimatorSpec, y: np.ndarray, pi: PiDiagonal):
-    """Closure evaluating the first-order linearization at any indicator vector.
+    """Closure evaluating the first-order linearization at indicator vectors.
 
     For the WLS family this is the coefficient-anchored expansion
     c'b + c'w R (y - xx b) around R = pi; Horvitz-Thompson is linear in R
-    already, so its closure reproduces the estimator itself.
+    already, so its closure is the estimator itself.  The closure takes
+    one indicator vector (returning a float) or an S x kn batch (returning
+    S values).
     """
     layout = pi.layout
     y = layout.check_vector(y, "potential outcomes")
-    fc = spec.padded_contrast(layout)
     if spec.kind == "ht":
-        w = weight_matrix_at(spec, pi.probs, pi)
 
-        def linearized(r: np.ndarray) -> float:
-            return float(fc @ (w @ (r * y)))
+        def batch(r: np.ndarray) -> np.ndarray:
+            return _evaluate_draws(spec, pi, y, r)[0]
 
-        return linearized
-    m = spec.weight_diag(pi)
-    xx = spec.design_x(layout)
-    mpi = m * pi.probs
-    denom = (xx * mpi[:, None]).T @ xx
-    b = _checked_solve(denom, xx.T @ (mpi * y), "population denominator")
-    resid = y - xx @ b
-    q = m * (xx @ _checked_solve(denom, fc, "population denominator"))
-    anchor = float(fc @ b)
+    else:
+        xx, m, b, v = _population_fit(spec, pi, y)
+        resid = y - xx @ b
+        q = m * (xx @ v)
+        anchor = float(spec.padded_contrast(layout) @ b)
 
-    def linearized(r: np.ndarray) -> float:
-        return anchor + float(q @ (r * resid))
+        def batch(r: np.ndarray) -> np.ndarray:
+            return anchor + (r * resid) @ q
+
+    def linearized(r: np.ndarray):
+        r = np.asarray(r, dtype=float)
+        values = batch(np.atleast_2d(r))
+        return values if r.ndim == 2 else float(values[0])
 
     return linearized
+
+
+def _linearization_gap(
+    spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, r: np.ndarray, what: str
+) -> float:
+    """max |estimator - linearization| over the draws in the S x kn batch r.
+
+    Draws with a singular realized denominator are excluded and reported
+    through a warning that counts them as ``what``.
+    """
+    linearized = linearized_estimator(spec, y, pi)
+    points, _, feasible = _evaluate_draws(spec, pi, y, r)
+    skipped = int(np.sum(~feasible))
+    if skipped:
+        warnings.warn(
+            f"{skipped} of {len(r)} {what} were estimation-infeasible and "
+            "excluded from the gap",
+            InfeasiblePointsWarning,
+            stacklevel=3,
+        )
+    return float(np.abs(points - linearized(r))[feasible].max(initial=0.0))
 
 
 def taylor_gap(spec: EstimatorSpec, design: Design, y: np.ndarray) -> float:
@@ -336,48 +402,6 @@ def taylor_gap(spec: EstimatorSpec, design: Design, y: np.ndarray) -> float:
     """
     if design.support is None:
         raise ValidationError("taylor_gap requires an exact (enumerated) design")
-    layout = design.layout
-    pi = inclusion_probabilities(design)
-    y = layout.check_vector(y, "potential outcomes")
-    linearized = linearized_estimator(spec, y, pi)
-
-    worst = 0.0
-    skipped = 0
-    for assignment, _prob in design.assignments():
-        try:
-            point = point_estimate(spec, observe(assignment, y), pi)
-        except EstimationInfeasibleError:
-            skipped += 1
-            continue
-        worst = max(worst, abs(point - linearized(assignment.indicators())))
-    if skipped:
-        warnings.warn(
-            f"{skipped} of {design.support_size} support points were "
-            "estimation-infeasible and excluded from the gap",
-            InfeasiblePointsWarning,
-            stacklevel=2,
-        )
-    return worst
-
-
-def plug_in_rz(spec: EstimatorSpec, data: ObservedData, pi: PiDiagonal) -> np.ndarray:
-    """Observed projection R z-hat of the plug-in linearization vector.
-
-    Population denominators are replaced by their realized counterparts
-    and residuals use the fitted coefficient from the observed data, so
-    only observed coordinates are ever touched.
-    """
-    layout = pi.layout
-    if data.assignment.layout != layout:
-        raise LayoutMismatchError("data and probabilities use different layouts")
-    fc = spec.padded_contrast(layout)
-    r = data.assignment.indicators()
-    if spec.kind == "ht":
-        return data.y_obs * np.repeat(spec.contrast, layout.n) / layout.n
-    m = spec.weight_diag(pi)
-    xx = spec.design_x(layout)
-    denom = (xx * (m * r)[:, None]).T @ xx
-    bhat = _checked_solve(denom, xx.T @ (m * data.y_obs), "realized denominator")
-    resid_obs = data.y_obs - r * (xx @ bhat)
-    right = m * (xx @ _checked_solve(denom, fc, "realized denominator"))
-    return pi.probs * resid_obs * right
+    y = design.layout.check_vector(y, "potential outcomes")
+    r, _ = design.support_arrays()
+    return _linearization_gap(spec, inclusion_probabilities(design), y, r, "support points")

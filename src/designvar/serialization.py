@@ -72,11 +72,6 @@ def write_json(path, obj) -> None:
         fh.write(text + "\n")
 
 
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def design_summary(design: Design) -> dict:
     return {
         "k": design.layout.k,
@@ -111,6 +106,15 @@ def bound_sidecar(bound: BoundMatrix, tol: float) -> dict:
     }
 
 
+def _cell(path, line: int, row: dict, column: str, convert=float):
+    """One table cell as a number, or a ValidationError naming file, row and column."""
+    try:
+        return convert(row[column])
+    except (TypeError, ValueError) as exc:
+        text = f"{path}: row {line}, column {column!r}: {row[column]!r} is not a number"
+        raise ValidationError(text) from exc
+
+
 def _read_table(path, required: list[str]) -> list[dict]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -130,8 +134,8 @@ def read_potential_outcomes(path, layout: IndexLayout) -> np.ndarray:
     """
     rows = _read_table(path, ["unit_id", "arm", "y"])
     y = np.full(layout.kn, np.nan)
-    for row in rows:
-        unit, arm = int(row["unit_id"]), int(row["arm"])
+    for line, row in enumerate(rows, start=2):
+        unit, arm = (_cell(path, line, row, c, int) for c in ("unit_id", "arm"))
         if not (0 <= unit < layout.n and 0 <= arm < layout.k):
             raise ValidationError(
                 f"{path}: unit_id {unit} / arm {arm} out of range for "
@@ -140,7 +144,7 @@ def read_potential_outcomes(path, layout: IndexLayout) -> np.ndarray:
         a = layout.flat(arm, unit)
         if not np.isnan(y[a]):
             raise ValidationError(f"{path}: duplicate row for unit {unit}, arm {arm}")
-        y[a] = float(row["y"])
+        y[a] = _cell(path, line, row, "y")
     if np.any(np.isnan(y)):
         raise ValidationError(f"{path}: missing potential outcomes for some (unit, arm)")
     return y
@@ -157,11 +161,11 @@ def read_covariates(path, n: int) -> np.ndarray:
     if len(rows) != n:
         raise ValidationError(f"{path}: expected {n} rows, got {len(rows)}")
     x = np.full((n, len(xcols)), np.nan)
-    for row in rows:
-        unit = int(row["unit_id"])
+    for line, row in enumerate(rows, start=2):
+        unit = _cell(path, line, row, "unit_id", int)
         if not 0 <= unit < n:
             raise ValidationError(f"{path}: unit_id {unit} out of range")
-        x[unit] = [float(row[c]) for c in xcols]
+        x[unit] = [_cell(path, line, row, c) for c in xcols]
     if np.any(np.isnan(x)):
         raise ValidationError(f"{path}: duplicate or missing unit rows")
     return x
@@ -174,14 +178,14 @@ def read_observed(path, layout: IndexLayout) -> ObservedData:
         raise ValidationError(f"{path}: expected {layout.n} rows, got {len(rows)}")
     arms = np.full(layout.n, -1, dtype=int)
     y_obs = np.zeros(layout.kn)
-    for row in rows:
-        unit, arm = int(row["unit_id"]), int(row["arm_assigned"])
+    for line, row in enumerate(rows, start=2):
+        unit, arm = (_cell(path, line, row, c, int) for c in ("unit_id", "arm_assigned"))
         if not (0 <= unit < layout.n and 0 <= arm < layout.k):
             raise ValidationError(f"{path}: unit_id/arm out of range")
         if arms[unit] != -1:
             raise ValidationError(f"{path}: duplicate unit {unit}")
         arms[unit] = arm
-        y_obs[layout.flat(arm, unit)] = float(row["y_obs"])
+        y_obs[layout.flat(arm, unit)] = _cell(path, line, row, "y_obs")
     if not np.all(np.isfinite(y_obs)):
         raise ValidationError(f"{path}: y_obs values must be finite")
     return ObservedData(Assignment(layout, arms), y_obs)

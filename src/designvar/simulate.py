@@ -1,16 +1,19 @@
 """Exact-enumeration and Monte Carlo validation harness.
 
-Exact mode walks the whole support with its probabilities and therefore
-returns deterministic numbers: bias, variance, mean bound estimate, and
+Every per-draw number comes from one batched evaluation: a batch of
+0/1 indicator rows goes through the estimator engine in
+``estimators``, DRAW_CHUNK rows at a time.  Exact mode feeds it the
+whole support with its probabilities and therefore returns
+deterministic numbers: bias, variance, mean bound estimate, and
 normal-interval coverage are all probability-weighted sums.  Monte Carlo
-mode replays the same computation over seeded replicate draws, with one
-deterministic child seed per replicate, and reports Monte Carlo standard
-errors alongside each metric.
+mode feeds it seeded replicate draws, still one deterministic child seed
+per replicate, and reports Monte Carlo standard errors alongside each
+metric.  The linearization gaps (``taylor_gap`` over a support, the
+count-class gap of the sweep) use the same engine.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import build_bound
-from .bound_estimation import ipw_bound_matrix, plugin_bound_estimate
+from .bound_estimation import ipw_bound_matrix
 from .conditions import first_order_condition_norm
 from .designs import (
-    Assignment,
     Design,
+    arms_to_indicators,
     complete_design,
     first_order_design_matrix,
     inclusion_probabilities,
@@ -36,10 +39,9 @@ from .errors import (
 )
 from .estimators import (
     EstimatorSpec,
+    _evaluate_draws,
+    _linearization_gap,
     linearization_vector,
-    linearized_estimator,
-    observe,
-    point_estimate,
     taylor_gap,
     taylor_variance,
 )
@@ -99,11 +101,6 @@ class SimReport:
     mc_se: dict[str, float] | None = None
 
 
-def _contrast_estimand(y: np.ndarray, contrast: np.ndarray, layout) -> float:
-    means = y.reshape(layout.k, layout.n).mean(axis=1)
-    return float(contrast @ means)
-
-
 def run_scenario(scenario: SimScenario) -> SimReport:
     """Run one scenario, exactly or by seeded replication."""
     design = scenario.design
@@ -111,53 +108,32 @@ def run_scenario(scenario: SimScenario) -> SimReport:
     spec = scenario.estimator
     y = scenario.y
     pi = inclusion_probabilities(design)
-    estimand = _contrast_estimand(y, spec.contrast, layout)
+    estimand = float(spec.contrast @ y.reshape(layout.k, layout.n).mean(axis=1))
 
     z = linearization_vector(spec, y, pi)
     dmat, mask = first_order_design_matrix(design)
     t_var = taylor_variance(z, dmat)
 
-    ipw = None
+    ipw_matrix = None
     bound_value = None
     if scenario.bound_method is not None:
         bound = build_bound(scenario.bound_method, dmat, mask, contrast=spec.contrast)
         bound_value = float(z.z @ bound.dtilde @ z.z)
-        ipw = ipw_bound_matrix(bound, joint_probabilities(design))
+        ipw_matrix = ipw_bound_matrix(bound, joint_probabilities(design)).matrix
 
-    def one_draw(assignment: Assignment):
-        data = observe(assignment, y)
-        est = point_estimate(spec, data, pi)
-        if ipw is None:
-            return est, None, None
-        best = plugin_bound_estimate(
-            spec, data, pi, ipw, bound_method=scenario.bound_method
-        ).value
-        half = Z_95 * math.sqrt(max(best, 0.0))
-        covered = abs(estimand - est) <= half
-        return est, best, covered
-
-    draws: list[tuple[float, float | None, bool | None, float]] = []
-    infeasible_count = 0
-    infeasible_weight = 0.0
     if scenario.mode == "exact":
-        for assignment, prob in design.assignments():
-            try:
-                est, best, covered = one_draw(assignment)
-            except EstimationInfeasibleError:
-                infeasible_count += 1
-                infeasible_weight += float(prob)
-                continue
-            draws.append((est, best, covered, float(prob)))
+        r, probs = design.support_arrays()
+        points, bests, feasible = _evaluate_draws(spec, pi, y, r, ipw_matrix)
+        infeasible_weight = float(probs[~feasible].sum())
     else:
-        for rep in range(scenario.replicates):
-            rng = np.random.default_rng((scenario.seed, rep))
-            assignment = Assignment(layout, design.draw(rng))
-            try:
-                est, best, covered = one_draw(assignment)
-            except EstimationInfeasibleError:
-                infeasible_count += 1
-                continue
-            draws.append((est, best, covered, 1.0))
+        batches = design.replicate_indicators(scenario.seed, scenario.replicates)
+        parts = [_evaluate_draws(spec, pi, y, r, ipw_matrix) for r in batches]
+        points, bests, feasible = (
+            None if field[0] is None else np.concatenate(field) for field in zip(*parts)
+        )
+        probs = np.ones(scenario.replicates)
+        infeasible_weight = 0.0
+    infeasible_count = int(np.sum(~feasible))
     if infeasible_count:
         warnings.warn(
             f"{infeasible_count} draws were estimation-infeasible and excluded "
@@ -165,28 +141,26 @@ def run_scenario(scenario: SimScenario) -> SimReport:
             InfeasiblePointsWarning,
             stacklevel=2,
         )
-    if not draws:
+    if not feasible.any():
         raise EstimationInfeasibleError("estimation failed on every draw")
 
-    ests = np.array([d[0] for d in draws])
-    weights = np.array([d[3] for d in draws])
-    wsum = weights.sum()
-    wnorm = weights / wsum
+    ests = points[feasible]
+    wnorm = probs[feasible] / probs[feasible].sum()
     mean_est = float(wnorm @ ests)
     emp_var = float(wnorm @ (ests - mean_est) ** 2)
 
     mean_bound = coverage = None
     negative_bounds = 0
-    if ipw is not None:
-        bounds_arr = np.array([d[1] for d in draws])
-        cover_arr = np.array([1.0 if d[2] else 0.0 for d in draws])
+    if ipw_matrix is not None:
+        bounds_arr = bests[feasible]
+        covered = np.abs(estimand - ests) <= Z_95 * np.sqrt(np.maximum(bounds_arr, 0.0))
         mean_bound = float(wnorm @ bounds_arr)
-        coverage = float(np.clip(wnorm @ cover_arr, 0.0, 1.0))
+        coverage = float(np.clip(wnorm @ covered.astype(float), 0.0, 1.0))
         negative_bounds = int(np.sum(bounds_arr < 0.0))
 
     mc_se = None
     if scenario.mode == "mc":
-        n_eff = len(draws)
+        n_eff = len(ests)
         centered = ests - mean_est
         mc_se = {
             "mean_estimate": float(ests.std(ddof=1) / math.sqrt(n_eff)),
@@ -194,7 +168,7 @@ def run_scenario(scenario: SimScenario) -> SimReport:
                 math.sqrt(max((centered**4).mean() - emp_var**2, 0.0) / n_eff)
             ),
         }
-        if ipw is not None:
+        if ipw_matrix is not None:
             mc_se["mean_bound_estimate"] = float(
                 bounds_arr.std(ddof=1) / math.sqrt(n_eff)
             )
@@ -215,7 +189,7 @@ def run_scenario(scenario: SimScenario) -> SimReport:
         infeasible_weight=infeasible_weight,
         negative_bound_count=negative_bounds,
         mode=scenario.mode,
-        replicates=scenario.replicates if scenario.mode == "mc" else len(draws),
+        replicates=scenario.replicates if scenario.mode == "mc" else len(ests),
         mc_se=mc_se,
     )
 
@@ -237,31 +211,23 @@ def _tiled_complete_gap(
     pi = inclusion_probabilities(design)
     n_treat = int(round(pi.probs[layout.n] * layout.n))
     n_base = base_y.shape[1]
+    # every class: treated-copy counts per base unit summing to n_treat, built
+    # one base unit at a time and pruned once a partial sum passes n_treat
+    counts = np.zeros((1, 0), dtype=int)
+    for _ in range(n_base):
+        counts = np.column_stack([
+            np.repeat(counts, copies + 1, axis=0),
+            np.tile(np.arange(copies + 1), len(counts)),
+        ])
+        counts = counts[counts.sum(axis=1) <= n_treat]
+    counts = counts[counts.sum(axis=1) == n_treat]
+    # copies of base unit b sit at indices b, b + n_base, b + 2 n_base, ...;
+    # a class treats the first counts[b] of them
+    units = np.arange(layout.n)
+    arms = (units // n_base < counts[:, units % n_base]).astype(int)
+    r = arms_to_indicators(arms, layout)
     y = _tiled_outcomes(base_y, copies)
-    linearized = linearized_estimator(spec, y, pi)
-    worst = 0.0
-    skipped = 0
-    for counts in itertools.product(range(copies + 1), repeat=n_base):
-        if sum(counts) != n_treat:
-            continue
-        arms = np.zeros(layout.n, dtype=int)
-        for b, g in enumerate(counts):
-            # copies of base unit b sit at indices b, b + n_base, b + 2 n_base, ...
-            arms[b + n_base * np.arange(g)] = 1
-        assignment = Assignment(layout, arms)
-        try:
-            point = point_estimate(spec, observe(assignment, y), pi)
-        except EstimationInfeasibleError:
-            skipped += 1
-            continue
-        worst = max(worst, abs(point - linearized(assignment.indicators())))
-    if skipped:
-        warnings.warn(
-            f"{skipped} count classes were estimation-infeasible and excluded",
-            InfeasiblePointsWarning,
-            stacklevel=2,
-        )
-    return worst
+    return _linearization_gap(spec, pi, y, r, "count classes")
 
 
 def consistency_sweep(

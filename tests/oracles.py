@@ -68,6 +68,29 @@ def estimator_value(kind: str, rdiag: np.ndarray, y: np.ndarray, pi: np.ndarray,
     return float(c_full @ w @ np.diag(rdiag) @ y)
 
 
+def plug_in_rz(kind: str, rdiag: np.ndarray, y: np.ndarray, pi: np.ndarray,
+               c_full: np.ndarray, k: int, n: int,
+               x: np.ndarray | None = None, m: np.ndarray | None = None):
+    """Observed plug-in linearization vector R z-hat from its definition.
+
+    Horvitz-Thompson: R y scaled by its arm's contrast weight over n.  The
+    rest: pi * (R y - R X b-hat) * (c' W(R))' with b-hat = W(R) R y, i.e.
+    realized denominators in place of population ones.  None when the
+    realized denominator is singular (condition number above 1e15).
+    """
+    y_obs = rdiag * y
+    if kind == "ht":
+        return y_obs * np.repeat(c_full, n) / n
+    xx = covariate_expansion(k, x, n) if kind in ("ols", "wls") else intercept(k, n)
+    weights = {"cm": np.ones(k * n), "ols": np.ones(k * n), "hj": 1.0 / pi}.get(kind, m)
+    denom = xx.T @ np.diag(weights * rdiag) @ xx
+    if not np.linalg.cond(denom) <= 1e15:
+        return None
+    w = w_matrix(kind, rdiag, pi, k, n, x=x, m=m)
+    bhat = w @ y_obs
+    return pi * (y_obs - rdiag * (xx @ bhat)) * (c_full @ w)
+
+
 def finite_difference_z(kind: str, y: np.ndarray, pi: np.ndarray, c_full: np.ndarray,
                         k: int, n: int, x: np.ndarray | None = None,
                         m: np.ndarray | None = None, step: float = 1e-5) -> np.ndarray:

@@ -302,6 +302,47 @@ class TestEstimateCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rows, column",
+        [
+            ("0,0,1.0\n1,1,abc\n2,1,3.0\n3,0,4.0\n", "y_obs"),  # not a number
+            ("0,0,1.0\n1,1\n2,1,3.0\n3,0,4.0\n", "y_obs"),  # short row
+            ("0,0,1.0\n1,one,2.0\n2,1,3.0\n3,0,4.0\n", "arm_assigned"),
+            ("0,0,1.0\n1.5,1,2.0\n2,1,3.0\n3,0,4.0\n", "unit_id"),
+        ],
+    )
+    def test_malformed_data_cell_exits_2(self, tmp_path, capsys, rows, column):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("unit_id,arm_assigned,y_obs\n" + rows)
+        out = tmp_path / "r.json"
+        code = main([
+            "estimate", "--design", write_json(tmp_path / "d.json", PAIRED_SPEC),
+            "--data", str(obs), "--estimator", "hj", "--contrast=-1,1",
+            "--bound", "as", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "obs.csv" in err and "row 3" in err and repr(column) in err
+
+    @pytest.mark.parametrize("rows", ["0,1.0\n1,oops\n2,0.5\n3,0.1\n",
+                                      "0,1.0\n1\n2,0.5\n3,0.1\n"])
+    def test_malformed_covariate_cell_exits_2(self, tmp_path, capsys, rows):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("unit_id,arm_assigned,y_obs\n0,0,1.0\n1,1,2.0\n2,1,3.0\n3,0,4.0\n")
+        cov = tmp_path / "x.csv"
+        cov.write_text("unit_id,x1\n" + rows)
+        out = tmp_path / "r.json"
+        code = main([
+            "estimate", "--design", write_json(tmp_path / "d.json", PAIRED_SPEC),
+            "--data", str(obs), "--covariates", str(cov), "--estimator", "ols",
+            "--contrast=-1,1", "--bound", "as", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "x.csv" in err and "row 3" in err and "'x1'" in err
+
     def test_ht_paired_algm_pipeline(self, tmp_path):
         obs = tmp_path / "obs.csv"
         obs.write_text(

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import designvar as dv
 from designvar import serialization as ser
@@ -56,9 +56,15 @@ def assert_exact(design, twin=None):
 @given(st.integers(0, 10**9))
 def test_random_designs_match_exact_oracle(seed):
     design = random_small_design(np.random.default_rng(seed))
-    # Bernoulli rows given as floats need not sum to exactly 1 in binary; the
-    # support then carries a slightly different measure than the rows do.
-    assume(sum(prob for _, prob in design.support) == 1)
+    assert_exact(design)
+
+
+def test_bernoulli_float_rows_carry_an_exact_measure():
+    # 0.1 + 0.9 and 0.3 + 0.7 are not exactly 1 in binary
+    design = dv.bernoulli_design([[0.1, 0.9], [0.3, 0.7]])
+    assert sum(prob for _, prob in design.support) == 1
+    pi, _ = exact_moments(design)
+    assert [design.pi_frac[a] for a in range(design.layout.kn)] == pi
     assert_exact(design)
 
 

@@ -59,6 +59,14 @@ class TestDataTables:
         with pytest.raises(dv.ValidationError, match="missing"):
             ser.read_potential_outcomes(path, layout)
 
+    @pytest.mark.parametrize("body", ["0,0,1.5\n1,0,x\n", "0,0,1.5\n1,0\n"])
+    def test_malformed_outcome_cell_names_row_and_column(self, tmp_path, body):
+        layout = dv.IndexLayout(2, 2)
+        path = tmp_path / "y.csv"
+        path.write_text("unit_id,arm,y\n" + body + "0,1,3.5\n1,1,4.5\n")
+        with pytest.raises(dv.ValidationError, match="row 3, column 'y'"):
+            ser.read_potential_outcomes(path, layout)
+
     def test_covariates(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("unit_id,x1,x2\n1,3.0,4.0\n0,1.0,2.0\n")

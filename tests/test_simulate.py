@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import designvar as dv
+from oracles import estimator_value, exact_moments, plug_in_rz
 
 
 def c2():
@@ -150,3 +151,130 @@ class TestConsistencySweep:
         classed = dv.consistency_sweep(spec, base, [8], support_cap=10)[0]
         assert_allclose(full["taylor_gap"], classed["taylor_gap"], atol=1e-12)
         assert_allclose(full["n_times_var"], classed["n_times_var"], atol=1e-12)
+
+
+class TestRunScenarioAgainstOracle:
+    """Every draw-dependent report field, rebuilt draw by draw from the
+    oracle estimator value and the oracle plug-in bound estimate."""
+
+    DESIGNS = {
+        "paired4": lambda: dv.paired_design([(0, 1), (2, 3)]),
+        "complete322": lambda: dv.complete_design([3, 2, 2]),
+        "bernoulli3": lambda: dv.bernoulli_design(0.5, n=3),
+    }
+
+    @staticmethod
+    def setup_case(design, kind):
+        k, n = design.layout.k, design.layout.n
+        rng = np.random.default_rng(17 * k + n)
+        y = rng.normal(size=k * n)
+        c = np.array([-1.0, 1.0]) if k == 2 else np.array([-1.0, 0.5, 0.5])
+        x = rng.normal(size=(n, 1)) if kind in ("ols", "wls") else None
+        m = rng.uniform(0.5, 2.0, size=k * n) if kind == "wls" else None
+        spec = dv.EstimatorSpec(kind, c, covariates=x, weights=m)
+        return y, c, x, m, spec
+
+    @staticmethod
+    def expected(design, y, kind, c, x, m, draws):
+        k, n = design.layout.k, design.layout.n
+        pi = np.array([float(v) for v in exact_moments(design)[0]])
+        c_full = c if x is None else np.concatenate([c, np.zeros(x.shape[1])])
+        dmat, mask = dv.first_order_design_matrix(design)
+        bound = dv.build_bound("as", dmat, mask, contrast=c)
+        ipw = dv.ipw_bound_matrix(bound, dv.joint_probabilities(design)).matrix
+        estimand = float(c @ y.reshape(k, n).mean(axis=1))
+        ests, bounds, weights = [], [], []
+        infeasible, infeasible_weight = 0, 0.0
+        for arms, weight in draws:
+            r = np.zeros(k * n)
+            r[np.asarray(arms) * n + np.arange(n)] = 1.0
+            rz = plug_in_rz(kind, r, y, pi, c_full, k, n, x=x, m=m)
+            if rz is None:
+                infeasible += 1
+                infeasible_weight += weight
+                continue
+            ests.append(estimator_value(kind, r, y, pi, c_full, k, n, x=x, m=m))
+            bounds.append(float(rz @ ipw @ rz))
+            weights.append(weight)
+        ests, bounds, weights = map(np.array, (ests, bounds, weights))
+        wnorm = weights / weights.sum()
+        mean_est = float(wnorm @ ests)
+        emp_var = float(wnorm @ (ests - mean_est) ** 2)
+        covered = np.abs(estimand - ests) <= 1.96 * np.sqrt(np.maximum(bounds, 0.0))
+        coverage = float(np.clip(wnorm @ covered, 0.0, 1.0))
+        se = {
+            "mean_estimate": ests.std(ddof=1) / np.sqrt(ests.size),
+            "empirical_variance": np.sqrt(
+                max(((ests - mean_est) ** 4).mean() - emp_var**2, 0.0) / ests.size
+            ),
+            "mean_bound_estimate": bounds.std(ddof=1) / np.sqrt(ests.size),
+            "coverage_95": np.sqrt(max(coverage * (1 - coverage), 0.0) / ests.size),
+        }
+        floats = {
+            "estimand": estimand,
+            "mean_estimate": mean_est,
+            "bias": mean_est - estimand,
+            "empirical_variance": emp_var,
+            "mean_bound_estimate": float(wnorm @ bounds),
+            "coverage_95": coverage,
+            "infeasible_weight": infeasible_weight,
+        }
+        counts = {
+            "infeasible_count": infeasible,
+            "negative_bound_count": int(np.sum(bounds < 0.0)),
+        }
+        return floats, counts, ests.size, se
+
+    @staticmethod
+    def assert_close(actual, expected, what):
+        assert abs(actual - expected) <= 1e-9 * max(1.0, abs(expected)), (what, actual, expected)
+
+    def check(self, report, floats, counts):
+        for name, value in floats.items():
+            self.assert_close(getattr(report, name), value, name)
+        for name, value in counts.items():
+            assert getattr(report, name) == value, name
+
+    @pytest.mark.parametrize("kind", ["ht", "cm", "hj", "ols", "wls"])
+    @pytest.mark.parametrize("design_name", sorted(DESIGNS))
+    def test_exact_report_matches_oracle(self, design_name, kind):
+        design = self.DESIGNS[design_name]()
+        y, c, x, m, spec = self.setup_case(design, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dv.errors.InfeasiblePointsWarning)
+            report = dv.run_scenario(dv.SimScenario(design, y, spec, bound_method="as"))
+        draws = [(arms, float(prob)) for arms, prob in design.support]
+        floats, counts, feasible, _ = self.expected(design, y, kind, c, x, m, draws)
+        self.check(report, floats, counts)
+        assert report.replicates == feasible
+        if design_name == "bernoulli3" and kind != "ht":
+            assert report.infeasible_count == 2  # the two single-arm assignments
+
+    @pytest.mark.parametrize(
+        "design_name, kind, replicates",
+        [
+            ("paired4", "hj", 300),
+            ("complete322", "ols", 300),
+            ("bernoulli3", "cm", 300),
+            ("complete322", "wls", 4100),  # crosses a 4096-draw chunk boundary
+        ],
+    )
+    def test_mc_report_matches_oracle(self, design_name, kind, replicates):
+        design = self.DESIGNS[design_name]()
+        y, c, x, m, spec = self.setup_case(design, kind)
+        seed = 23
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dv.errors.InfeasiblePointsWarning)
+            report = dv.run_scenario(
+                dv.SimScenario(design, y, spec, bound_method="as", mode="mc",
+                               replicates=replicates, seed=seed)
+            )
+        draws = [(design.draw(np.random.default_rng((seed, rep))), 1.0)
+                 for rep in range(replicates)]
+        floats, counts, _, se = self.expected(design, y, kind, c, x, m, draws)
+        floats["infeasible_weight"] = 0.0  # MC reports count infeasible draws only
+        self.check(report, floats, counts)
+        assert report.replicates == replicates
+        assert set(report.mc_se) == set(se)
+        for name, value in se.items():
+            self.assert_close(report.mc_se[name], value, f"mc_se[{name}]")
