@@ -78,8 +78,10 @@ def elementwise(fn, *operands) -> tuple[np.ndarray, ExactMatrix | None]:
 
     When every operand is an ExactMatrix, ``fn`` runs on Fractions once per
     distinct tuple of operand codes and the result is exact.  Otherwise it
-    runs once on the float arrays and there are no exact values.  This is
-    the only place where exact and float arithmetic part ways.
+    runs once on the float arrays and there are no exact values.  Callers
+    write their formula once through it instead of branching on exactness;
+    they may still rearrange operand codes (``first_order_design_matrix``
+    sorts the codes of a symmetric pair so it is evaluated once).
     """
     if not all(isinstance(op, ExactMatrix) for op in operands):
         floats = [op.to_float() if isinstance(op, ExactMatrix) else op for op in operands]
@@ -281,6 +283,7 @@ class Design:
     p_frac: ExactMatrix | None = None
     support_size: int | None = None
     _empirical: tuple | None = field(default=None, repr=False)
+    _draw_probs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("exact", "mc"):
@@ -307,8 +310,10 @@ class Design:
         """Draw one assignment (arm-per-unit vector)."""
         if self.sampler is not None:
             return self.sampler(rng)
-        probs = np.array([float(p) for _, p in self.support])
-        idx = rng.choice(len(self.support), p=probs / probs.sum())
+        if self._draw_probs is None:  # built once, so a draw does not cost O(support)
+            probs = np.array([float(p) for _, p in self.support])
+            self._draw_probs = probs / probs.sum()
+        idx = rng.choice(len(self.support), p=self._draw_probs)
         return self.support[idx][0].copy()
 
     def assignments(self) -> Iterator[tuple[Assignment, Fraction]]:
@@ -915,9 +920,11 @@ def first_order_design_matrix(design: Design) -> tuple[DesignMatrix, Impossibili
     pi = inclusion_probabilities(design)  # raises if non-identified
     p = joint_probabilities(design)
     pis, joint = pi.frac or pi.probs, p.frac or p.p
-    d, d_frac = elementwise(
-        lambda pab, pa, pb: pab / (pa * pb) - 1, joint, pis[:, None], pis[None, :]
-    )
+    pa, pb = pis[:, None], pis[None, :]
+    if isinstance(pis, ExactMatrix):
+        # d is symmetric in (pa, pb): sorted codes let d[a, b] and d[b, a] share one evaluation
+        pa, pb = (ExactMatrix(f(pa.codes, pb.codes), pis.values) for f in (np.minimum, np.maximum))
+    d, d_frac = elementwise(lambda pab, pa, pb: pab / (pa * pb) - 1, joint, pa, pb)
     mask, _ = elementwise(lambda pab: pab == 0, joint)
     return (
         DesignMatrix(design.layout, d, frac=d_frac, estimated=p.estimated),

@@ -3,7 +3,10 @@
 Matrices are written row-major with a header row of flat indices.
 Floats are rendered with repr(), the shortest string that round-trips
 to the exact same double, so re-ingesting a file reproduces values
-bit-for-bit.  See docs/formats.md for byte-level examples.
+bit-for-bit.  See docs/formats.md for byte-level examples.  Matrix CSVs
+go through a codebook: the writer formats each distinct value (bit
+pattern) once and the reader runs float() once per distinct token, which
+pays because design matrices hold few distinct values.
 """
 
 from __future__ import annotations
@@ -20,35 +23,39 @@ from .estimators import ObservedData
 from .spectral import EigenReport
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(np.asarray(matrix))
     as_int = matrix.dtype.kind in "iub"
     matrix = matrix.astype(float)
+    # distinct bit patterns, so -0.0 stays apart from 0.0; each is formatted once
+    bits, codes = np.unique(matrix.view(np.uint64), return_inverse=True)
+    fmt = (lambda v: str(int(v))) if as_int else (lambda v: repr(float(v)))
+    tokens = [fmt(v) for v in bits.view(np.float64)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(range(matrix.shape[1]))
-        for row in matrix:
-            writer.writerow([str(int(v)) if as_int else _fmt(v) for v in row])
+        fh.write(",".join(map(str, range(matrix.shape[1]))) + "\r\n")
+        for row in codes.reshape(matrix.shape):
+            fh.write(",".join(map(tokens.__getitem__, row.tolist())) + "\r\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: expected a header row plus data rows")
-    width = len(rows[0])
+    parsed: dict[str, float] = {}  # float() runs once per distinct token
     data = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValidationError(f"{path}: row {i} has {len(row)} fields, expected {width}")
-        try:
-            data.append([float(v) for v in row])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: row {i}: {exc}") from exc
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        width = len(next(rows, ()))
+        for i, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise ValidationError(f"{path}: row {i} has {len(row)} fields, expected {width}")
+            try:
+                data.append(list(map(parsed.__getitem__, row)))
+            except KeyError:  # the row holds tokens not seen before
+                try:
+                    parsed.update((token, float(token)) for token in row if token not in parsed)
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: row {i}: {exc}") from exc
+                data.append(list(map(parsed.__getitem__, row)))
+    if not data:
+        raise ValidationError(f"{path}: expected a header row plus data rows")
     return np.array(data)
 
 

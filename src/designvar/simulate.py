@@ -81,8 +81,9 @@ class SimReport:
 
     Metrics conditional on feasibility exclude support points where the
     realized denominator was singular; their count and probability weight
-    are reported.  Negative plug-in bound estimates are floored at zero
-    inside the coverage intervals and counted.
+    are reported (in MC mode each replicate weighs 1/replicates).  Negative
+    plug-in bound estimates are floored at zero inside the coverage
+    intervals and counted.
     """
 
     estimand: float
@@ -124,7 +125,6 @@ def run_scenario(scenario: SimScenario) -> SimReport:
     if scenario.mode == "exact":
         r, probs = design.support_arrays()
         points, bests, feasible = _evaluate_draws(spec, pi, y, r, ipw_matrix)
-        infeasible_weight = float(probs[~feasible].sum())
     else:
         batches = design.replicate_indicators(scenario.seed, scenario.replicates)
         parts = [_evaluate_draws(spec, pi, y, r, ipw_matrix) for r in batches]
@@ -132,8 +132,11 @@ def run_scenario(scenario: SimScenario) -> SimReport:
             None if field[0] is None else np.concatenate(field) for field in zip(*parts)
         )
         probs = np.ones(scenario.replicates)
-        infeasible_weight = 0.0
     infeasible_count = int(np.sum(~feasible))
+    if scenario.mode == "exact":
+        infeasible_weight = float(probs[~feasible].sum())
+    else:
+        infeasible_weight = infeasible_count / scenario.replicates
     if infeasible_count:
         warnings.warn(
             f"{infeasible_count} draws were estimation-infeasible and excluded "

@@ -7,6 +7,7 @@ bound machinery, so agreement between the two is informative.
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -200,3 +201,33 @@ def random_small_design(
     else:
         level = dv.bernoulli_design(0.5, n=3)
     return dv.cluster_design(clusters, level)
+
+
+def write_matrix_csv_reference(path, matrix) -> None:
+    """Matrix CSV the plain way: csv.writer, one repr() (or int) per cell."""
+    matrix = np.atleast_2d(np.asarray(matrix))
+    as_int = matrix.dtype.kind in "iub"
+    matrix = matrix.astype(float)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(range(matrix.shape[1]))
+        for row in matrix:
+            writer.writerow([str(int(v)) if as_int else repr(float(v)) for v in row])
+
+
+def read_matrix_csv_reference(path) -> np.ndarray:
+    """Matrix CSV the plain way: csv.reader, one float() per cell."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise dv.ValidationError(f"{path}: expected a header row plus data rows")
+    width = len(rows[0])
+    data = []
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise dv.ValidationError(f"{path}: row {i} has {len(row)} fields, expected {width}")
+        try:
+            data.append([float(v) for v in row])
+        except ValueError as exc:
+            raise dv.ValidationError(f"{path}: row {i}: {exc}") from exc
+    return np.array(data)

@@ -204,6 +204,26 @@ class TestMonteCarloMoments:
         )
 
 
+class TestSupportDraws:
+    def test_draws_match_the_per_draw_probability_vector(self):
+        rng = np.random.default_rng(3)
+        n = 6
+        codes = rng.choice(2**n, size=40, replace=False)
+        weights = rng.integers(1, 1000, size=40)
+        support = [([(int(c) >> i) & 1 for i in range(n)], Fraction(int(w), int(weights.sum())))
+                   for c, w in zip(codes, weights)]
+        design = dv.custom_design(dv.IndexLayout(2, n), support)
+        assert design.sampler is None
+        for seed in (0, 1, 7, 2024):
+            for rep in range(25):
+                probs = np.array([float(p) for _, p in design.support])
+                old = np.random.default_rng((seed, rep)).choice(len(support), p=probs / probs.sum())
+                drawn = design.draw(np.random.default_rng((seed, rep)))
+                assert_array_equal(drawn, design.support[old][0])
+        drawn[:] = 1 - drawn  # a draw is a copy, not a view of the support
+        assert_array_equal(design.draw(np.random.default_rng((2024, 24))), design.support[old][0])
+
+
 class TestCompositionAgainstEnumeration:
     def test_block_moments_match_enumerated_product(self):
         b1 = dv.complete_design([1, 1])

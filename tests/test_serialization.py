@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_array_equal
 
 import designvar as dv
 from designvar import serialization as ser
+
+from oracles import read_matrix_csv_reference, write_matrix_csv_reference
 
 
 def test_write_json_refuses_non_finite(tmp_path):
@@ -40,6 +45,85 @@ class TestMatrixRoundTrip:
         path.write_text("0,1\n1.0\n")
         with pytest.raises(dv.ValidationError, match="fields"):
             ser.read_matrix_csv(path)
+
+
+SPECIAL = [0.0, -0.0, 1.0 / 3.0, -1.0 / 3.0, -1.0, 1e300, 5e-324, 2.2250738585072014e-308 / 3,
+           float("nan"), float("inf"), float("-inf")]
+SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=7)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """uint64 bit patterns with every NaN mapped to one pattern."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).view(np.uint64)
+
+
+matrices = st.one_of(
+    arrays(np.float64, SHAPES, elements=st.sampled_from(SPECIAL)),  # few distinct values
+    arrays(np.float64, SHAPES, elements=st.floats(width=64)),  # many, subnormals included
+    arrays(np.float64, st.tuples(st.just(1), st.integers(1, 9)), elements=st.floats(width=64)),
+    arrays(np.int64, SHAPES, elements=st.integers(-3, 3)),
+    arrays(np.bool_, SHAPES),
+)
+
+
+class TestMatrixCsvAgainstReference:
+    """The library's matrix CSV I/O against csv.writer / csv.reader one cell at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=matrices)
+    def test_bytes_and_bits_match_reference(self, tmp_path_factory, matrix):
+        folder = tmp_path_factory.mktemp("csv")
+        ours, ref = folder / "ours.csv", folder / "ref.csv"
+        ser.write_matrix_csv(ours, matrix)
+        write_matrix_csv_reference(ref, matrix)
+        assert ours.read_bytes() == ref.read_bytes()
+        back = ser.read_matrix_csv(ours)
+        assert back.dtype == np.float64 and back.shape == matrix.shape
+        assert_array_equal(_bits(back), _bits(read_matrix_csv_reference(ref)))
+        assert_array_equal(_bits(back), _bits(matrix))
+
+    def test_negative_zero_and_line_ends(self, tmp_path):
+        path = tmp_path / "m.csv"
+        ser.write_matrix_csv(path, np.array([[-0.0, 0.0], [np.inf, np.nan]]))
+        assert path.read_bytes() == b"0,1\r\n-0.0,0.0\r\ninf,nan\r\n"
+        assert np.signbit(ser.read_matrix_csv(path)[0, 0])
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("0,1\r\n1.0,2.0\r\n3.0\r\n", "row 3 has 1 fields, expected 2"),
+            ("0,1\r\n1.0,x\r\n", "row 2: could not convert string to float: 'x'"),
+            ("0,1\r\n1.0,x\r\n3.0\r\n", "row 2: could not"),
+            ("0,1\r\n1.0,2.0\r\n\r\n", "row 3 has 0 fields"),
+            ("0,1\r\n", "header row plus data rows"),
+            ("", "header row plus data rows"),
+        ],
+    )
+    def test_malformed_file_names_the_row(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(dv.ValidationError, match=match) as ours:
+            ser.read_matrix_csv(path)
+        with pytest.raises(dv.ValidationError) as ref:
+            read_matrix_csv_reference(path)
+        assert str(ours.value) == str(ref.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet="01.5e-+,x \"\r\n_nai", max_size=40))
+    def test_any_text_reads_like_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "any.csv"
+        path.write_bytes(text.encode())
+        try:
+            want = read_matrix_csv_reference(path)
+        except dv.ValidationError as exc:
+            with pytest.raises(dv.ValidationError) as ours:
+                ser.read_matrix_csv(path)
+            assert str(ours.value) == str(exc)
+            return
+        back = ser.read_matrix_csv(path)
+        assert back.shape == want.shape
+        assert_array_equal(_bits(back), _bits(want))
 
 
 class TestDataTables:

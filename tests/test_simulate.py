@@ -46,6 +46,17 @@ class TestRunScenarioExact:
         assert report.infeasible_count == 2  # the two single-arm assignments
         assert_allclose(report.infeasible_weight, 2 * 0.5**3, atol=1e-15)
 
+    def test_mc_infeasible_weight_is_the_infeasible_share(self):
+        design = dv.bernoulli_design(0.5, n=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dv.errors.InfeasiblePointsWarning)
+            report = dv.run_scenario(
+                dv.SimScenario(design, np.arange(6.0), dv.EstimatorSpec("cm", c2()),
+                               bound_method=None, mode="mc", replicates=300, seed=23)
+            )
+        assert report.infeasible_count == 79
+        assert report.infeasible_weight == 79 / 300
+
     def test_exact_requires_enumerable_design(self):
         design = dv.bernoulli_design(0.5, n=30, mode="mc", seed=0)
         with pytest.raises(dv.ValidationError):
@@ -269,10 +280,9 @@ class TestRunScenarioAgainstOracle:
                 dv.SimScenario(design, y, spec, bound_method="as", mode="mc",
                                replicates=replicates, seed=seed)
             )
-        draws = [(design.draw(np.random.default_rng((seed, rep))), 1.0)
+        draws = [(design.draw(np.random.default_rng((seed, rep))), 1.0 / replicates)
                  for rep in range(replicates)]
         floats, counts, _, se = self.expected(design, y, kind, c, x, m, draws)
-        floats["infeasible_weight"] = 0.0  # MC reports count infeasible draws only
         self.check(report, floats, counts)
         assert report.replicates == replicates
         assert set(report.mc_se) == set(se)
