@@ -27,6 +27,7 @@ from .designs import (
     first_order_design_matrix,
     inclusion_probabilities,
     joint_probabilities,
+    spec_field,
 )
 from .errors import NumericalError, ValidationError
 from .estimators import EstimatorSpec, point_estimate
@@ -180,23 +181,28 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def _scenario_from_json(doc: dict) -> SimScenario | dict:
-    if "sweep" in doc:
+    what = "scenario"
+    if spec_field(doc, "sweep", what, None) is not None:
         return doc["sweep"]
-    design = build_design(doc["design"])
+    design = build_design(spec_field(doc, "design", what))
     pi = inclusion_probabilities(design)
-    y_doc = doc["y"]
+    y_doc = spec_field(doc, "y", what)
     if isinstance(y_doc, dict):
-        base = np.asarray(y_doc["base"], dtype=float)
-        y = np.concatenate([np.tile(row, int(y_doc["copies"])) for row in base])
+        base = spec_field(y_doc, "base", 'scenario "y"', cast=_floats)
+        copies = spec_field(y_doc, "copies", 'scenario "y"', cast=int)
+        y = np.concatenate([np.tile(row, copies) for row in base])
     else:
-        y = np.asarray(y_doc, dtype=float)
-    est = doc["estimator"]
-    covariates = est.get("covariates")
+        y = spec_field(doc, "y", what, cast=_floats)
+    est = spec_field(doc, "estimator", what)
     spec = _estimator_from_args(
-        est["kind"],
-        np.asarray(est["contrast"], dtype=float),
-        np.asarray(covariates, dtype=float) if covariates is not None else None,
+        spec_field(est, "kind", "scenario estimator"),
+        spec_field(est, "contrast", "scenario estimator", cast=_floats),
+        spec_field(est, "covariates", "scenario estimator", None, _floats),
         est.get("weights"),
         pi,
     )
@@ -206,8 +212,8 @@ def _scenario_from_json(doc: dict) -> SimScenario | dict:
         estimator=spec,
         bound_method=doc.get("bound", "as"),
         mode=doc.get("mode", "exact"),
-        replicates=int(doc.get("replicates", 0)),
-        seed=doc.get("seed"),
+        replicates=spec_field(doc, "replicates", what, 0, int),
+        seed=spec_field(doc, "seed", what, None, int),
     )
 
 
@@ -216,15 +222,16 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scenario = _scenario_from_json(doc)
-    if isinstance(scenario, dict):
+    if not isinstance(scenario, SimScenario):
+        est = spec_field(scenario, "estimator", "sweep")
         spec = EstimatorSpec(
-            scenario["estimator"]["kind"],
-            np.asarray(scenario["estimator"]["contrast"], dtype=float),
+            spec_field(est, "kind", "sweep estimator"),
+            spec_field(est, "contrast", "sweep estimator", cast=_floats),
         )
         rows = consistency_sweep(
             spec,
-            np.asarray(scenario["base_y"], dtype=float),
-            [int(n) for n in scenario["n_list"]],
+            spec_field(scenario, "base_y", "sweep", cast=_floats),
+            spec_field(scenario, "n_list", "sweep", cast=lambda ns: [int(n) for n in ns]),
         )
         with open(out / "trend.csv", "w") as fh:
             cols = list(rows[0].keys())

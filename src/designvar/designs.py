@@ -7,6 +7,8 @@ vectors have length kn and joint matrices are kn x kn.
 
 Probabilities for the combinatorial families (bernoulli, complete,
 paired, block, cluster, enumerated custom) are kept as exact rationals.
+An enumerated support (Support) is an S x n array of arms, one row per
+assignment, over a length-S exact matrix of point probabilities.
 An exact matrix (ExactMatrix) is an integer code array over a codebook
 of distinct Fractions, and its floats are a view of it, values[codes].
 That is what makes entries like -1/3 or exact -1 reproducible
@@ -17,11 +19,11 @@ or directly on the floats when an operand has no exact values.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -35,6 +37,7 @@ from .errors import (
 )
 
 DEFAULT_SUPPORT_CAP = 10**6
+MODES = ("exact", "mc")
 DRAW_CHUNK = 4096  # draws per batch wherever draws are generated or evaluated
 
 
@@ -135,6 +138,18 @@ class IndexLayout:
             )
         return v
 
+    def check_arms(self, arms: np.ndarray, rows: tuple[int, ...] = ()) -> np.ndarray:
+        """Arms of one assignment (length n), or of ``rows`` of them, in [0, k)."""
+        arms = np.asarray(arms, dtype=int)
+        if arms.shape[:-1] != rows or arms.shape[-1:] != (self.n,):
+            raise LayoutMismatchError(
+                f"assignment must give one arm per unit, expected length "
+                f"{self.n}, got shape {arms.shape[len(rows):]}"
+            )
+        if arms.min() < 0 or arms.max() >= self.k:
+            raise ValidationError("assignment arm indices must lie in [0, k)")
+        return arms
+
     def check_matrix(self, m: np.ndarray, what: str = "matrix") -> np.ndarray:
         m = np.asarray(m, dtype=float)
         if m.shape != (self.kn, self.kn):
@@ -161,15 +176,7 @@ class Assignment:
     arms: np.ndarray  # length n, values in 0..k-1
 
     def __post_init__(self):
-        arms = np.asarray(self.arms, dtype=int)
-        object.__setattr__(self, "arms", arms)
-        if arms.shape != (self.layout.n,):
-            raise LayoutMismatchError(
-                f"assignment must give one arm per unit, expected length "
-                f"{self.layout.n}, got shape {arms.shape}"
-            )
-        if arms.min() < 0 or arms.max() >= self.layout.k:
-            raise ValidationError("assignment arm indices must lie in [0, k)")
+        object.__setattr__(self, "arms", self.layout.check_arms(self.arms))
 
     @classmethod
     def from_indicators(cls, layout: IndexLayout, indicators: np.ndarray) -> "Assignment":
@@ -262,20 +269,37 @@ class ImpossibilityMask:
         self.mask = (self.mask != 0).astype(float)
 
 
+@dataclass(frozen=True, eq=False)
+class Support:
+    """Enumerated support: point s assigns unit i to arm ``arms[s, i]``
+    and has exact probability ``probs[s]``."""
+
+    arms: np.ndarray  # S x n, values in 0..k-1
+    probs: ExactMatrix  # length S
+
+    def __len__(self) -> int:
+        return len(self.arms)
+
+    @cached_property
+    def draw_probs(self) -> np.ndarray:
+        """Float probabilities normalized for ``rng.choice``, built once."""
+        probs = self.probs.to_float()
+        return probs / probs.sum()
+
+
 @dataclass(eq=False)
 class Design:
     """A randomization design.
 
-    In exact mode the full support is enumerated as (arms, probability)
-    pairs with rational probabilities.  In monte-carlo mode assignments
-    are drawn from a seeded sampler; built-in families still carry exact
-    rational pi/p, so only support-dependent quantities need sampling.
+    In exact mode the full support is enumerated, with rational point
+    probabilities.  In monte-carlo mode assignments are drawn from a
+    seeded sampler; built-in families still carry exact rational pi/p, so
+    only support-dependent quantities need sampling.
     """
 
     layout: IndexLayout
     family: str
-    mode: str  # "exact" | "mc"
-    support: list[tuple[np.ndarray, Fraction]] | None = None
+    support: Support | None = None
     sampler: Callable[[np.random.Generator], np.ndarray] | None = None
     mc_replicates: int = 10000
     seed: int | None = None
@@ -283,52 +307,50 @@ class Design:
     p_frac: ExactMatrix | None = None
     support_size: int | None = None
     _empirical: tuple | None = field(default=None, repr=False)
-    _draw_probs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.mode not in ("exact", "mc"):
-            raise ValidationError(f"unknown design mode {self.mode!r}")
-        if self.mode == "exact":
-            if not self.support:
-                raise ValidationError("exact mode requires an enumerated support")
-            total = sum(p for _, p in self.support)
-            if abs(float(total) - 1.0) > 1e-12:
-                raise ValidationError(
-                    f"support probabilities sum to {float(total)}, not 1"
-                )
-            for arms, prob in self.support:
-                if float(prob) <= 0.0:
-                    raise ValidationError("support probabilities must be positive")
-                Assignment(self.layout, arms)  # validates shape and range
-            if self.support_size is None:
-                self.support_size = len(self.support)
-        else:
+        if self.support is None:
             if self.sampler is None:
                 raise ValidationError("monte-carlo mode requires a sampler")
+            return
+        arms, probs = self.support.arms, self.support.probs
+        if not len(arms):
+            raise ValidationError("exact mode requires an enumerated support")
+        # exact sum and sign, once per distinct probability
+        counts = np.bincount(probs.codes, minlength=len(probs.values))
+        used = [(prob, int(c)) for prob, c in zip(probs.values, counts) if c]
+        total = sum(prob * c for prob, c in used)
+        if abs(float(total) - 1.0) > 1e-12:
+            raise ValidationError(f"support probabilities sum to {float(total)}, not 1")
+        if any(float(prob) <= 0.0 for prob, _ in used):
+            raise ValidationError("support probabilities must be positive")
+        self.layout.check_arms(arms, rows=probs.codes.shape)
+        if self.support_size is None:
+            self.support_size = len(arms)
+
+    @property
+    def mode(self) -> str:
+        """The mode the support implies: "exact" if enumerated, else "mc"."""
+        return "mc" if self.support is None else "exact"
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one assignment (arm-per-unit vector)."""
         if self.sampler is not None:
             return self.sampler(rng)
-        if self._draw_probs is None:  # built once, so a draw does not cost O(support)
-            probs = np.array([float(p) for _, p in self.support])
-            self._draw_probs = probs / probs.sum()
-        idx = rng.choice(len(self.support), p=self._draw_probs)
-        return self.support[idx][0].copy()
+        idx = rng.choice(len(self.support), p=self.support.draw_probs)
+        return self.support.arms[idx].copy()
 
     def assignments(self) -> Iterator[tuple[Assignment, Fraction]]:
         if self.support is None:
             raise ValidationError("design has no enumerated support")
-        for arms, prob in self.support:
+        for arms, prob in zip(self.support.arms, self.support.probs):
             yield Assignment(self.layout, arms), prob
 
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Support as (S x kn indicator matrix, length-S float probabilities)."""
         if self.support is None:
             raise ValidationError("design has no enumerated support")
-        arms = np.array([arms for arms, _ in self.support])
-        probs = np.array([float(prob) for _, prob in self.support])
-        return arms_to_indicators(arms, self.layout), probs
+        return arms_to_indicators(self.support.arms, self.layout), self.support.probs.to_float()
 
     def replicate_indicators(self, seed: int, replicates: int) -> Iterator[np.ndarray]:
         """Seeded replicate draws as indicator batches of at most DRAW_CHUNK rows.
@@ -382,16 +404,46 @@ def _embed(codes: np.ndarray, pieces, values=()) -> ExactMatrix:
 # builders
 
 
-def _maybe_enumerate(size: int, cap: int, mode: str, family: str):
-    """Decide exact vs monte-carlo; raise on overflow without opt-in."""
+def _maybe_enumerate(size: int | None, cap: int, mode: str, family: str) -> bool:
+    """Decide exact vs monte-carlo; raise on overflow without opt-in.
+
+    ``size`` is None when the support cannot be enumerated at all.
+    """
+    if mode not in MODES:
+        raise ValidationError(f"unknown design mode {mode!r}; expected one of {MODES}")
     if mode == "mc":
         return False
+    if size is None:
+        raise SupportOverflowError(
+            f"cannot enumerate {family} design support; sub-designs are not all exact"
+        )
     if size > cap:
         raise SupportOverflowError(
             f"{family} design has support size {size}, above the cap {cap}; "
             'pass mode="mc" (with a seed and replicate count) to sample instead'
         )
     return True
+
+
+def _product_support(parts: Sequence[tuple[np.ndarray, Support]], n: int) -> Support:
+    """Product measure of independent supports over disjoint unit sets.
+
+    ``parts`` are (units, Support) pairs.  Points come in
+    ``itertools.product`` order over the parts: the first part varies
+    slowest.  Probabilities are multiplied once per distinct pair of
+    (partial product, part probability).
+    """
+    sizes = [len(part) for _, part in parts]
+    total = math.prod(sizes)
+    arms = np.empty((total, n), dtype=int)
+    probs = ExactMatrix.of([Fraction(1)])
+    stride = total
+    for (units, part), size in zip(parts, sizes):
+        stride //= size
+        arms[:, units] = part.arms[np.arange(total) // stride % size]
+        _, probs = elementwise(operator.mul, probs[:, None], part.probs[None, :])
+        probs = ExactMatrix(probs.codes.ravel(), probs.values)
+    return Support(arms, probs)
 
 
 def bernoulli_design(
@@ -458,14 +510,13 @@ def bernoulli_design(
     size = k**n
     support = None
     if _maybe_enumerate(size, support_cap, mode, "bernoulli"):
-        support = []
-        for arms in itertools.product(range(k), repeat=n):
-            prob = math.prod((table[i][arms[i]] for i in range(n)), start=Fraction(1))
-            if prob > 0:
-                support.append((np.array(arms), prob))
-        actual_mode = "exact"
-    else:
-        actual_mode = "mc"
+        # a block design of n one-unit parts, each over its arms of positive probability
+        parts = []
+        for i, row in enumerate(table):
+            arms = [r for r in range(k) if row[r] > 0]
+            parts.append((np.array([i]), Support(np.array(arms)[:, None],
+                                                 ExactMatrix.of([row[r] for r in arms]))))
+        support = _product_support(parts, n)
 
     probs_float = np.array([[float(x) for x in row] for row in table])
 
@@ -477,7 +528,6 @@ def bernoulli_design(
     return Design(
         layout=layout,
         family="bernoulli",
-        mode=actual_mode,
         support=support,
         sampler=sampler,
         mc_replicates=mc_replicates,
@@ -495,23 +545,16 @@ def _multinomial(counts: Sequence[int]) -> int:
     return total
 
 
-def _multiset_arm_sequences(counts: Sequence[int]) -> Iterator[np.ndarray]:
-    n = sum(counts)
-    remaining = list(counts)
-    arms = np.empty(n, dtype=int)
-
-    def rec(pos: int) -> Iterator[np.ndarray]:
-        if pos == n:
-            yield arms.copy()
-            return
-        for r, c in enumerate(remaining):
-            if c:
-                remaining[r] -= 1
-                arms[pos] = r
-                yield from rec(pos + 1)
-                remaining[r] += 1
-
-    yield from rec(0)
+def _arm_sequences(counts: Sequence[int]) -> np.ndarray:
+    """Every arm-per-unit row with counts[r] units in arm r, in lexicographic order."""
+    arms = np.empty((1, 0), dtype=int)
+    left = np.array([counts])  # units still to place in each arm, per prefix
+    for _ in range(sum(counts)):
+        prefix, arm = np.nonzero(left)  # prefixes in order, arms ascending within each
+        arms = np.column_stack([arms[prefix], arm])
+        left = left[prefix]
+        left[np.arange(len(arm)), arm] -= 1
+    return arms
 
 
 def complete_design(
@@ -543,11 +586,8 @@ def complete_design(
     size = _multinomial(counts)
     support = None
     if _maybe_enumerate(size, support_cap, mode, "complete"):
-        prob = Fraction(1, size)
-        support = [(arms, prob) for arms in _multiset_arm_sequences(counts)]
-        actual_mode = "exact"
-    else:
-        actual_mode = "mc"
+        uniform = ExactMatrix.of([Fraction(1, size)], np.zeros(size, dtype=np.intp))
+        support = Support(_arm_sequences(counts), uniform)
 
     labels = np.repeat(np.arange(k), counts)
 
@@ -557,7 +597,6 @@ def complete_design(
     return Design(
         layout=layout,
         family="complete",
-        mode=actual_mode,
         support=support,
         sampler=sampler,
         mc_replicates=mc_replicates,
@@ -615,24 +654,12 @@ def block_design(
         p_frac = _embed(across.codes.copy(), within, across.values)
 
     sizes = [sub.support_size for _, sub in blocks]
-    size = math.prod(sizes) if all(s is not None for s in sizes) else None
+    size = None if None in sizes else math.prod(sizes)
+    enumerable = all(sub.support is not None for _, sub in blocks)
     support = None
-    actual_mode = "mc"
-    if size is not None and all(sub.support is not None for _, sub in blocks):
-        if _maybe_enumerate(size, support_cap, mode, "block"):
-            support = []
-            for combo in itertools.product(*(sub.support for _, sub in blocks)):
-                arms = np.empty(n, dtype=int)
-                prob = Fraction(1)
-                for (units, _), (sub_arms, sub_prob) in zip(blocks, combo):
-                    arms[np.asarray(units, dtype=int)] = sub_arms
-                    prob *= sub_prob
-                support.append((arms, prob))
-            actual_mode = "exact"
-    elif mode == "exact":
-        raise SupportOverflowError(
-            "cannot enumerate block design support; sub-designs are not all exact"
-        )
+    if _maybe_enumerate(size if enumerable else None, support_cap, mode, "block"):
+        parts = [(np.array(units), sub.support) for units, (_, sub) in zip(unit_sets, blocks)]
+        support = _product_support(parts, n)
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
         arms = np.empty(n, dtype=int)
@@ -643,7 +670,6 @@ def block_design(
     return Design(
         layout=layout,
         family="block",
-        mode=actual_mode,
         support=support,
         sampler=sampler,
         mc_replicates=mc_replicates,
@@ -718,10 +744,10 @@ def cluster_design(
 
     support = None
     if cluster_level.support is not None:
-        support = [
-            (np.asarray(cl_arms, dtype=int)[group], prob)
-            for cl_arms, prob in cluster_level.support
-        ]
+        # take keeps rows C-contiguous (arms[:, group] would not): float sums over
+        # indicator batches built from the rows depend on their memory order
+        level = cluster_level.support
+        support = Support(level.arms.take(group, axis=1), level.probs)
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
         return cluster_level.draw(rng)[group]
@@ -729,7 +755,6 @@ def cluster_design(
     return Design(
         layout=layout,
         family="cluster",
-        mode=cluster_level.mode,
         support=support,
         sampler=sampler,
         mc_replicates=mc_replicates or cluster_level.mc_replicates,
@@ -763,24 +788,29 @@ def custom_design(
             raise SupportOverflowError(
                 f"custom support has {len(support)} points, above the cap {support_cap}"
             )
-        sup = [(np.asarray(arms, dtype=int), _as_fraction(prob)) for arms, prob in support]
+        try:
+            arms = np.array([arms for arms, _ in support], dtype=int)
+        except ValueError as exc:
+            raise LayoutMismatchError(
+                f"custom support assignments must each give one integer arm per unit: {exc}"
+            ) from exc
+        sup = Support(arms, ExactMatrix.of([_as_fraction(prob) for _, prob in support]))
     design = Design(
         layout=layout,
         family="custom",
-        mode="exact" if sup is not None else "mc",
         support=sup,
         sampler=sampler,
         mc_replicates=mc_replicates,
         seed=seed,
-        support_size=len(sup) if sup is not None else None,
     )
     if sup is not None:
         # p sums prob * outer(indicators) over the support: an integer matmul over
         # the common denominator, in int64 while the (positive) weights sum below 2**62
-        denom = math.lcm(*(prob.denominator for _, prob in sup))
-        weights = [prob.numerator * (denom // prob.denominator) for _, prob in sup]
-        weights = np.array(weights, dtype=np.int64 if sum(weights) < 2**62 else object)
-        ind = design.support_arrays()[0].astype(np.int64)
+        denom = math.lcm(*(prob.denominator for prob in sup.probs.values))
+        weights = [prob.numerator * (denom // prob.denominator) for prob in sup.probs.values]
+        total = sum(w * int(c) for w, c in zip(weights, np.bincount(sup.probs.codes)))
+        weights = np.array(weights, dtype=np.int64 if total < 2**62 else object)[sup.probs.codes]
+        ind = arms_to_indicators(sup.arms, layout).astype(np.int64)
         counts = (ind.T * weights) @ ind
         uniq, inverse = np.unique(counts, return_inverse=True)
         design.p_frac = ExactMatrix.of(
@@ -790,35 +820,65 @@ def custom_design(
     return design
 
 
+_REQUIRED = object()
+
+
+def spec_field(doc, key: str, what: str, default=_REQUIRED, cast=None):
+    """Field ``key`` of the JSON object ``doc``, passed through ``cast``.
+
+    A missing (or null) field gives ``default``.  A non-object ``doc``, a
+    missing field without a default and a value ``cast`` rejects each raise
+    ValidationError naming ``what`` and the field.
+    """
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValidationError(f'{what} needs a "{key}" field')
+        return default
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f'{what} field "{key}" is malformed: {value!r}') from exc
+
+
 def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
     """Build a design from its JSON-shaped description.
 
     See docs/formats.md for the schema.  ``support_cap`` overrides the
     spec's own "support_cap" field when given.
     """
+    what = "design spec"
     if not isinstance(spec, dict):
-        raise ValidationError("design spec must be a JSON object")
+        raise ValidationError(f"{what} must be a JSON object")
     spec = dict(spec)
     family = spec.get("type")
-    cap = support_cap if support_cap is not None else int(spec.get("support_cap", DEFAULT_SUPPORT_CAP))
+    if support_cap is None:
+        support_cap = spec_field(spec, "support_cap", what, DEFAULT_SUPPORT_CAP, int)
     mode = spec.get("mode", "exact")
+    if mode not in MODES:  # a custom spec never reaches _maybe_enumerate
+        raise ValidationError(f"unknown design mode {mode!r}; expected one of {MODES}")
     common = dict(
         mode=mode,
-        support_cap=cap,
-        mc_replicates=int(spec.get("mc_replicates", 10000)),
-        seed=spec.get("seed"),
+        support_cap=support_cap,
+        mc_replicates=spec_field(spec, "mc_replicates", what, 10000, int),
+        seed=spec_field(spec, "seed", what, None, int),
     )
     if family == "bernoulli":
         probs = spec.get("probs", spec.get("p"))
         if probs is None:
             raise InfeasibleSpecError('bernoulli spec needs "p" or "probs"')
-        return bernoulli_design(probs, k=spec.get("k"), n=spec.get("n"), **common)
+        k, n = (spec_field(spec, key, what, None, int) for key in ("k", "n"))
+        return bernoulli_design(probs, k=k, n=n, **common)
     if family == "complete":
         counts = spec.get("counts")
         if counts is None:
             raise InfeasibleSpecError('complete spec needs "counts" per arm')
         d = complete_design(counts, **common)
-        if "n" in spec and int(spec["n"]) != d.layout.n:
+        if spec_field(spec, "n", what, d.layout.n, int) != d.layout.n:
             raise InfeasibleSpecError(
                 f"complete design arm counts sum to {d.layout.n}, not n={spec['n']}"
             )
@@ -827,7 +887,7 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
         pairs = spec.get("pairs")
         if pairs is None:
             raise InfeasibleSpecError('paired spec needs "pairs"')
-        return paired_design(pairs, k=int(spec.get("k", 2)), **common)
+        return paired_design(pairs, k=spec_field(spec, "k", what, 2, int), **common)
     if family == "block":
         subs = spec.get("blocks")
         if not subs:
@@ -841,7 +901,7 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
             sub.setdefault("n", len(units))
             if "k" not in sub and spec.get("k") is not None:
                 sub["k"] = spec["k"]
-            built.append((units, build_design(sub, support_cap=cap)))
+            built.append((units, build_design(sub, support_cap=support_cap)))
         return block_design(built, **common)
     if family == "cluster":
         clusters = spec.get("clusters")
@@ -855,15 +915,17 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
         sub.setdefault("mode", mode)
         sub.setdefault("mc_replicates", common["mc_replicates"])
         sub.setdefault("seed", common["seed"])
-        cl = build_design(sub, support_cap=cap)
-        return cluster_design(clusters, cl, support_cap=cap, seed=common["seed"])
+        cl = build_design(sub, support_cap=support_cap)
+        return cluster_design(clusters, cl, support_cap=support_cap, seed=common["seed"])
     if family == "custom":
         sup = spec.get("support")
         if sup is None:
             raise InfeasibleSpecError('custom spec needs a "support" list')
-        layout = IndexLayout(int(spec["k"]), int(spec["n"]))
-        parsed = [(entry["arms"], entry["prob"]) for entry in sup]
-        return custom_design(layout, parsed, support_cap=cap,
+        layout = IndexLayout(spec_field(spec, "k", "custom spec", cast=int),
+                             spec_field(spec, "n", "custom spec", cast=int))
+        parsed = [(spec_field(entry, "arms", "custom support entry"),
+                   spec_field(entry, "prob", "custom support entry")) for entry in sup]
+        return custom_design(layout, parsed, support_cap=support_cap,
                              mc_replicates=common["mc_replicates"], seed=common["seed"])
     raise InfeasibleSpecError(f"unknown design type {family!r}")
 

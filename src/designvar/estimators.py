@@ -307,9 +307,9 @@ def linearization_vector(
 def taylor_variance(z: LinearizationVector, dmat: DesignMatrix) -> float:
     """Quadratic form z' d z; the exact variance of the linearized estimator.
 
-    Values in [-1e-10, 0) are rounding residue of a PSD quadratic and are
-    clamped to zero; anything more negative is returned as-is so broken
-    inputs stay visible.
+    Negative values within 1e-10 |z|'|d||z| of zero are rounding residue of
+    a PSD quadratic and are clamped to zero, at every scale of z; anything
+    more negative is returned as-is so broken inputs stay visible.
     """
     if z.provenance != "population":
         raise ValidationError(
@@ -319,7 +319,7 @@ def taylor_variance(z: LinearizationVector, dmat: DesignMatrix) -> float:
     if z.layout != dmat.layout:
         raise LayoutMismatchError("linearization vector and design matrix disagree")
     val = float(z.z @ dmat.d @ z.z)
-    if -1e-10 <= val < 0.0:
+    if val < 0.0 and -val <= 1e-10 * float(np.abs(z.z) @ np.abs(dmat.d) @ np.abs(z.z)):
         return 0.0
     return val
 

@@ -8,6 +8,8 @@ bound machinery, so agreement between the two is informative.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,13 +18,68 @@ import designvar as dv
 from designvar import Design
 
 
+def reference_support(spec: dict) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Support of a JSON design spec, enumerated with itertools over Fractions.
+
+    Points come in the library's documented order: ``itertools.product``
+    over units (Bernoulli, first unit slowest) or over blocks (block and
+    paired, first block slowest), lexicographic arm sequences (complete),
+    the cluster-level order (cluster), and the given order (custom).
+    Zero-probability points are left out.
+    """
+    kind = spec["type"]
+    if kind == "bernoulli":
+        probs = spec.get("probs", spec.get("p"))
+        if isinstance(probs, list):
+            rows = probs if isinstance(probs[0], list) else [probs] * spec["n"]
+        else:
+            rows = [[1 - Fraction(probs), Fraction(probs)]] * spec["n"]
+        table = [[Fraction(x) for x in row] for row in rows]
+        table = [[x / sum(row) for x in row] for row in table]
+        points = []
+        for arms in itertools.product(range(len(table[0])), repeat=len(table)):
+            prob = math.prod((table[i][r] for i, r in enumerate(arms)), start=Fraction(1))
+            if prob:
+                points.append((arms, prob))
+        return points
+    if kind == "complete":
+        labels = [r for r, c in enumerate(spec["counts"]) for _ in range(c)]
+        sequences = sorted(set(itertools.permutations(labels)))
+        return [(arms, Fraction(1, len(sequences))) for arms in sequences]
+    if kind in ("paired", "block"):
+        if kind == "paired":
+            k = spec.get("k", 2)
+            blocks = [(pair, {"type": "complete", "counts": [1] * k}) for pair in spec["pairs"]]
+        else:
+            blocks = [(b["units"], {"n": len(b["units"]), **b}) for b in spec["blocks"]]
+        n = sum(len(units) for units, _ in blocks)
+        points = []
+        for combo in itertools.product(*(reference_support(sub) for _, sub in blocks)):
+            arms, prob = [0] * n, Fraction(1)
+            for (units, _), (sub_arms, sub_prob) in zip(blocks, combo):
+                for unit, arm in zip(units, sub_arms):
+                    arms[unit] = arm
+                prob *= sub_prob
+            points.append((tuple(arms), prob))
+        return points
+    if kind == "cluster":
+        clusters = spec["clusters"]
+        cluster_of = {u: g for g, cl in enumerate(clusters) for u in cl}
+        level = reference_support({"n": len(clusters), **spec["cluster_design"]})
+        return [(tuple(arms[cluster_of[u]] for u in range(len(cluster_of))), prob)
+                for arms, prob in level]
+    if kind == "custom":
+        return [(tuple(e["arms"]), Fraction(e["prob"])) for e in spec["support"]]
+    raise ValueError(kind)
+
+
 def exact_moments(design: Design) -> tuple[list[Fraction], list[list[Fraction]]]:
     """Inclusion and joint probabilities as Fractions, summed over the support."""
     layout = design.layout
     kn, n = layout.kn, layout.n
     pi = [Fraction(0)] * kn
     p = [[Fraction(0)] * kn for _ in range(kn)]
-    for arms, prob in design.support:
+    for arms, prob in zip(design.support.arms, design.support.probs):
         flat = [int(arms[i]) * n + i for i in range(n)]
         for a in flat:
             pi[a] += prob

@@ -56,6 +56,23 @@ class TestDesignCommand:
         )
         assert main(["design", spec, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({**COMPLETE_SPEC, "mode": "bogus"}, "'bogus'"),
+            ({"type": "custom", "n": 2, "support": [{"arms": [0, 1], "prob": 1}]}, '"k"'),
+            ({"type": "custom", "k": 2, "n": 2, "support": [{"arms": [0, 1]}]}, '"prob"'),
+            ({**COMPLETE_SPEC, "mc_replicates": "abc"}, '"mc_replicates"'),
+            ({"type": "bernoulli", "n": "three", "p": 0.5}, '"n"'),
+        ],
+        ids=["unknown-mode", "custom-without-k", "entry-without-prob", "mc-replicates-abc",
+             "bernoulli-n-text"],
+    )
+    def test_malformed_spec_field_exits_2(self, tmp_path, capsys, spec, named):
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main(["design", path, "--out", str(tmp_path / "x")]) == 2
+        assert named in capsys.readouterr().err
+
 
 class TestBoundCommand:
     def test_aronow_samii_matches_reference(self, paired_dir, tmp_path):
@@ -403,6 +420,28 @@ class TestSimulateCommand:
             code = main(["simulate", write_json(tmp_path / "s.json", scenario), "--out", str(out)])
         assert code == 3
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"design": PAIRED_SPEC, "estimator": {"kind": "ht", "contrast": [-1, 1]}}, '"y"'),
+            ([1, 2], "scenario must be a JSON object"),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8, "estimator": {"contrast": [-1, 1]}}, '"kind"'),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "ht", "contrast": [-1, 1]},
+              "mode": "mc", "seed": 0, "replicates": "many"}, '"replicates"'),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "ht", "contrast": [-1, 1]},
+              "mode": "mc", "seed": "abc", "replicates": 5}, '"seed"'),
+            ({"sweep": {"base_y": [[0.0, 1.0], [1.0, 2.0]], "n_list": [4]}}, '"estimator"'),
+        ],
+        ids=["without-y", "top-level-list", "estimator-without-kind", "replicates-many",
+             "seed-text", "sweep-without-estimator"],
+    )
+    def test_malformed_scenario_field_exits_2(self, tmp_path, capsys, doc, named):
+        path = write_json(tmp_path / "s.json", doc)
+        assert main(["simulate", path, "--out", str(tmp_path / "sim")]) == 2
+        assert named in capsys.readouterr().err
 
     def test_empty_sweep_exits_2(self, tmp_path):
         scenario = {

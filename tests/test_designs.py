@@ -6,19 +6,20 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import designvar as dv
 from conftest import D_COMPLETE, D_PAIRED
-from oracles import enumeration_design_matrix, random_small_design
+from oracles import enumeration_design_matrix, random_small_design, reference_support
 
 
 class TestBuilders:
     def test_paired_support(self, paired4):
         assert paired4.mode == "exact"
         assert paired4.support_size == 4
-        probs = [prob for _, prob in paired4.support]
+        probs = [prob for _, prob in zip(paired4.support.arms, paired4.support.probs)]
         assert all(p == Fraction(1, 4) for p in probs)
 
     def test_complete_support(self, complete42):
         assert complete42.support_size == 6
-        assert all(prob == Fraction(1, 6) for _, prob in complete42.support)
+        support = complete42.support
+        assert all(prob == Fraction(1, 6) for _, prob in zip(support.arms, support.probs))
 
     def test_bernoulli_overflow_goes_mc_only_on_request(self):
         with pytest.raises(dv.SupportOverflowError):
@@ -27,6 +28,28 @@ class TestBuilders:
         assert d.mode == "mc"
         assert d.support is None
         assert d.pi_frac is not None  # moments stay exact
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(dv.ValidationError, match="bogus"):
+            dv.complete_design([2, 2], mode="bogus")
+        with pytest.raises(dv.ValidationError, match="bogus"):
+            dv.build_design({"type": "custom", "k": 2, "n": 1, "mode": "bogus",
+                             "support": [{"arms": [0], "prob": 1}]})
+
+    @pytest.mark.parametrize(
+        "support, error, message",
+        [
+            ([([0, 1], "1/2"), ([1, 0], "1/3")], dv.ValidationError, "sum to 0.83"),
+            ([([0, 1], "3/2"), ([1, 0], "-1/2")], dv.ValidationError, "must be positive"),
+            ([([0, 1, 0], "1/2"), ([1, 0, 1], "1/2")], dv.LayoutMismatchError, "arm per unit"),
+            ([([0, 1], "1/2"), ([1], "1/2")], dv.LayoutMismatchError, "arm per unit"),
+            ([([0, 2], "1/2"), ([1, 0], "1/2")], dv.ValidationError, r"lie in \[0, k\)"),
+            ([], dv.ValidationError, "enumerated support"),
+        ],
+    )
+    def test_custom_support_is_validated(self, support, error, message):
+        with pytest.raises(error, match=message):
+            dv.custom_design(dv.IndexLayout(2, 2), support)
 
     def test_complete_counts_disagree_with_n(self):
         with pytest.raises(dv.InfeasibleSpecError):
@@ -73,12 +96,70 @@ class TestBuilders:
         ]
         for spec in specs:
             design = dv.build_design(spec)
-            total = sum(float(p) for _, p in design.support)
+            total = sum(float(p) for _, p in zip(design.support.arms, design.support.probs))
             assert abs(total - 1.0) <= 1e-12
 
     def test_unknown_type(self):
         with pytest.raises(dv.InfeasibleSpecError):
             dv.build_design({"type": "latin-square"})
+
+
+REFERENCE_SPECS = {
+    "complete-k2": {"type": "complete", "counts": [3, 2]},
+    "complete-k3": {"type": "complete", "counts": [2, 1, 2]},
+    "bernoulli-scalar": {"type": "bernoulli", "n": 4, "p": "1/3"},
+    "bernoulli-shared-row": {"type": "bernoulli", "n": 3, "probs": ["1/6", "1/3", "1/2"]},
+    "bernoulli-zero-arm": {
+        "type": "bernoulli",
+        "probs": [["1/2", "1/2", "0"], ["1/4", "0", "3/4"], ["1/3", "1/3", "1/3"]],
+    },
+    "bernoulli-float-rows": {"type": "bernoulli", "probs": [[0.1, 0.9], [0.3, 0.7], [0.25, 0.75]]},
+    "paired": {"type": "paired", "k": 2, "pairs": [[0, 3], [4, 1], [2, 5]]},
+    "paired-k3": {"type": "paired", "k": 3, "pairs": [[0, 4, 2], [5, 1, 3]]},
+    "block-mixed": {
+        "type": "block",
+        "k": 2,
+        "blocks": [
+            {"units": [1, 4], "type": "complete", "counts": [1, 1]},
+            {"units": [0, 3, 5], "type": "bernoulli",
+             "probs": [[0.3, 0.7], ["1/5", "4/5"], [0.5, 0.5]]},
+            {"units": [2, 6], "type": "paired", "pairs": [[1, 0]]},
+        ],
+    },
+    "cluster": {
+        "type": "cluster",
+        "k": 3,
+        "clusters": [[0, 4], [2], [1, 3, 5]],
+        "cluster_design": {"type": "complete", "counts": [1, 1, 1]},
+    },
+    "cluster-bernoulli": {
+        "type": "cluster",
+        "k": 2,
+        "clusters": [[3], [0, 2], [1]],
+        "cluster_design": {"type": "bernoulli", "p": "2/7"},
+    },
+    "custom": {
+        "type": "custom",
+        "k": 3,
+        "n": 3,
+        "support": [
+            {"arms": [2, 0, 1], "prob": "1/7"},
+            {"arms": [0, 1, 2], "prob": "1/6"},
+            {"arms": [0, 2, 2], "prob": "5/14"},
+            {"arms": [1, 1, 0], "prob": "1/3"},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
+def test_support_matches_reference_enumeration(name):
+    """Row order and exact probabilities, read through the stable accessor."""
+    spec = REFERENCE_SPECS[name]
+    support = [(tuple(assignment.arms.tolist()), prob)
+               for assignment, prob in dv.build_design(spec).assignments()]
+    assert support == reference_support(spec)
+    assert all(type(prob) is Fraction for _, prob in support)
 
 
 class TestInclusionProbabilities:
@@ -216,12 +297,12 @@ class TestSupportDraws:
         assert design.sampler is None
         for seed in (0, 1, 7, 2024):
             for rep in range(25):
-                probs = np.array([float(p) for _, p in design.support])
+                probs = np.array([float(p) for p in design.support.probs])
                 old = np.random.default_rng((seed, rep)).choice(len(support), p=probs / probs.sum())
                 drawn = design.draw(np.random.default_rng((seed, rep)))
-                assert_array_equal(drawn, design.support[old][0])
+                assert_array_equal(drawn, design.support.arms[old])
         drawn[:] = 1 - drawn  # a draw is a copy, not a view of the support
-        assert_array_equal(design.draw(np.random.default_rng((2024, 24))), design.support[old][0])
+        assert_array_equal(design.draw(np.random.default_rng((2024, 24))), design.support.arms[old])
 
 
 class TestCompositionAgainstEnumeration:
@@ -231,7 +312,7 @@ class TestCompositionAgainstEnumeration:
         block = dv.block_design([([0, 2], b1), ([1, 3], b2)])
         # rebuild as a custom design from the enumerated support
         layout = block.layout
-        support = [(arms, prob) for arms, prob in block.support]
+        support = list(zip(block.support.arms, block.support.probs))
         custom = dv.custom_design(layout, support)
         assert_array_equal(
             dv.joint_probabilities(block).p, dv.joint_probabilities(custom).p
@@ -240,7 +321,7 @@ class TestCompositionAgainstEnumeration:
     def test_cluster_moments_match_enumerated_support(self):
         level = dv.complete_design([1, 1])
         cd = dv.cluster_design([[0, 2], [1, 3]], level)
-        custom = dv.custom_design(cd.layout, list(cd.support))
+        custom = dv.custom_design(cd.layout, list(zip(cd.support.arms, cd.support.probs)))
         assert_array_equal(
             dv.joint_probabilities(cd).p, dv.joint_probabilities(custom).p
         )

@@ -201,6 +201,13 @@ class TestTaylorVariance:
         dmat, _ = complete42_matrices
         assert dv.ht_exact_variance(np.zeros(8), np.array([-1.0, 1.0]), dmat) == 0.0
 
+    def test_zero_variance_is_zero_at_every_scale(self):
+        # constant outcomes per arm: the HT contrast is the same on every draw
+        dmat, _ = dv.first_order_design_matrix(dv.complete_design([3, 4]))
+        y = np.repeat([1.3, -0.7], 7)
+        for scale in (1.0, 1e6):
+            assert dv.ht_exact_variance(scale * y, contrast2(), dmat) == 0.0
+
     def test_homogeneous_pairs_favor_pairing(self, paired4_matrices, complete42_matrices):
         d_pr, _ = paired4_matrices
         d_cr, _ = complete42_matrices
@@ -209,6 +216,23 @@ class TestTaylorVariance:
         var_cr = dv.ht_exact_variance(y, contrast2(), d_cr)
         assert var_pr == 0.0
         assert var_cr > 0.1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([1e-6, 1e6]))
+def test_ht_variance_scales_with_the_square_of_y(seed, s):
+    rng = np.random.default_rng(seed)
+    design = random_small_design(rng)
+    k, n = design.layout.k, design.layout.n
+    # half the cases are constant per arm, zero variance under fixed arm sizes
+    y = rng.normal(size=k * n) if rng.random() < 0.5 else np.repeat(rng.normal(size=k), n)
+    c = rng.normal(size=k)
+    dmat, _ = dv.first_order_design_matrix(design)
+    z = np.abs(dv.ht_linearization(y, c, design.layout).z)
+    base = dv.ht_exact_variance(y, c, dmat)
+    scaled = dv.ht_exact_variance(s * y, c, dmat)
+    assert abs(scaled - s**2 * base) <= 1e-9 * s**2 * float(z @ np.abs(dmat.d) @ z)
+    assert scaled >= 0.0 and base >= 0.0  # rounding residue is clamped at every scale
 
 
 @settings(max_examples=25, deadline=None)

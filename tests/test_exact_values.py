@@ -62,7 +62,7 @@ def test_random_designs_match_exact_oracle(seed):
 def test_bernoulli_float_rows_carry_an_exact_measure():
     # 0.1 + 0.9 and 0.3 + 0.7 are not exactly 1 in binary
     design = dv.bernoulli_design([[0.1, 0.9], [0.3, 0.7]])
-    assert sum(prob for _, prob in design.support) == 1
+    assert sum(prob for _, prob in zip(design.support.arms, design.support.probs)) == 1
     pi, _ = exact_moments(design)
     assert [design.pi_frac[a] for a in range(design.layout.kn)] == pi
     assert_exact(design)

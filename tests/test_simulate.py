@@ -254,7 +254,8 @@ class TestRunScenarioAgainstOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", dv.errors.InfeasiblePointsWarning)
             report = dv.run_scenario(dv.SimScenario(design, y, spec, bound_method="as"))
-        draws = [(arms, float(prob)) for arms, prob in design.support]
+        support = design.support
+        draws = [(arms, float(prob)) for arms, prob in zip(support.arms, support.probs)]
         floats, counts, feasible, _ = self.expected(design, y, kind, c, x, m, draws)
         self.check(report, floats, counts)
         assert report.replicates == feasible
