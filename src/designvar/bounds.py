@@ -12,7 +12,6 @@ impossible positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,10 +46,6 @@ class BoundMatrix:
 
     def __post_init__(self):
         self.dtilde = self.layout.check_matrix(self.dtilde, "bounding matrix")
-
-    def block(self, r: int, s: int) -> np.ndarray:
-        n = self.layout.n
-        return self.dtilde[r * n : (r + 1) * n, s * n : (s + 1) * n]
 
 
 def user_bound(matrix: np.ndarray, layout: IndexLayout) -> BoundMatrix:
@@ -96,7 +91,12 @@ def certify(
 
 def _check_neyman_preconditions(
     dmat: DesignMatrix, c: np.ndarray, mask: ImpossibilityMask
-) -> None:
+) -> ExactMatrix | np.ndarray:
+    """Raise unless the block-diagonal bound applies; return d_01 tiled.
+
+    The result holds block (0, 1) of d at every arm pair: entry (a, b) is
+    d[unit a, n + unit b], exact when d is.
+    """
     layout = dmat.layout
     k, n = layout.k, layout.n
     if abs(float(c.sum())) > 1e-12:
@@ -107,11 +107,9 @@ def _check_neyman_preconditions(
         raise NeymanPreconditionError(
             "every contrast entry must be nonzero for the block-diagonal bound"
         )
-    bad = [
-        r
-        for r in range(k)
-        if np.any(mask.mask[r * n : (r + 1) * n, r * n : (r + 1) * n] == 1.0)
-    ]
+    arms = np.arange(k)
+    diagonal = mask.mask.reshape(k, n, k, n)[arms, :, arms, :]  # (k, n, n): block (r, r)
+    bad = np.flatnonzero((diagonal == 1.0).any(axis=(1, 2))).tolist()
     if bad:
         raise NeymanPreconditionError(
             "the block-diagonal bound does not apply: diagonal block(s) "
@@ -121,16 +119,18 @@ def _check_neyman_preconditions(
     # floats (read from files) within 1e-12
     unit = np.tile(np.arange(n), k)
     d = dmat.frac or dmat.d
-    gap, exact_gap = elementwise(lambda x, y: abs(x - y), d, d[np.ix_(unit, n + unit)])
+    d01 = d[np.ix_(unit, n + unit)]
+    gap, exact_gap = elementwise(lambda x, y: abs(x - y), d, d01)
     limit = 1e-12 if exact_gap is None else 0.0
     worst = gap.reshape(k, n, k, n).max(axis=(1, 3))
-    for r in range(k):
-        for s in range(k):
-            if r != s and not worst[r, s] <= limit:
-                raise NeymanPreconditionError(
-                    f"off-diagonal blocks ({r},{s}) and (0,1) differ; the "
-                    "block-diagonal bound needs them all equal"
-                )
+    differ = np.argwhere(~(worst <= limit) & (arms[:, None] != arms[None, :]))
+    if len(differ):
+        r, s = differ[0]
+        raise NeymanPreconditionError(
+            f"off-diagonal blocks ({r},{s}) and (0,1) differ; the "
+            "block-diagonal bound needs them all equal"
+        )
+    return d01
 
 
 def neyman_bound(
@@ -139,14 +139,15 @@ def neyman_bound(
     mask: ImpossibilityMask | None = None,
     tol: float = DEFAULT_PSD_TOL,
 ) -> BoundMatrix:
-    """Block-diagonal bound moving cross-arm mass onto the diagonal blocks.
+    """Block-diagonal bound: block (r, r) is d_rr - d_01, other blocks zero.
 
-    Block (r, r) of the result is sum_s (c_s / c_r) d_rs; off-diagonal
-    blocks are zero.  With that ratio the bound's quadratic form exceeds
-    the design matrix's by exactly sum_{r<s} c_r c_s tau_rs' d_01 tau_rs,
-    a nonnegative quantity (see neyman_identity_check).  Applies only when
-    no diagonal block of d contains a -1 entry, all off-diagonal blocks
-    coincide, the contrast sums to zero, and no contrast entry vanishes.
+    So dtilde - d = -(1 1') kron d_01, PSD because the shared off-diagonal
+    block d_01 is negative semidefinite.  It is the generalized Neyman
+    bound sum_s (c_s / c_r) d_rs under that bound's preconditions, which
+    the contrast gates but does not enter: no diagonal block of d holds a
+    -1, every off-diagonal block equals d_01, the contrast sums to zero
+    and has no zero entry.  The quadratic-form slack is
+    sum_{r<s} c_r c_s tau_rs' d_01 tau_rs (see neyman_identity_check).
     """
     layout = dmat.layout
     k, n = layout.k, layout.n
@@ -155,27 +156,12 @@ def neyman_bound(
         raise LayoutMismatchError(f"contrast must have length k={k}")
     if mask is None:
         mask = derive_mask(dmat)
-    _check_neyman_preconditions(dmat, c, mask)
-
-    # dtilde[a, b] = [arm a == arm b] sum_s (c_s / c_{arm a}) d[a, s n + unit b]
-    flat = np.arange(layout.kn)
-    arm, unit = flat // n, flat % n
-    cf = ExactMatrix.of(Fraction(float(x)) for x in c)  # exact binary values of c
+    d01 = _check_neyman_preconditions(dmat, c, mask)
+    arm = np.arange(layout.kn) // n
     same_arm = ExactMatrix.of((0, 1), arm[:, None] == arm[None, :])
-    d = dmat.frac or dmat.d
-
-    def diagonal_blocks(c_r, same, *rest):
-        acc = 0
-        for c_s, d_s in zip(rest[:k], rest[k:]):
-            acc = acc + same * c_s / c_r * d_s
-        return acc
-
+    # + 0 turns the -0.0 that float input leaves off the diagonal blocks into 0.0
     dt, frac = elementwise(
-        diagonal_blocks,
-        cf[arm][:, None],
-        same_arm,
-        *(cf[[s]] for s in range(k)),
-        *(d[:, s * n + unit] for s in range(k)),
+        lambda same, d, d01: same * (d - d01) + 0, same_arm, dmat.frac or dmat.d, d01
     )
     bound = BoundMatrix(layout, dt, "neyman", frac=frac)
     return certify(bound, dmat, mask, tol)
@@ -315,17 +301,14 @@ def build_bound(
 def is_invariant_bounding(
     dtilde: np.ndarray | BoundMatrix, layout: IndexLayout, tol: float = 1e-10
 ) -> bool:
-    """True when every n x n arm-pair partition has zero row sums.
+    """True when every n x n arm-pair partition has zero row sums (within
+    ``tol``); a NaN entry makes it False.
 
     Quadratic forms of such matrices are unchanged by adding a constant
     within each arm of the outcome vector.
     """
     dt = np.asarray(getattr(dtilde, "dtilde", dtilde), dtype=float)
     dt = layout.check_matrix(dt, "bounding matrix")
-    k, n = layout.k, layout.n
-    for r in range(k):
-        for s in range(k):
-            block = dt[r * n : (r + 1) * n, s * n : (s + 1) * n]
-            if np.max(np.abs(block.sum(axis=1))) > tol:
-                return False
-    return True
+    # sums[a, s]: row a summed over block column s
+    sums = dt.reshape(layout.kn, layout.k, layout.n).sum(axis=2)
+    return bool(np.all(np.abs(sums) <= tol))

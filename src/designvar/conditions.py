@@ -35,7 +35,9 @@ def second_order_condition_norm(
     E[R_a R_b R_c R_e] / (p_ab p_ce) - 1 with 0/0 resolving to 0; the sum
     accumulates |dtilde_A| * |dtilde_B| * |tensor_AB|.  Requires the exact
     joint law, so the design must have an enumerated support.  The tensor
-    is streamed in blocks of index pairs and never materialized whole.
+    is streamed in blocks of index pairs and never materialized whole, but
+    the S x (kn)^2 outer products of the support are: BudgetExceededError
+    is raised when kn^4 or S (kn)^2 exceeds ``entry_budget``.
     """
     layout = design.layout
     kn = layout.kn
@@ -43,14 +45,15 @@ def second_order_condition_norm(
         raise ValidationError(
             "second-order condition norm requires an exact (enumerated) design"
         )
-    if kn**4 > entry_budget:
-        raise BudgetExceededError(
-            f"kn^4 = {kn ** 4} exceeds the accumulation budget {entry_budget}"
-        )
+    s_count = len(design.support)
+    for what, entries in (("kn^4", kn**4), ("S (kn)^2", s_count * kn**2)):
+        if entries > entry_budget:
+            raise BudgetExceededError(
+                f"{what} = {entries} exceeds the accumulation budget {entry_budget}"
+            )
     dt = layout.check_matrix(np.asarray(dtilde, dtype=float), "bounding matrix")
 
     mat, probs = design.support_arrays()  # S x kn indicators, S probabilities
-    s_count = mat.shape[0]
     # rows of q are the flattened outer products of the indicator vectors
     q = np.einsum("sa,sb->sab", mat, mat).reshape(s_count, kn * kn)
     w = q * probs[:, None]

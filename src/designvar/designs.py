@@ -461,6 +461,11 @@ def bernoulli_design(
     ``probs`` may be a scalar (two arms, probability of arm 1), a length-k
     vector shared by all units, or an n x k matrix of per-unit arm
     probabilities.  Rows must sum to 1.
+
+    This is the block design whose blocks are single units: each unit is
+    a one-unit part over its arms of positive probability, so the support
+    size is the number of assignments with positive probability.  Only
+    the sampler is Bernoulli's own, drawing every unit in one vector step.
     """
     def _is_scalar(x) -> bool:
         return isinstance(x, (int, float, np.integer, np.floating, Fraction, str))
@@ -499,24 +504,21 @@ def bernoulli_design(
             raise InfeasibleSpecError("arm probabilities must be nonnegative")
     # float rows need not sum to exactly 1 in binary: normalize them exactly,
     # so the support is a probability measure whose marginals are pi
-    table = [[x / sum(row) for x in row] for row in table]
+    table = [tuple(x / sum(row) for x in row) for row in table]
 
-    pi_frac = ExactMatrix.of([table[i][r] for r in range(k) for i in range(n)])
-    _, p_frac = elementwise(
-        lambda pa, pb, same_unit, same_arm: (pa if same_arm else 0) if same_unit else pa * pb,
-        pi_frac[:, None], pi_frac[None, :], *_pair_indicators(layout),
-    )
-
-    size = k**n
-    support = None
-    if _maybe_enumerate(size, support_cap, mode, "bernoulli"):
-        # a block design of n one-unit parts, each over its arms of positive probability
-        parts = []
-        for i, row in enumerate(table):
+    # one one-unit part per distinct row, over its arms of positive probability
+    parts = {}
+    for row in table:
+        if row not in parts:
             arms = [r for r in range(k) if row[r] > 0]
-            parts.append((np.array([i]), Support(np.array(arms)[:, None],
-                                                 ExactMatrix.of([row[r] for r in arms]))))
-        support = _product_support(parts, n)
+            parts[row] = custom_design(IndexLayout(k, 1), [([r], row[r]) for r in arms])
+    design = block_design(
+        [([i], parts[row]) for i, row in enumerate(table)],
+        mode=mode,
+        support_cap=support_cap,
+        mc_replicates=mc_replicates,
+        seed=seed,
+    )
 
     probs_float = np.array([[float(x) for x in row] for row in table])
 
@@ -525,17 +527,8 @@ def bernoulli_design(
         cum = np.cumsum(probs_float, axis=1)
         return (u[:, None] > cum).sum(axis=1)
 
-    return Design(
-        layout=layout,
-        family="bernoulli",
-        support=support,
-        sampler=sampler,
-        mc_replicates=mc_replicates,
-        seed=seed,
-        pi_frac=pi_frac,
-        p_frac=p_frac,
-        support_size=size,
-    )
+    design.family, design.sampler = "bernoulli", sampler
+    return design
 
 
 def _multinomial(counts: Sequence[int]) -> int:
@@ -619,7 +612,9 @@ def block_design(
 
     Marginal and joint probabilities are assembled blockwise (cross-block
     joints are products of marginals), so the product support never needs
-    to be enumerated just to obtain pi, p, or the design matrix.
+    to be enumerated just to obtain pi, p, or the design matrix.  Paired
+    and Bernoulli designs are built through it; ``support_cap`` bounds the
+    product of the blocks' support sizes.
     """
     if not blocks:
         raise InfeasibleSpecError("block design needs at least one block")
@@ -689,16 +684,18 @@ def paired_design(
     mc_replicates: int = 10000,
     seed: int | None = None,
 ) -> Design:
-    """Matched groups of size k; within each group one unit goes to each arm."""
+    """Matched groups of size k; within each group one unit goes to each arm.
+
+    A block design of one k-unit complete design per group, so
+    ``support_cap`` bounds the whole support of k!**groups points.
+    """
     for pair in pairs:
         if len(pair) != k:
             raise InfeasibleSpecError(
                 f"each matched group must have exactly k={k} units, got {list(pair)}"
             )
-    blocks = [
-        (list(pair), complete_design([1] * k, support_cap=support_cap))
-        for pair in pairs
-    ]
+    # pairs take the default cap: the caller's cap applies to their product
+    blocks = [(list(pair), complete_design([1] * k, mode=mode)) for pair in pairs]
     design = block_design(
         blocks,
         mode=mode,
@@ -714,7 +711,6 @@ def cluster_design(
     clusters: Sequence[Sequence[int]],
     cluster_level: Design,
     *,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
     mc_replicates: int | None = None,
     seed: int | None = None,
 ) -> Design:
@@ -916,7 +912,7 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
         sub.setdefault("mc_replicates", common["mc_replicates"])
         sub.setdefault("seed", common["seed"])
         cl = build_design(sub, support_cap=support_cap)
-        return cluster_design(clusters, cl, support_cap=support_cap, seed=common["seed"])
+        return cluster_design(clusters, cl, seed=common["seed"])
     if family == "custom":
         sup = spec.get("support")
         if sup is None:

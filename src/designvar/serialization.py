@@ -3,7 +3,8 @@
 Matrices are written row-major with a header row of flat indices.
 Floats are rendered with repr(), the shortest string that round-trips
 to the exact same double, so re-ingesting a file reproduces values
-bit-for-bit.  See docs/formats.md for byte-level examples.  Matrix CSVs
+bit-for-bit; integer and boolean matrices are written as exact integers.
+See docs/formats.md for byte-level examples.  Matrix CSVs
 go through a codebook: the writer formats each distinct value (bit
 pattern) once and the reader runs float() once per distinct token, which
 pays because design matrices hold few distinct values.
@@ -25,12 +26,13 @@ from .spectral import EigenReport
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(np.asarray(matrix))
-    as_int = matrix.dtype.kind in "iub"
-    matrix = matrix.astype(float)
-    # distinct bit patterns, so -0.0 stays apart from 0.0; each is formatted once
-    bits, codes = np.unique(matrix.view(np.uint64), return_inverse=True)
-    fmt = (lambda v: str(int(v))) if as_int else (lambda v: repr(float(v)))
-    tokens = [fmt(v) for v in bits.view(np.float64)]
+    if matrix.dtype.kind in "iub":  # integers as themselves, never through float64
+        distinct, codes = np.unique(matrix, return_inverse=True)
+        tokens = [str(int(v)) for v in distinct]
+    else:
+        # distinct bit patterns, so -0.0 stays apart from 0.0; each is formatted once
+        bits, codes = np.unique(matrix.astype(float).view(np.uint64), return_inverse=True)
+        tokens = [repr(float(v)) for v in bits.view(np.float64)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(map(str, range(matrix.shape[1]))) + "\r\n")
         for row in codes.reshape(matrix.shape):

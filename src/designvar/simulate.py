@@ -245,10 +245,18 @@ def consistency_sweep(
     The population is grown by tiling base_y (one row per arm); each n
     uses a balanced two-arm complete design.  Rows report n * Var of the
     linearized estimator, the max linearization gap (times n), and the
-    first-order condition norm, all of which should stay bounded.
+    first-order condition norm, all of which should stay bounded.  The
+    estimator takes no covariates or weights: those belong to units and
+    cannot be tiled along with base_y.
     """
     if not n_list:
         raise ValidationError("the sweep needs at least one n in n_list")
+    for field in ("covariates", "weights"):
+        if getattr(spec, field) is not None:
+            raise ValidationError(
+                f"the sweep takes no estimator {field}: they are per-unit, "
+                "and only base_y is tiled"
+            )
     base_y = np.atleast_2d(np.asarray(base_y, dtype=float))
     if base_y.shape[0] != 2:
         raise ValidationError("the sweep uses two-arm designs; base_y needs 2 rows")

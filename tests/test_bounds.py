@@ -12,6 +12,17 @@ def c2():
     return np.array([-1.0, 1.0])
 
 
+def assert_blockdiag_exact(bound, dmat):
+    """Exact entries of blockdiag(d_rr - d_01), and their floats."""
+    k, n = dmat.layout.k, dmat.layout.n
+    for a in range(k * n):
+        for b in range(k * n):
+            same_arm = a // n == b // n
+            want = dmat.frac[a][b] - dmat.frac[a % n][n + b % n] if same_arm else 0
+            assert bound.frac[a][b] == want, (a, b)
+            assert bound.dtilde[a, b] == float(want), (a, b)
+
+
 class TestNeymanBound:
     def test_complete_blocks(self, complete42_matrices):
         dmat, mask = complete42_matrices
@@ -22,6 +33,14 @@ class TestNeymanBound:
         expected_block = dmat.block(0, 0) - dmat.block(0, 1)
         assert_array_equal(bound.dtilde[:n, :n], expected_block)
         assert_array_equal(bound.dtilde[:n, n:], np.zeros((n, n)))
+        assert_blockdiag_exact(bound, dmat)
+
+    def test_three_arm_blocks(self):
+        dmat, mask = dv.first_order_design_matrix(dv.complete_design([2, 2, 2]))
+        bound = dv.neyman_bound(dmat, np.array([-1.0, 0.5, 0.5]), mask)
+        assert bound.certified_bounding == "yes"
+        assert bound.certified_identified == "yes"
+        assert_blockdiag_exact(bound, dmat)
 
     def test_paired_rejected_with_block_message(self, paired4_matrices):
         dmat, mask = paired4_matrices
@@ -175,6 +194,11 @@ class TestInvariantBounding:
 
     def test_zero_matrix(self):
         assert dv.is_invariant_bounding(np.zeros((8, 8)), dv.IndexLayout(2, 4))
+
+    def test_nan_entry_is_not_invariant(self):
+        m = np.zeros((4, 4))
+        m[0, 1] = np.nan
+        assert not dv.is_invariant_bounding(m, dv.IndexLayout(2, 2))
 
 
 @settings(max_examples=20, deadline=None)

@@ -56,6 +56,14 @@ class TestDesignCommand:
         )
         assert main(["design", spec, "--out", str(tmp_path / "x")]) == 2
 
+    def test_paired_mc_ignores_the_cap_in_its_pairs(self, tmp_path):
+        # each pair has 2 assignments; with mode "mc" a cap of 1 must not reject them
+        spec = write_json(tmp_path / "spec.json", {**PAIRED_SPEC, "mode": "mc", "support_cap": 1})
+        out = tmp_path / "paired"
+        assert main(["design", spec, "--out", str(out)]) == 0
+        summary = json.loads((out / "design.json").read_text())
+        assert summary["mode"] == "mc" and summary["support_size"] == 4
+
     @pytest.mark.parametrize(
         "spec, named",
         [

@@ -55,6 +55,14 @@ class TestSecondOrderNorm:
         with pytest.raises(dv.BudgetExceededError):
             dv.second_order_condition_norm(complete42, dmat.d, entry_budget=10)
 
+    def test_budget_counts_the_support(self):
+        # complete [6,6]: kn^4 = 331,776 fits the budget, S (kn)^2 = 924 * 576 does not
+        design = dv.complete_design([6, 6])
+        dmat, mask = dv.first_order_design_matrix(design)
+        bound = dv.neyman_bound(dmat, np.array([-1.0, 1.0]), mask)
+        with pytest.raises(dv.BudgetExceededError, match="532224"):
+            dv.second_order_condition_norm(design, bound.dtilde, entry_budget=400_000)
+
     def test_bounded_along_growing_designs(self):
         # the per-n normalized norm grows slower than n (it saturates)
         values = []

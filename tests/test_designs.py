@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import designvar as dv
+from designvar import serialization as ser
 from conftest import D_COMPLETE, D_PAIRED
 from oracles import enumeration_design_matrix, random_small_design, reference_support
 
@@ -28,6 +30,14 @@ class TestBuilders:
         assert d.mode == "mc"
         assert d.support is None
         assert d.pi_frac is not None  # moments stay exact
+
+    def test_bernoulli_support_size_counts_positive_arms(self):
+        spec = REFERENCE_SPECS["bernoulli-zero-arm"]
+        design = dv.build_design(spec)
+        assert design.support_size == len(design.support) == 12
+        assert ser.design_summary(design)["support_size"] == 12  # design.json's value
+        # the cap is checked against the 12 enumerated points, not k**n = 27
+        assert len(dv.build_design(spec, support_cap=20).support) == 12
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(dv.ValidationError, match="bogus"):

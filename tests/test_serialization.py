@@ -40,6 +40,11 @@ class TestMatrixRoundTrip:
         ser.write_vector_csv(path, v)
         assert_array_equal(ser.read_vector_csv(path), v)
 
+    def test_integers_beyond_float_precision_are_written_exactly(self, tmp_path):
+        path = tmp_path / "int.csv"
+        ser.write_matrix_csv(path, np.array([[2**53 + 1, -(2**62) + 3]], dtype=np.int64))
+        assert path.read_bytes() == b"0,1\r\n9007199254740993,-4611686018427387901\r\n"
+
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1\n1.0\n")

@@ -155,6 +155,17 @@ class TestConsistencySweep:
         with pytest.raises(dv.ValidationError):
             dv.consistency_sweep(dv.EstimatorSpec("cm", c2()), np.zeros((2, 2)), [])
 
+    @pytest.mark.parametrize("kind, field, size", [("ols", "covariates", (8, 1)),
+                                                   ("wls", "weights", 16)])
+    def test_per_unit_estimator_inputs_rejected(self, kind, field, size):
+        # covariates and weights belong to units, which tiling base_y cannot copy
+        values = np.random.default_rng(1).normal(size=size)
+        spec = dv.EstimatorSpec(kind, c2(), **{field: np.abs(values) + 0.5})
+        base = np.array([[0.5, -1.0, 2.0, 0.3], [2.0, 1.0, -0.4, 1.1]])
+        for cap in (10**4, 10):
+            with pytest.raises(dv.ValidationError, match=field):
+                dv.consistency_sweep(spec, base, [8], support_cap=cap)
+
     def test_count_class_path_matches_enumeration(self):
         base = np.array([[0.5, -1.0], [2.0, 1.0]])
         spec = dv.EstimatorSpec("hj", c2())
