@@ -238,6 +238,8 @@ def algorithm_m_bound(
     keeping exact ones at every masked position.  The converged additive
     part t gives dtilde = d + t, which is identified by construction.
     """
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     layout = dmat.layout
     if mask is None:
         mask = derive_mask(dmat)
@@ -249,7 +251,6 @@ def algorithm_m_bound(
     else:
         t = layout.check_matrix(np.array(init, dtype=float), "initial matrix").copy()
         t = m + (1.0 - m) * t  # masked entries must start at one
-    last_min = None
     for iteration in range(1, max_iter + 1):
         t = (t + t.T) / 2.0
         vals, vecs = np.linalg.eigh(t)

@@ -15,6 +15,12 @@ That is what makes entries like -1/3 or exact -1 reproducible
 bit-for-bit.  Formulas over such matrices are written once and run
 through ``elementwise``: once per distinct tuple of exact operand values,
 or directly on the floats when an operand has no exact values.
+
+Only a sampler-only custom design estimates its moments, by Monte Carlo
+at build time (``custom_design(..., sampler=..., seed=..., mc_replicates=...)``).
+A block or cluster design over such a part builds and draws but carries
+no moments; estimate them by wrapping its sampler the same way:
+``custom_design(d.layout, sampler=d.draw, seed=s, mc_replicates=r)``.
 """
 
 from __future__ import annotations
@@ -293,20 +299,20 @@ class Design:
 
     In exact mode the full support is enumerated, with rational point
     probabilities.  In monte-carlo mode assignments are drawn from a
-    seeded sampler; built-in families still carry exact rational pi/p, so
-    only support-dependent quantities need sampling.
+    sampler; pi/p stay exact rationals wherever the parts have them, so
+    only support-dependent quantities need sampling.  ``moments`` holds
+    the estimated (pi, p, pi se, p se) of a sampler-only custom design
+    built with a seed, and is None otherwise.
     """
 
     layout: IndexLayout
     family: str
     support: Support | None = None
     sampler: Callable[[np.random.Generator], np.ndarray] | None = None
-    mc_replicates: int = 10000
-    seed: int | None = None
     pi_frac: ExactMatrix | None = None
     p_frac: ExactMatrix | None = None
     support_size: int | None = None
-    _empirical: tuple | None = field(default=None, repr=False)
+    moments: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.support is None:
@@ -359,6 +365,8 @@ class Design:
         ``default_rng((seed, rep))``, so any replicate can be reproduced
         on its own.
         """
+        if seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
         for start in range(0, replicates, DRAW_CHUNK):
             reps = range(start, min(start + DRAW_CHUNK, replicates))
             arms = [self.draw(np.random.default_rng((seed, rep))) for rep in reps]
@@ -370,14 +378,15 @@ class Design:
 
 
 def _as_fraction(x) -> Fraction:
+    """``x`` as an exact rational; a float keeps its exact binary value."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, (float, np.floating)):
-        return Fraction(float(x))  # exact binary value of the float
+    value = x.item() if isinstance(x, np.generic) else x
+    try:
+        if isinstance(value, (str, int, float)):
+            return Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        pass
     raise ValidationError(f"cannot interpret {x!r} as a probability")
 
 
@@ -420,7 +429,7 @@ def _maybe_enumerate(size: int | None, cap: int, mode: str, family: str) -> bool
     if size > cap:
         raise SupportOverflowError(
             f"{family} design has support size {size}, above the cap {cap}; "
-            'pass mode="mc" (with a seed and replicate count) to sample instead'
+            'pass mode="mc" to sample instead'
         )
     return True
 
@@ -453,8 +462,6 @@ def bernoulli_design(
     *,
     mode: str = "exact",
     support_cap: int = DEFAULT_SUPPORT_CAP,
-    mc_replicates: int = 10000,
-    seed: int | None = None,
 ) -> Design:
     """Independent per-unit assignment.
 
@@ -476,7 +483,7 @@ def bernoulli_design(
         if n is None:
             raise InfeasibleSpecError("scalar probability requires explicit n")
         p1 = _as_fraction(probs)
-        table = [[1 - p1, p1] for _ in range(n)]
+        table = [(1 - p1, p1)] * n
         k = 2
     else:
         arr = list(probs)
@@ -486,10 +493,9 @@ def bernoulli_design(
             # one length-k row shared across all units
             if n is None:
                 raise InfeasibleSpecError("shared arm probabilities require explicit n")
-            row = [_as_fraction(x) for x in arr]
-            table = [list(row) for _ in range(n)]
+            table = [tuple(_as_fraction(x) for x in arr)] * n
         else:
-            table = [[_as_fraction(x) for x in row] for row in arr]
+            table = [tuple(_as_fraction(x) for x in row) for row in arr]
             if n is not None and len(table) != n:
                 raise InfeasibleSpecError("probs row count disagrees with n")
             n = len(table)
@@ -497,14 +503,18 @@ def bernoulli_design(
         if any(len(row) != k for row in table):
             raise InfeasibleSpecError("every probability row must have length k")
     layout = IndexLayout(k, n)
+    # float rows need not sum to exactly 1 in binary: normalize each distinct
+    # row exactly, once, so the support is a probability measure whose marginals are pi
+    normalized = {}
     for i, row in enumerate(table):
-        if abs(float(sum(row)) - 1.0) > 1e-12:
-            raise InfeasibleSpecError(f"arm probabilities for unit {i} do not sum to 1")
-        if any(float(x) < 0 for x in row):
-            raise InfeasibleSpecError("arm probabilities must be nonnegative")
-    # float rows need not sum to exactly 1 in binary: normalize them exactly,
-    # so the support is a probability measure whose marginals are pi
-    table = [tuple(x / sum(row) for x in row) for row in table]
+        if row not in normalized:
+            total = sum(row)
+            if abs(float(total) - 1.0) > 1e-12:
+                raise InfeasibleSpecError(f"arm probabilities for unit {i} do not sum to 1")
+            if any(float(x) < 0 for x in row):
+                raise InfeasibleSpecError("arm probabilities must be nonnegative")
+            normalized[row] = tuple(x / total for x in row)
+    table = [normalized[row] for row in table]
 
     # one one-unit part per distinct row, over its arms of positive probability
     parts = {}
@@ -513,11 +523,7 @@ def bernoulli_design(
             arms = [r for r in range(k) if row[r] > 0]
             parts[row] = custom_design(IndexLayout(k, 1), [([r], row[r]) for r in arms])
     design = block_design(
-        [([i], parts[row]) for i, row in enumerate(table)],
-        mode=mode,
-        support_cap=support_cap,
-        mc_replicates=mc_replicates,
-        seed=seed,
+        [([i], parts[row]) for i, row in enumerate(table)], mode=mode, support_cap=support_cap
     )
 
     probs_float = np.array([[float(x) for x in row] for row in table])
@@ -555,8 +561,6 @@ def complete_design(
     *,
     mode: str = "exact",
     support_cap: int = DEFAULT_SUPPORT_CAP,
-    mc_replicates: int = 10000,
-    seed: int | None = None,
 ) -> Design:
     """Completely randomized assignment with fixed arm sizes."""
     counts = [int(c) for c in counts]
@@ -592,8 +596,6 @@ def complete_design(
         family="complete",
         support=support,
         sampler=sampler,
-        mc_replicates=mc_replicates,
-        seed=seed,
         pi_frac=pi_frac,
         p_frac=p_frac,
         support_size=size,
@@ -605,8 +607,6 @@ def block_design(
     *,
     mode: str = "exact",
     support_cap: int = DEFAULT_SUPPORT_CAP,
-    mc_replicates: int = 10000,
-    seed: int | None = None,
 ) -> Design:
     """Independent sub-designs over disjoint unit sets.
 
@@ -667,8 +667,6 @@ def block_design(
         family="block",
         support=support,
         sampler=sampler,
-        mc_replicates=mc_replicates,
-        seed=seed,
         pi_frac=pi_frac,
         p_frac=p_frac,
         support_size=size,
@@ -681,8 +679,6 @@ def paired_design(
     *,
     mode: str = "exact",
     support_cap: int = DEFAULT_SUPPORT_CAP,
-    mc_replicates: int = 10000,
-    seed: int | None = None,
 ) -> Design:
     """Matched groups of size k; within each group one unit goes to each arm.
 
@@ -694,26 +690,16 @@ def paired_design(
             raise InfeasibleSpecError(
                 f"each matched group must have exactly k={k} units, got {list(pair)}"
             )
-    # pairs take the default cap: the caller's cap applies to their product
-    blocks = [(list(pair), complete_design([1] * k, mode=mode)) for pair in pairs]
-    design = block_design(
-        blocks,
-        mode=mode,
-        support_cap=support_cap,
-        mc_replicates=mc_replicates,
-        seed=seed,
-    )
+    # one stateless complete design shared by every group; it takes the
+    # default cap: the caller's cap applies to the product
+    group = complete_design([1] * k, mode=mode)
+    design = block_design([(list(pair), group) for pair in pairs], mode=mode,
+                          support_cap=support_cap)
     design.family = "paired"
     return design
 
 
-def cluster_design(
-    clusters: Sequence[Sequence[int]],
-    cluster_level: Design,
-    *,
-    mc_replicates: int | None = None,
-    seed: int | None = None,
-) -> Design:
+def cluster_design(clusters: Sequence[Sequence[int]], cluster_level: Design) -> Design:
     """All units in a cluster share the arm drawn for the cluster."""
     m = len(clusters)
     if cluster_level.layout.n != m:
@@ -753,8 +739,6 @@ def cluster_design(
         family="cluster",
         support=support,
         sampler=sampler,
-        mc_replicates=mc_replicates or cluster_level.mc_replicates,
-        seed=seed if seed is not None else cluster_level.seed,
         pi_frac=pi_frac,
         p_frac=p_frac,
         support_size=cluster_level.support_size,
@@ -772,9 +756,14 @@ def custom_design(
 ) -> Design:
     """Design given directly by an enumerated support or by a sampler.
 
-    Enumerated supports get exact rational pi and p.  Sampler-only designs
-    fall back to seeded empirical moments, and everything derived from them
-    is flagged as estimated.
+    Enumerated supports get exact rational pi and p.  A sampler-only design
+    is the one design that estimates its moments: with a ``seed`` it
+    counts ``mc_replicates`` draws from the child generators
+    ``default_rng((seed, rep))`` at build time, and everything derived from
+    them is flagged as estimated.  Without a seed it still draws, but asking
+    for its pi or p raises ValidationError.  Wrapping a composite's sampler,
+    ``custom_design(d.layout, sampler=d.draw, seed=s, mc_replicates=r)``,
+    estimates the moments of a block or cluster over sampler-only parts.
     """
     if support is None and sampler is None:
         raise InfeasibleSpecError("custom design needs a support or a sampler")
@@ -791,28 +780,24 @@ def custom_design(
                 f"custom support assignments must each give one integer arm per unit: {exc}"
             ) from exc
         sup = Support(arms, ExactMatrix.of([_as_fraction(prob) for _, prob in support]))
-    design = Design(
-        layout=layout,
-        family="custom",
-        support=sup,
-        sampler=sampler,
-        mc_replicates=mc_replicates,
-        seed=seed,
+    design = Design(layout=layout, family="custom", support=sup, sampler=sampler)
+    if sup is None:
+        if seed is not None:
+            design.moments = _empirical_moments(design, seed, mc_replicates)
+        return design
+    # p sums prob * outer(indicators) over the support: an integer matmul over
+    # the common denominator, in int64 while the (positive) weights sum below 2**62
+    denom = math.lcm(*(prob.denominator for prob in sup.probs.values))
+    weights = [prob.numerator * (denom // prob.denominator) for prob in sup.probs.values]
+    total = sum(w * int(c) for w, c in zip(weights, np.bincount(sup.probs.codes)))
+    weights = np.array(weights, dtype=np.int64 if total < 2**62 else object)[sup.probs.codes]
+    ind = arms_to_indicators(sup.arms, layout).astype(np.int64)
+    counts = (ind.T * weights) @ ind
+    uniq, inverse = np.unique(counts, return_inverse=True)
+    design.p_frac = ExactMatrix.of(
+        [Fraction(int(v), denom) for v in uniq], inverse.reshape(counts.shape)
     )
-    if sup is not None:
-        # p sums prob * outer(indicators) over the support: an integer matmul over
-        # the common denominator, in int64 while the (positive) weights sum below 2**62
-        denom = math.lcm(*(prob.denominator for prob in sup.probs.values))
-        weights = [prob.numerator * (denom // prob.denominator) for prob in sup.probs.values]
-        total = sum(w * int(c) for w, c in zip(weights, np.bincount(sup.probs.codes)))
-        weights = np.array(weights, dtype=np.int64 if total < 2**62 else object)[sup.probs.codes]
-        ind = arms_to_indicators(sup.arms, layout).astype(np.int64)
-        counts = (ind.T * weights) @ ind
-        uniq, inverse = np.unique(counts, return_inverse=True)
-        design.p_frac = ExactMatrix.of(
-            [Fraction(int(v), denom) for v in uniq], inverse.reshape(counts.shape)
-        )
-        design.pi_frac = design.p_frac[np.diag_indices(layout.kn)]
+    design.pi_frac = design.p_frac[np.diag_indices(layout.kn)]
     return design
 
 
@@ -823,8 +808,9 @@ def spec_field(doc, key: str, what: str, default=_REQUIRED, cast=None):
     """Field ``key`` of the JSON object ``doc``, passed through ``cast``.
 
     A missing (or null) field gives ``default``.  A non-object ``doc``, a
-    missing field without a default and a value ``cast`` rejects each raise
-    ValidationError naming ``what`` and the field.
+    missing field without a default and a value ``cast`` rejects (with
+    TypeError, ValueError or ValidationError) each raise ValidationError
+    naming ``what`` and the field.
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -837,92 +823,80 @@ def spec_field(doc, key: str, what: str, default=_REQUIRED, cast=None):
         return value
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f'{what} field "{key}" is malformed: {value!r}') from exc
+
+
+def _listed(value, item=lambda v: v) -> list:
+    """A JSON list (or tuple), each entry passed through ``item``."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return [item(v) for v in value]
+
+
+def _ints(value) -> list[int]:
+    return _listed(value, int)
+
+
+def _rationals(value):
+    """A probability, or (nested) lists of them, as Fractions."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_rationals(v) for v in value]
+    return _as_fraction(value)
 
 
 def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
     """Build a design from its JSON-shaped description.
 
     See docs/formats.md for the schema.  ``support_cap`` overrides the
-    spec's own "support_cap" field when given.
+    spec's own "support_cap" field when given.  Fields a family does not
+    read are ignored.
     """
     what = "design spec"
     if not isinstance(spec, dict):
         raise ValidationError(f"{what} must be a JSON object")
-    spec = dict(spec)
     family = spec.get("type")
     if support_cap is None:
         support_cap = spec_field(spec, "support_cap", what, DEFAULT_SUPPORT_CAP, int)
     mode = spec.get("mode", "exact")
     if mode not in MODES:  # a custom spec never reaches _maybe_enumerate
         raise ValidationError(f"unknown design mode {mode!r}; expected one of {MODES}")
-    common = dict(
-        mode=mode,
-        support_cap=support_cap,
-        mc_replicates=spec_field(spec, "mc_replicates", what, 10000, int),
-        seed=spec_field(spec, "seed", what, None, int),
-    )
+    common = dict(mode=mode, support_cap=support_cap)
+    inherited = {"k": spec["k"]} if spec.get("k") is not None else {}  # k passes down to sub-specs
     if family == "bernoulli":
-        probs = spec.get("probs", spec.get("p"))
-        if probs is None:
-            raise InfeasibleSpecError('bernoulli spec needs "p" or "probs"')
+        probs = spec_field(spec, "probs" if "probs" in spec else "p", what, cast=_rationals)
         k, n = (spec_field(spec, key, what, None, int) for key in ("k", "n"))
         return bernoulli_design(probs, k=k, n=n, **common)
     if family == "complete":
-        counts = spec.get("counts")
-        if counts is None:
-            raise InfeasibleSpecError('complete spec needs "counts" per arm')
-        d = complete_design(counts, **common)
+        d = complete_design(spec_field(spec, "counts", what, cast=_ints), **common)
         if spec_field(spec, "n", what, d.layout.n, int) != d.layout.n:
             raise InfeasibleSpecError(
                 f"complete design arm counts sum to {d.layout.n}, not n={spec['n']}"
             )
         return d
     if family == "paired":
-        pairs = spec.get("pairs")
-        if pairs is None:
-            raise InfeasibleSpecError('paired spec needs "pairs"')
+        pairs = spec_field(spec, "pairs", what, cast=lambda v: _listed(v, _ints))
         return paired_design(pairs, k=spec_field(spec, "k", what, 2, int), **common)
     if family == "block":
-        subs = spec.get("blocks")
-        if not subs:
-            raise InfeasibleSpecError('block spec needs a nonempty "blocks" list')
         built = []
-        for sub in subs:
-            sub = dict(sub)
-            units = sub.pop("units", None)
-            if units is None:
-                raise InfeasibleSpecError('each block needs a "units" list')
-            sub.setdefault("n", len(units))
-            if "k" not in sub and spec.get("k") is not None:
-                sub["k"] = spec["k"]
+        for sub in spec_field(spec, "blocks", what, cast=_listed):
+            units = spec_field(sub, "units", 'design spec "blocks" entry', cast=_ints)
+            sub = {**inherited, "n": len(units), **sub}
             built.append((units, build_design(sub, support_cap=support_cap)))
         return block_design(built, **common)
     if family == "cluster":
-        clusters = spec.get("clusters")
-        sub = spec.get("cluster_design")
-        if clusters is None or sub is None:
-            raise InfeasibleSpecError('cluster spec needs "clusters" and "cluster_design"')
-        sub = dict(sub)
-        sub.setdefault("n", len(clusters))
-        if "k" not in sub and spec.get("k") is not None:
-            sub["k"] = spec["k"]
-        sub.setdefault("mode", mode)
-        sub.setdefault("mc_replicates", common["mc_replicates"])
-        sub.setdefault("seed", common["seed"])
-        cl = build_design(sub, support_cap=support_cap)
-        return cluster_design(clusters, cl, seed=common["seed"])
+        clusters = spec_field(spec, "clusters", what, cast=lambda v: _listed(v, _ints))
+        # {**v} raises TypeError unless the cluster-level spec is an object
+        sub = spec_field(spec, "cluster_design", what,
+                         cast=lambda v: {**inherited, "n": len(clusters), "mode": mode, **v})
+        return cluster_design(clusters, build_design(sub, support_cap=support_cap))
     if family == "custom":
-        sup = spec.get("support")
-        if sup is None:
-            raise InfeasibleSpecError('custom spec needs a "support" list')
         layout = IndexLayout(spec_field(spec, "k", "custom spec", cast=int),
                              spec_field(spec, "n", "custom spec", cast=int))
         parsed = [(spec_field(entry, "arms", "custom support entry"),
-                   spec_field(entry, "prob", "custom support entry")) for entry in sup]
-        return custom_design(layout, parsed, support_cap=support_cap,
-                             mc_replicates=common["mc_replicates"], seed=common["seed"])
+                   spec_field(entry, "prob", "custom support entry", cast=_as_fraction))
+                  for entry in spec_field(spec, "support", what, cast=_listed)]
+        return custom_design(layout, parsed, support_cap=support_cap)
     raise InfeasibleSpecError(f"unknown design type {family!r}")
 
 
@@ -930,33 +904,37 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
 # moments
 
 
-def _empirical_moments(design: Design) -> tuple:
-    if design._empirical is not None:
-        return design._empirical
-    if design.seed is None:
-        raise ValidationError(
-            "monte-carlo moment estimation requires an explicit seed"
-        )
-    reps = design.mc_replicates
+def _empirical_moments(design: Design, seed: int, reps: int) -> tuple[np.ndarray, ...]:
+    """Monte Carlo (pi, p, pi se, p se) from ``reps`` seeded replicate draws."""
+    if reps < 1:
+        raise ValidationError(f"mc_replicates must be >= 1, got {reps}")
     kn = design.layout.kn
     pi_sum = np.zeros(kn)
     p_sum = np.zeros((kn, kn))
-    for mat in design.replicate_indicators(design.seed, reps):
+    for mat in design.replicate_indicators(seed, reps):
         pi_sum += mat.sum(axis=0)
         p_sum += mat.T @ mat
     pi_hat = pi_sum / reps
     p_hat = p_sum / reps
     pi_se = np.sqrt(np.clip(pi_hat * (1 - pi_hat), 0, None) / reps)
     p_se = np.sqrt(np.clip(p_hat * (1 - p_hat), 0, None) / reps)
-    design._empirical = (pi_hat, p_hat, pi_se, p_se)
-    return design._empirical
+    return pi_hat, p_hat, pi_se, p_se
+
+
+def _estimated_moments(design: Design) -> tuple[np.ndarray, ...]:
+    if design.moments is None:
+        raise ValidationError(
+            f"{design.family} design has neither exact nor estimated moments; estimate them "
+            "with custom_design(d.layout, sampler=d.draw, seed=s, mc_replicates=r)"
+        )
+    return design.moments
 
 
 def inclusion_probabilities(design: Design) -> PiDiagonal:
     """Marginal assignment probabilities, exact where the family allows."""
     if design.pi_frac is not None:
         return PiDiagonal(design.layout, design.pi_frac.to_float(), frac=design.pi_frac)
-    pi_hat, _, pi_se, _ = _empirical_moments(design)
+    pi_hat, _, pi_se, _ = _estimated_moments(design)
     return PiDiagonal(design.layout, pi_hat, estimated=True, se=pi_se)
 
 
@@ -964,7 +942,7 @@ def joint_probabilities(design: Design) -> JointProbMatrix:
     """Joint assignment probabilities, exact where the family allows."""
     if design.p_frac is not None:
         return JointProbMatrix(design.layout, design.p_frac.to_float(), frac=design.p_frac)
-    _, p_hat, _, p_se = _empirical_moments(design)
+    _, p_hat, _, p_se = _estimated_moments(design)
     return JointProbMatrix(design.layout, p_hat, estimated=True, se=p_se)
 
 

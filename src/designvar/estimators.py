@@ -93,6 +93,8 @@ class EstimatorSpec:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise ValidationError(f"estimator kind must be a string, got {self.kind!r}")
         kind = self.kind.lower()
         object.__setattr__(self, "kind", kind)
         if kind not in KINDS:

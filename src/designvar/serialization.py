@@ -89,8 +89,6 @@ def design_summary(design: Design) -> dict:
         "mode": design.mode,
         "support_size": design.support_size,
         "exact_probabilities": design.pi_frac is not None,
-        "mc_replicates": design.mc_replicates if design.mode == "mc" else None,
-        "seed": design.seed,
     }
 
 

@@ -88,6 +88,30 @@ def exact_moments(design: Design) -> tuple[list[Fraction], list[list[Fraction]]]
     return pi, p
 
 
+def empirical_moments(sampler, layout, seed: int, reps: int) -> tuple[np.ndarray, ...]:
+    """Monte Carlo (pi, p, pi se, p se) of ``sampler`` over ``reps`` draws.
+
+    Draw ``rep`` comes from the child generator ``default_rng((seed, rep))``.
+    Inclusion and co-inclusion are counted as integers, one draw at a time,
+    so the sums are exact before the single division by ``reps``; the
+    standard errors are the binomial sqrt(q (1 - q) / reps).
+    """
+    n = layout.n
+    pi_count = np.zeros(layout.kn, dtype=np.int64)
+    p_count = np.zeros((layout.kn, layout.kn), dtype=np.int64)
+    for rep in range(reps):
+        arms = sampler(np.random.default_rng((seed, rep)))
+        flat = [int(arms[i]) * n + i for i in range(n)]
+        for a in flat:
+            pi_count[a] += 1
+            for b in flat:
+                p_count[a, b] += 1
+    pi, p = pi_count / reps, p_count / reps
+    pi_se = np.sqrt(np.clip(pi * (1 - pi), 0, None) / reps)
+    p_se = np.sqrt(np.clip(p * (1 - p), 0, None) / reps)
+    return pi, p, pi_se, p_se
+
+
 def intercept(k: int, n: int) -> np.ndarray:
     return np.kron(np.eye(k), np.ones((n, 1)))
 

@@ -100,9 +100,8 @@ def _random_bernoulli_dataset(rng, n_max=12, l_max=3):
     n = int(rng.integers(4, n_max + 1))
     l = int(rng.integers(0, l_max + 1))
     probs = rng.uniform(0.25, 0.75, size=n)
-    design = dv.bernoulli_design(
-        [[1.0 - p, p] for p in probs], mode="mc", seed=int(rng.integers(2**31))
-    )
+    rng.integers(2**31)  # unused, but the datasets drawn after it depend on this position
+    design = dv.bernoulli_design([[1.0 - p, p] for p in probs], mode="mc")
     x = rng.normal(size=(n, l)) if l else None
     y = rng.normal(size=2 * n)
     return design, x, y
@@ -148,10 +147,9 @@ def test_criterion_06_sandwich_equivalences():
         units = iter(range(int(sizes.sum())))
         clusters = [[next(units) for _ in range(s)] for s in sizes]
         n = int(sizes.sum())
-        level = dv.bernoulli_design(
-            [[1.0 - p, p] for p in rng.uniform(0.3, 0.7, size=m)],
-            mode="mc", seed=int(rng.integers(2**31)),
-        )
+        level_probs = rng.uniform(0.3, 0.7, size=m)
+        rng.integers(2**31)  # unused, but the datasets drawn after it depend on this position
+        level = dv.bernoulli_design([[1.0 - p, p] for p in level_probs], mode="mc")
         design = dv.cluster_design(clusters, level)
         l = int(rng.integers(0, 3))
         x = rng.normal(size=(n, l)) if l else None

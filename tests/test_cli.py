@@ -56,6 +56,16 @@ class TestDesignCommand:
         )
         assert main(["design", spec, "--out", str(tmp_path / "x")]) == 2
 
+    def test_design_json_holds_only_what_the_design_determines(self, tmp_path):
+        # moment settings in a spec are ignored, like any field the family does not read
+        spec = write_json(tmp_path / "spec.json",
+                          {**PAIRED_SPEC, "mode": "mc", "seed": 3, "mc_replicates": 10})
+        out = tmp_path / "paired"
+        assert main(["design", spec, "--out", str(out)]) == 0
+        summary = json.loads((out / "design.json").read_text())
+        assert summary == {"k": 2, "n": 4, "family": "paired", "mode": "mc", "support_size": 4,
+                           "exact_probabilities": True, "estimated": False}
+
     def test_paired_mc_ignores_the_cap_in_its_pairs(self, tmp_path):
         # each pair has 2 assignments; with mode "mc" a cap of 1 must not reject them
         spec = write_json(tmp_path / "spec.json", {**PAIRED_SPEC, "mode": "mc", "support_cap": 1})
@@ -70,11 +80,28 @@ class TestDesignCommand:
             ({**COMPLETE_SPEC, "mode": "bogus"}, "'bogus'"),
             ({"type": "custom", "n": 2, "support": [{"arms": [0, 1], "prob": 1}]}, '"k"'),
             ({"type": "custom", "k": 2, "n": 2, "support": [{"arms": [0, 1]}]}, '"prob"'),
-            ({**COMPLETE_SPEC, "mc_replicates": "abc"}, '"mc_replicates"'),
+            ({**COMPLETE_SPEC, "support_cap": "abc"}, '"support_cap"'),
             ({"type": "bernoulli", "n": "three", "p": 0.5}, '"n"'),
+            ({"type": "complete", "counts": "ab"}, '"counts"'),
+            ({"type": "complete", "counts": 5}, '"counts"'),
+            ({"type": "paired", "pairs": 3}, '"pairs"'),
+            ({"type": "block", "blocks": [5]}, '"blocks"'),
+            ({"type": "block", "blocks": [{"units": 3, "type": "complete", "counts": [1, 1]}]},
+             '"units"'),
+            ({"type": "cluster", "clusters": 5, "cluster_design": COMPLETE_SPEC}, '"clusters"'),
+            ({"type": "cluster", "clusters": [[0], [1]], "cluster_design": 5},
+             '"cluster_design"'),
+            ({"type": "bernoulli", "n": 3, "p": "abc"}, '"p"'),
+            ({"type": "bernoulli", "n": 3, "probs": [0.5, "x"]}, '"probs"'),
+            ({"type": "custom", "k": 2, "n": 2, "support": 5}, '"support"'),
+            ({"type": "custom", "k": 2, "n": 2, "support": [{"arms": [0, 1], "prob": "zz"}]},
+             '"prob"'),
         ],
-        ids=["unknown-mode", "custom-without-k", "entry-without-prob", "mc-replicates-abc",
-             "bernoulli-n-text"],
+        ids=["unknown-mode", "custom-without-k", "entry-without-prob", "support-cap-abc",
+             "bernoulli-n-text", "complete-counts-text", "complete-counts-number",
+             "paired-pairs-number", "block-entry-number", "block-units-number",
+             "cluster-clusters-number", "cluster-design-number", "bernoulli-p-text",
+             "bernoulli-probs-text-entry", "custom-support-number", "custom-prob-text"],
     )
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, spec, named):
         path = write_json(tmp_path / "spec.json", spec)
@@ -94,6 +121,14 @@ class TestBoundCommand:
         cert = json.loads((out / "certification.json").read_text())
         assert cert["certified_bounding"] == "yes"
         assert cert["certified_identified"] == "yes"
+
+    def test_algm_without_iterations_exits_2(self, paired_dir, tmp_path, capsys):
+        code = main([
+            "bound", "--d", str(paired_dir / "d.csv"), "--mask", str(paired_dir / "mask.csv"),
+            "--method", "algm", "--max-iter", "0", "--out", str(tmp_path / "m"),
+        ])
+        assert code == 2
+        assert "max_iter" in capsys.readouterr().err
 
     def test_neyman_on_paired_exits_2_naming_blocks(self, paired_dir, tmp_path, capsys):
         code = main([
@@ -442,9 +477,14 @@ class TestSimulateCommand:
               "estimator": {"kind": "ht", "contrast": [-1, 1]},
               "mode": "mc", "seed": "abc", "replicates": 5}, '"seed"'),
             ({"sweep": {"base_y": [[0.0, 1.0], [1.0, 2.0]], "n_list": [4]}}, '"estimator"'),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "ht", "contrast": [-1, 1]},
+              "mode": "mc", "seed": -1, "replicates": 5}, "seed"),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8, "estimator": {"kind": 5, "contrast": [-1, 1]}},
+             "kind"),
         ],
         ids=["without-y", "top-level-list", "estimator-without-kind", "replicates-many",
-             "seed-text", "sweep-without-estimator"],
+             "seed-text", "sweep-without-estimator", "seed-negative", "kind-number"],
     )
     def test_malformed_scenario_field_exits_2(self, tmp_path, capsys, doc, named):
         path = write_json(tmp_path / "s.json", doc)

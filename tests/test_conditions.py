@@ -46,7 +46,7 @@ class TestSecondOrderNorm:
         assert_allclose(full, tiny, rtol=1e-12)
 
     def test_monte_carlo_design_rejected(self):
-        d = dv.bernoulli_design(0.5, n=30, mode="mc", seed=0)
+        d = dv.bernoulli_design(0.5, n=30, mode="mc")
         with pytest.raises(dv.ValidationError):
             dv.second_order_condition_norm(d, np.zeros((60, 60)))
 

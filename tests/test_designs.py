@@ -8,7 +8,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 import designvar as dv
 from designvar import serialization as ser
 from conftest import D_COMPLETE, D_PAIRED
-from oracles import enumeration_design_matrix, random_small_design, reference_support
+from oracles import (
+    empirical_moments,
+    enumeration_design_matrix,
+    random_small_design,
+    reference_support,
+)
 
 
 class TestBuilders:
@@ -26,7 +31,7 @@ class TestBuilders:
     def test_bernoulli_overflow_goes_mc_only_on_request(self):
         with pytest.raises(dv.SupportOverflowError):
             dv.bernoulli_design(0.5, n=30, support_cap=2**20)
-        d = dv.bernoulli_design(0.5, n=30, support_cap=2**20, mode="mc", seed=1)
+        d = dv.bernoulli_design(0.5, n=30, support_cap=2**20, mode="mc")
         assert d.mode == "mc"
         assert d.support is None
         assert d.pi_frac is not None  # moments stay exact
@@ -282,6 +287,12 @@ class TestMonteCarloMoments:
         with pytest.raises(dv.ValidationError):
             dv.inclusion_probabilities(d)
 
+    @pytest.mark.parametrize("seed, reps", [(-1, 10), (1, 0)])
+    def test_estimation_settings_are_validated(self, seed, reps):
+        with pytest.raises(dv.ValidationError, match="seed|mc_replicates"):
+            dv.custom_design(dv.IndexLayout(2, 2), sampler=lambda rng: rng.integers(0, 2, size=2),
+                             seed=seed, mc_replicates=reps)
+
     def test_moments_deterministic_for_fixed_seed(self):
         layout = dv.IndexLayout(2, 2)
 
@@ -293,6 +304,49 @@ class TestMonteCarloMoments:
         assert_array_equal(
             dv.inclusion_probabilities(d1).probs, dv.inclusion_probabilities(d2).probs
         )
+
+    @staticmethod
+    def _assert_moments_equal(design, expected):
+        pi, p = dv.inclusion_probabilities(design), dv.joint_probabilities(design)
+        for got, want in zip((pi.probs, p.p, pi.se, p.se), expected):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_moments_equal_counted_draws(self, seed):
+        layout = dv.IndexLayout(3, 2)
+
+        def sampler(rng):
+            return rng.choice(3, size=2, p=[0.2, 0.3, 0.5])
+
+        d = dv.custom_design(layout, sampler=sampler, mc_replicates=500, seed=seed)
+        self._assert_moments_equal(d, empirical_moments(sampler, layout, seed, 500))
+
+    def test_composite_moments_through_a_sampler_only_custom_design(self):
+        def first(rng):
+            return rng.integers(0, 2, size=2)
+
+        def second(rng):
+            return rng.permutation([0, 1, 1])
+
+        parts = [([0, 1], dv.custom_design(dv.IndexLayout(2, 2), sampler=first)),
+                 ([2, 3, 4], dv.custom_design(dv.IndexLayout(2, 3), sampler=second))]
+        block = dv.block_design(parts, mode="mc")
+        with pytest.raises(dv.ValidationError, match=r"custom_design\(d.layout, sampler=d.draw"):
+            dv.inclusion_probabilities(block)
+        wrapped = dv.custom_design(block.layout, sampler=block.draw, mc_replicates=300, seed=5)
+        expected = empirical_moments(
+            lambda rng: np.concatenate([first(rng), second(rng)]), block.layout, 5, 300
+        )
+        self._assert_moments_equal(wrapped, expected)
+
+    def test_spec_moment_fields_are_ignored(self):
+        spec = {"type": "bernoulli", "n": 4, "p": "1/3", "mode": "mc"}
+        plain = dv.build_design(spec)
+        carried = dv.build_design({**spec, "seed": 3, "mc_replicates": 10})
+        assert carried.pi_frac.values == plain.pi_frac.values
+        assert_array_equal(carried.p_frac.codes, plain.p_frac.codes)
+        assert_array_equal(carried.draw(np.random.default_rng(1)),
+                           plain.draw(np.random.default_rng(1)))
 
 
 class TestSupportDraws:

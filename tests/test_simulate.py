@@ -58,14 +58,14 @@ class TestRunScenarioExact:
         assert report.infeasible_weight == 79 / 300
 
     def test_exact_requires_enumerable_design(self):
-        design = dv.bernoulli_design(0.5, n=30, mode="mc", seed=0)
+        design = dv.bernoulli_design(0.5, n=30, mode="mc")
         with pytest.raises(dv.ValidationError):
             dv.SimScenario(design, np.zeros(60), dv.EstimatorSpec("ht", c2()))
 
 
 class TestRunScenarioMonteCarlo:
     def test_reproducible_for_fixed_seed(self):
-        design = dv.bernoulli_design(0.5, n=8, mode="mc", seed=1)
+        design = dv.bernoulli_design(0.5, n=8, mode="mc")
         rng = np.random.default_rng(2)
         y = rng.normal(size=16)
         spec = dv.EstimatorSpec("ht", c2())
@@ -85,7 +85,7 @@ class TestRunScenarioMonteCarlo:
     def test_ols_bound_conservative_under_bernoulli(self):
         rng = np.random.default_rng(7)
         n = 20
-        design = dv.bernoulli_design(0.5, n=n, mode="mc", seed=7)
+        design = dv.bernoulli_design(0.5, n=n, mode="mc")
         x = rng.normal(size=(n, 1))
         y = rng.normal(size=2 * n) + 0.8 * np.tile(x[:, 0], 2)
         spec = dv.EstimatorSpec("ols", c2(), covariates=x)
