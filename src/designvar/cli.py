@@ -28,6 +28,7 @@ from .designs import (
     inclusion_probabilities,
     joint_probabilities,
     spec_field,
+    spec_int,
 )
 from .errors import NumericalError, ValidationError
 from .estimators import EstimatorSpec, point_estimate
@@ -152,7 +153,9 @@ def cmd_estimate(args) -> int:
         "bound_estimate": best.value,
         "bound_method": bound.method,
         "estimator": spec.kind,
+        # a negative estimate has no square root: se is clamped to 0 and flagged
         "se": math.sqrt(max(best.value, 0.0)),
+        "negative_bound_estimate": best.value < 0.0,
     }
     ser.write_json(args.out, report)
     print(json.dumps(report, sort_keys=True))
@@ -194,7 +197,7 @@ def _scenario_from_json(doc: dict) -> SimScenario | dict:
     y_doc = spec_field(doc, "y", what)
     if isinstance(y_doc, dict):
         base = spec_field(y_doc, "base", 'scenario "y"', cast=_floats)
-        copies = spec_field(y_doc, "copies", 'scenario "y"', cast=int)
+        copies = spec_field(y_doc, "copies", 'scenario "y"', cast=spec_int)
         y = np.concatenate([np.tile(row, copies) for row in base])
     else:
         y = spec_field(doc, "y", what, cast=_floats)
@@ -212,8 +215,8 @@ def _scenario_from_json(doc: dict) -> SimScenario | dict:
         estimator=spec,
         bound_method=doc.get("bound", "as"),
         mode=doc.get("mode", "exact"),
-        replicates=spec_field(doc, "replicates", what, 0, int),
-        seed=spec_field(doc, "seed", what, None, int),
+        replicates=spec_field(doc, "replicates", what, 0, spec_int),
+        seed=spec_field(doc, "seed", what, None, spec_int),
     )
 
 
@@ -231,7 +234,7 @@ def cmd_simulate(args) -> int:
         rows = consistency_sweep(
             spec,
             spec_field(scenario, "base_y", "sweep", cast=_floats),
-            spec_field(scenario, "n_list", "sweep", cast=lambda ns: [int(n) for n in ns]),
+            spec_field(scenario, "n_list", "sweep", cast=lambda ns: [spec_int(n) for n in ns]),
         )
         with open(out / "trend.csv", "w") as fh:
             cols = list(rows[0].keys())

@@ -9,12 +9,15 @@ Probabilities for the combinatorial families (bernoulli, complete,
 paired, block, cluster, enumerated custom) are kept as exact rationals.
 An enumerated support (Support) is an S x n array of arms, one row per
 assignment, over a length-S exact matrix of point probabilities.
-An exact matrix (ExactMatrix) is an integer code array over a codebook
-of distinct Fractions, and its floats are a view of it, values[codes].
-That is what makes entries like -1/3 or exact -1 reproducible
-bit-for-bit.  Formulas over such matrices are written once and run
-through ``elementwise``: once per distinct tuple of exact operand values,
-or directly on the floats when an operand has no exact values.
+An exact matrix (ExactMatrix) is an integer code array over a Codebook
+of distinct rationals, held as integer numerator/denominator arrays with
+their correctly rounded floats; its floats are a view, floats[codes],
+and Fractions are made only when entries are indexed.  That is what
+makes entries like -1/3 or exact -1 reproducible bit-for-bit.  Formulas
+over such matrices are written once, as array expressions, and run once
+through ``elementwise``: on exact rationals, one entry per distinct
+tuple of operand values, or on the floats when an operand has no exact
+values.  A formula must therefore be branch-free.
 
 Only a sampler-only custom design estimates its moments, by Monte Carlo
 at build time (``custom_design(..., sampler=..., seed=..., mc_replicates=...)``).
@@ -47,50 +50,152 @@ MODES = ("exact", "mc")
 DRAW_CHUNK = 4096  # draws per batch wherever draws are generated or evaluated
 
 
+class Codebook:
+    """Distinct exact rationals as reduced integer parts, with their floats.
+
+    ``num`` and ``den`` are object arrays of Python ints, ``den`` positive,
+    and ``floats`` holds ``num / den``: integer true division is correctly
+    rounded, so each float is the one ``float(Fraction)`` gives.
+    ``fractions`` makes the same values as Fractions on first use.
+    """
+
+    def __init__(self, num: np.ndarray, den: np.ndarray):
+        self.num, self.den = num, den
+        self.floats = (num / den).astype(float)
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    @cached_property
+    def fractions(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.num.tolist(), self.den.tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class ExactMatrix:
-    """Exact rational array: integer codes into a tuple of distinct Fractions.
+    """Exact rational array: integer codes into a Codebook of distinct rationals.
 
-    ``m[a][b]`` and ``m[a, b]`` are Fractions; slices are ExactMatrix views
-    over the same codebook, and iterating a matrix yields its rows.
+    ``m[a][b]`` and ``m[a, b]`` are Fractions, made from the codebook's
+    integer parts when first asked for; ``values`` is the whole codebook as
+    Fractions.  Slices are ExactMatrix views over the same codebook, and
+    iterating a matrix yields its rows.
     """
 
     codes: np.ndarray
-    values: tuple[Fraction, ...]
+    book: Codebook
 
     @classmethod
-    def of(cls, values, codes=None) -> "ExactMatrix":
-        """Codes into rational ``values`` (one per value when omitted), repeats merged."""
-        first: dict[tuple[int, int], tuple[int, Fraction]] = {}  # cheaper to hash than Fractions
-        remap = np.array(
-            [first.setdefault((v.numerator, v.denominator), (len(first), v))[0] for v in values],
-            dtype=np.intp,
-        )
+    def of(cls, num, codes=None, den=1) -> "ExactMatrix":
+        """Codes into the rationals ``num / den`` (``den`` positive; one value
+        per code when ``codes`` is omitted), reduced and deduplicated: the
+        codebook keeps distinct values in first-seen order."""
+        num, den = np.asarray(num, dtype=object), np.asarray(den, dtype=object)
+        g = np.gcd(num, den)  # broadcast: num // g and den // g have the full shape
+        first: dict[tuple[int, int], int] = {}
+        pairs = zip((num // g).ravel().tolist(), (den // g).ravel().tolist())
+        remap = np.array([first.setdefault(pair, len(first)) for pair in pairs], dtype=np.intp)
         codes = np.arange(len(remap)) if codes is None else np.asarray(codes, dtype=np.intp)
-        return cls(remap[codes], tuple(Fraction(v) for _, v in first.values()))
+        return cls(remap[codes], Codebook(*np.array(list(first), dtype=object).reshape(-1, 2).T))
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return self.book.fractions
 
     def to_float(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])[self.codes]
+        return self.book.floats[self.codes]
 
     def __getitem__(self, index):
         codes = self.codes[index]
         if np.ndim(codes) == 0:
             return self.values[codes]
-        return ExactMatrix(codes, self.values)
+        return ExactMatrix(codes, self.book)
 
     def __iter__(self):
         return (self[i] for i in range(len(self.codes)))
 
 
+class _Rationals:
+    """Exact rational arrays for formulas: Python-int numerators and positive
+    denominators in object arrays, reduced only by ``ExactMatrix.of``.
+
+    Supports ``+ - * /``, unary ``-``, ``abs`` and ``== !=`` (which give 0/1
+    rationals), mixed with integers, bools and integer arrays.  Using one
+    as a truth value raises TypeError: formulas must be branch-free.
+    """
+
+    __array_ufunc__ = None  # numpy operands defer to the reflected methods here
+
+    def __init__(self, num, den):
+        self.num, self.den = np.asarray(num, dtype=object), np.asarray(den, dtype=object)
+
+    @staticmethod
+    def lift(x) -> "_Rationals":
+        if isinstance(x, _Rationals):
+            return x
+        if isinstance(x, (int, np.integer, np.bool_)):
+            return _Rationals(int(x), 1)
+        if isinstance(x, np.ndarray) and x.dtype.kind in "biu":
+            return _Rationals(x.astype(object), 1)
+        raise TypeError(f"exact formulas combine only with integers and bools, not {x!r}")
+
+    def _pair(self, other):
+        other = _Rationals.lift(other)
+        return self.num, self.den, other.num, other.den
+
+    def __add__(self, other):
+        a, b, c, d = self._pair(other)
+        return _Rationals(a * d + c * b, b * d)
+
+    def __sub__(self, other):
+        a, b, c, d = self._pair(other)
+        return _Rationals(a * d - c * b, b * d)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        a, b, c, d = self._pair(other)
+        return _Rationals(a * c, b * d)
+
+    def __truediv__(self, other):
+        a, b, c, d = self._pair(other)
+        if np.any(c == 0):
+            raise ZeroDivisionError("exact division by zero")
+        sign = np.where(c < 0, -1, 1).astype(object)
+        return _Rationals(a * d * sign, b * c * sign)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return _Rationals(-self.num, self.den)
+
+    def __abs__(self):
+        return _Rationals(abs(self.num), self.den)
+
+    def __eq__(self, other):
+        a, b, c, d = self._pair(other)
+        return _Rationals(a * d == c * b, 1)
+
+    def __ne__(self, other):
+        a, b, c, d = self._pair(other)
+        return _Rationals(a * d != c * b, 1)
+
+    def __bool__(self):
+        raise TypeError("an exact formula must be a branch-free array expression")
+
+
 def elementwise(fn, *operands) -> tuple[np.ndarray, ExactMatrix | None]:
     """``fn`` applied entrywise to broadcast operands, as (floats, exact values).
 
-    When every operand is an ExactMatrix, ``fn`` runs on Fractions once per
-    distinct tuple of operand codes and the result is exact.  Otherwise it
-    runs once on the float arrays and there are no exact values.  Callers
-    write their formula once through it instead of branching on exactness;
-    they may still rearrange operand codes (``first_order_design_matrix``
-    sorts the codes of a symmetric pair so it is evaluated once).
+    ``fn`` runs once, as an array expression.  When every operand is an
+    ExactMatrix it runs on exact rationals, one entry per distinct tuple
+    of operand codes, and the result is exact, its codebook in the order
+    of those tuples.  Otherwise it runs on the float arrays and there are
+    no exact values.  Callers write their formula once through it instead
+    of branching on exactness, so a formula must be branch-free: ``+ - *
+    /``, ``abs`` and comparisons, mixed with integers.  They may still
+    rearrange operand codes (``_outer_pair`` sorts the codes of a
+    symmetric pair so it is evaluated once).
     """
     if not all(isinstance(op, ExactMatrix) for op in operands):
         floats = [op.to_float() if isinstance(op, ExactMatrix) else op for op in operands]
@@ -100,14 +205,15 @@ def elementwise(fn, *operands) -> tuple[np.ndarray, ExactMatrix | None]:
     # one integer key per entry, mixed-radix over the operand codebooks
     key, radix = np.zeros(math.prod(shape), dtype=np.int64), 1
     for op, col in zip(operands, columns):
-        if radix * len(op.values) >= 2**62:  # renumber densely before it overflows
+        if radix * len(op.book) >= 2**62:  # renumber densely before it overflows
             key = np.unique(key, return_inverse=True)[1].ravel()
             radix = int(key.max()) + 1
-        key, radix = key * len(op.values) + col, radix * len(op.values)
+        key, radix = key * len(op.book) + col, radix * len(op.book)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    args = [[op.values[c] for c in col[first].tolist()] for op, col in zip(operands, columns)]
-    results = [fn(*row) for row in zip(*args)]
-    exact = ExactMatrix.of(results, inverse.reshape(shape))
+    args = [_Rationals(op.book.num[col[first]], op.book.den[col[first]])
+            for op, col in zip(operands, columns)]
+    result = _Rationals.lift(fn(*args))
+    exact = ExactMatrix.of(result.num, inverse.reshape(shape), result.den)
     return exact.to_float(), exact
 
 
@@ -323,12 +429,14 @@ class Design:
         if not len(arms):
             raise ValidationError("exact mode requires an enumerated support")
         # exact sum and sign, once per distinct probability
-        counts = np.bincount(probs.codes, minlength=len(probs.values))
-        used = [(prob, int(c)) for prob, c in zip(probs.values, counts) if c]
-        total = sum(prob * c for prob, c in used)
-        if abs(float(total) - 1.0) > 1e-12:
-            raise ValidationError(f"support probabilities sum to {float(total)}, not 1")
-        if any(float(prob) <= 0.0 for prob, _ in used):
+        counts = np.bincount(probs.codes, minlength=len(probs.book))
+        used = counts > 0
+        num, den = probs.book.num[used], probs.book.den[used]
+        common = math.lcm(*den.tolist())
+        total = sum((num * (common // den) * counts[used].astype(object)).tolist()) / common
+        if abs(total - 1.0) > 1e-12:
+            raise ValidationError(f"support probabilities sum to {total}, not 1")
+        if np.any(probs.book.floats[used] <= 0.0):
             raise ValidationError("support probabilities must be positive")
         self.layout.check_arms(arms, rows=probs.codes.shape)
         if self.support_size is None:
@@ -400,13 +508,24 @@ def _pair_indicators(layout: IndexLayout) -> tuple[ExactMatrix, ExactMatrix]:
     )
 
 
-def _embed(codes: np.ndarray, pieces, values=()) -> ExactMatrix:
-    """``codes`` over ``values``, with each (index, ExactMatrix) piece written in."""
-    values = list(values)
+def _embed(codes: np.ndarray, pieces, books=()) -> ExactMatrix:
+    """``codes`` over the concatenated ``books``, with each (index, ExactMatrix)
+    piece written in."""
+    books = list(books)
+    offset = sum(map(len, books))
     for index, piece in pieces:
-        codes[index] = piece.codes + len(values)
-        values.extend(piece.values)
-    return ExactMatrix.of(values, codes)
+        codes[index] = piece.codes + offset
+        books.append(piece.book)
+        offset += len(piece.book)
+    num, den = (np.concatenate([getattr(b, part) for b in books]) for part in ("num", "den"))
+    return ExactMatrix.of(num, codes, den)
+
+
+def _outer_pair(v: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """``v[:, None]`` and ``v[None, :]`` with each pair's codes sorted, so a
+    formula symmetric in the two evaluates entries (a, b) and (b, a) once."""
+    a, b = v.codes[:, None], v.codes[None, :]
+    return ExactMatrix(np.minimum(a, b), v.book), ExactMatrix(np.maximum(a, b), v.book)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +564,13 @@ def _product_support(parts: Sequence[tuple[np.ndarray, Support]], n: int) -> Sup
     sizes = [len(part) for _, part in parts]
     total = math.prod(sizes)
     arms = np.empty((total, n), dtype=int)
-    probs = ExactMatrix.of([Fraction(1)])
+    probs = ExactMatrix.of([1])
     stride = total
     for (units, part), size in zip(parts, sizes):
         stride //= size
         arms[:, units] = part.arms[np.arange(total) // stride % size]
         _, probs = elementwise(operator.mul, probs[:, None], part.probs[None, :])
-        probs = ExactMatrix(probs.codes.ravel(), probs.values)
+        probs = ExactMatrix(probs.codes.ravel(), probs.book)
     return Support(arms, probs)
 
 
@@ -570,20 +689,21 @@ def complete_design(
     k = len(counts)
     layout = IndexLayout(k, n)
 
-    # arm size of each flat index; n_a (n_b - [same arm]) / (n (n - 1)) across units
+    # arm size of each flat index; a unit is in one arm, with probability n_a / n,
+    # and two units in arms a, b with probability n_a (n_b - [same arm]) / (n (n - 1));
+    # n = 1 has no second unit, so its divisor only needs to be nonzero
     sizes = ExactMatrix.of(counts, np.repeat(np.arange(k), n))
     _, pi_frac = elementwise(lambda na: na / n, sizes)
     _, p_frac = elementwise(
-        lambda na, nb, same_unit, same_arm: (
-            (na / n if same_arm else 0) if same_unit else na * (nb - same_arm) / (n * (n - 1))
-        ),
+        lambda na, nb, same_unit, same_arm: same_unit * same_arm * na / n
+        + (1 - same_unit) * na * (nb - same_arm) / (n * max(n - 1, 1)),
         sizes[:, None], sizes[None, :], *_pair_indicators(layout),
     )
 
     size = _multinomial(counts)
     support = None
     if _maybe_enumerate(size, support_cap, mode, "complete"):
-        uniform = ExactMatrix.of([Fraction(1, size)], np.zeros(size, dtype=np.intp))
+        uniform = ExactMatrix.of([1], np.zeros(size, dtype=np.intp), size)
         support = Support(_arm_sequences(counts), uniform)
 
     labels = np.repeat(np.arange(k), counts)
@@ -644,9 +764,9 @@ def block_design(
         subs = [sub for _, sub in blocks]
         pi_frac = _embed(np.empty(layout.kn, dtype=np.intp), zip(flats, (s.pi_frac for s in subs)))
         # independent across blocks: joints are products of marginals
-        _, across = elementwise(operator.mul, pi_frac[:, None], pi_frac[None, :])
+        _, across = elementwise(operator.mul, *_outer_pair(pi_frac))
         within = [(np.ix_(idx, idx), sub.p_frac) for idx, sub in zip(flats, subs)]
-        p_frac = _embed(across.codes.copy(), within, across.values)
+        p_frac = _embed(across.codes.copy(), within, [across.book])
 
     sizes = [sub.support_size for _, sub in blocks]
     size = None if None in sizes else math.prod(sizes)
@@ -779,7 +899,9 @@ def custom_design(
             raise LayoutMismatchError(
                 f"custom support assignments must each give one integer arm per unit: {exc}"
             ) from exc
-        sup = Support(arms, ExactMatrix.of([_as_fraction(prob) for _, prob in support]))
+        probs = [_as_fraction(prob) for _, prob in support]
+        sup = Support(arms, ExactMatrix.of([p.numerator for p in probs],
+                                           den=[p.denominator for p in probs]))
     design = Design(layout=layout, family="custom", support=sup, sampler=sampler)
     if sup is None:
         if seed is not None:
@@ -787,16 +909,15 @@ def custom_design(
         return design
     # p sums prob * outer(indicators) over the support: an integer matmul over
     # the common denominator, in int64 while the (positive) weights sum below 2**62
-    denom = math.lcm(*(prob.denominator for prob in sup.probs.values))
-    weights = [prob.numerator * (denom // prob.denominator) for prob in sup.probs.values]
+    book = sup.probs.book
+    denom = math.lcm(*book.den.tolist())
+    weights = (book.num * (denom // book.den)).tolist()
     total = sum(w * int(c) for w, c in zip(weights, np.bincount(sup.probs.codes)))
     weights = np.array(weights, dtype=np.int64 if total < 2**62 else object)[sup.probs.codes]
     ind = arms_to_indicators(sup.arms, layout).astype(np.int64)
     counts = (ind.T * weights) @ ind
     uniq, inverse = np.unique(counts, return_inverse=True)
-    design.p_frac = ExactMatrix.of(
-        [Fraction(int(v), denom) for v in uniq], inverse.reshape(counts.shape)
-    )
+    design.p_frac = ExactMatrix.of(uniq.astype(object), inverse.reshape(counts.shape), denom)
     design.pi_frac = design.p_frac[np.diag_indices(layout.kn)]
     return design
 
@@ -834,8 +955,18 @@ def _listed(value, item=lambda v: v) -> list:
     return [item(v) for v in value]
 
 
+def spec_int(value) -> int:
+    """An integer field: 2 and 2.0 give 2; a bool or a non-integral number
+    is rejected rather than truncated."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got a bool")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _ints(value) -> list[int]:
-    return _listed(value, int)
+    return _listed(value, spec_int)
 
 
 def _rationals(value):
@@ -857,7 +988,7 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
         raise ValidationError(f"{what} must be a JSON object")
     family = spec.get("type")
     if support_cap is None:
-        support_cap = spec_field(spec, "support_cap", what, DEFAULT_SUPPORT_CAP, int)
+        support_cap = spec_field(spec, "support_cap", what, DEFAULT_SUPPORT_CAP, spec_int)
     mode = spec.get("mode", "exact")
     if mode not in MODES:  # a custom spec never reaches _maybe_enumerate
         raise ValidationError(f"unknown design mode {mode!r}; expected one of {MODES}")
@@ -865,18 +996,18 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
     inherited = {"k": spec["k"]} if spec.get("k") is not None else {}  # k passes down to sub-specs
     if family == "bernoulli":
         probs = spec_field(spec, "probs" if "probs" in spec else "p", what, cast=_rationals)
-        k, n = (spec_field(spec, key, what, None, int) for key in ("k", "n"))
+        k, n = (spec_field(spec, key, what, None, spec_int) for key in ("k", "n"))
         return bernoulli_design(probs, k=k, n=n, **common)
     if family == "complete":
         d = complete_design(spec_field(spec, "counts", what, cast=_ints), **common)
-        if spec_field(spec, "n", what, d.layout.n, int) != d.layout.n:
+        if spec_field(spec, "n", what, d.layout.n, spec_int) != d.layout.n:
             raise InfeasibleSpecError(
                 f"complete design arm counts sum to {d.layout.n}, not n={spec['n']}"
             )
         return d
     if family == "paired":
         pairs = spec_field(spec, "pairs", what, cast=lambda v: _listed(v, _ints))
-        return paired_design(pairs, k=spec_field(spec, "k", what, 2, int), **common)
+        return paired_design(pairs, k=spec_field(spec, "k", what, 2, spec_int), **common)
     if family == "block":
         built = []
         for sub in spec_field(spec, "blocks", what, cast=_listed):
@@ -891,9 +1022,9 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
                          cast=lambda v: {**inherited, "n": len(clusters), "mode": mode, **v})
         return cluster_design(clusters, build_design(sub, support_cap=support_cap))
     if family == "custom":
-        layout = IndexLayout(spec_field(spec, "k", "custom spec", cast=int),
-                             spec_field(spec, "n", "custom spec", cast=int))
-        parsed = [(spec_field(entry, "arms", "custom support entry"),
+        layout = IndexLayout(spec_field(spec, "k", "custom spec", cast=spec_int),
+                             spec_field(spec, "n", "custom spec", cast=spec_int))
+        parsed = [(spec_field(entry, "arms", "custom support entry", cast=_ints),
                    spec_field(entry, "prob", "custom support entry", cast=_as_fraction))
                   for entry in spec_field(spec, "support", what, cast=_listed)]
         return custom_design(layout, parsed, support_cap=support_cap)
@@ -956,10 +1087,7 @@ def first_order_design_matrix(design: Design) -> tuple[DesignMatrix, Impossibili
     pi = inclusion_probabilities(design)  # raises if non-identified
     p = joint_probabilities(design)
     pis, joint = pi.frac or pi.probs, p.frac or p.p
-    pa, pb = pis[:, None], pis[None, :]
-    if isinstance(pis, ExactMatrix):
-        # d is symmetric in (pa, pb): sorted codes let d[a, b] and d[b, a] share one evaluation
-        pa, pb = (ExactMatrix(f(pa.codes, pb.codes), pis.values) for f in (np.minimum, np.maximum))
+    pa, pb = _outer_pair(pis) if isinstance(pis, ExactMatrix) else (pis[:, None], pis[None, :])
     d, d_frac = elementwise(lambda pab, pa, pb: pab / (pa * pb) - 1, joint, pa, pb)
     mask, _ = elementwise(lambda pab: pab == 0, joint)
     return (

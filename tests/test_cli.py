@@ -96,17 +96,43 @@ class TestDesignCommand:
             ({"type": "custom", "k": 2, "n": 2, "support": 5}, '"support"'),
             ({"type": "custom", "k": 2, "n": 2, "support": [{"arms": [0, 1], "prob": "zz"}]},
              '"prob"'),
+            # integer fields reject non-integral numbers and bools instead of truncating
+            ({"type": "complete", "counts": [1.5, 2.9]}, '"counts"'),
+            ({"type": "paired", "k": 2.7, "pairs": [[0, 1], [2, 3]]}, '"k"'),
+            ({"type": "paired", "pairs": [[0, 1.5], [2, 3]]}, '"pairs"'),
+            ({"type": "block", "blocks": [{"units": [0, 0.5], "type": "complete",
+                                           "counts": [1, 1]}]}, '"units"'),
+            ({"type": "cluster", "clusters": [[0, 1], [2.5]], "cluster_design": COMPLETE_SPEC},
+             '"clusters"'),
+            ({"type": "custom", "k": True, "n": 2, "support": [{"arms": [0, 1], "prob": 1}]},
+             '"k"'),
+            ({"type": "custom", "k": 2, "n": 2.5, "support": [{"arms": [0, 1], "prob": 1}]},
+             '"n"'),
+            ({"type": "custom", "k": 2, "n": 2, "support": [{"arms": [0, 1.5], "prob": 1}]},
+             '"arms"'),
+            ({**COMPLETE_SPEC, "support_cap": 10.5}, '"support_cap"'),
+            ({"type": "bernoulli", "n": False, "p": 0.5}, '"n"'),
         ],
         ids=["unknown-mode", "custom-without-k", "entry-without-prob", "support-cap-abc",
              "bernoulli-n-text", "complete-counts-text", "complete-counts-number",
              "paired-pairs-number", "block-entry-number", "block-units-number",
              "cluster-clusters-number", "cluster-design-number", "bernoulli-p-text",
-             "bernoulli-probs-text-entry", "custom-support-number", "custom-prob-text"],
+             "bernoulli-probs-text-entry", "custom-support-number", "custom-prob-text",
+             "complete-counts-fractional", "paired-k-fractional", "paired-pairs-fractional",
+             "block-units-fractional", "cluster-clusters-fractional", "custom-k-bool",
+             "custom-n-fractional", "custom-arms-fractional", "support-cap-fractional",
+             "bernoulli-n-bool"],
     )
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, spec, named):
         path = write_json(tmp_path / "spec.json", spec)
         assert main(["design", path, "--out", str(tmp_path / "x")]) == 2
         assert named in capsys.readouterr().err
+
+    def test_integral_float_fields_are_integers(self, tmp_path):
+        spec = {"type": "paired", "k": 2.0, "pairs": [[0, 1.0], [2, 3]], "support_cap": 4.0}
+        out = tmp_path / "paired"
+        assert main(["design", write_json(tmp_path / "spec.json", spec), "--out", str(out)]) == 0
+        assert_array_equal(ser.read_matrix_csv(out / "d.csv"), D_PAIRED)
 
 
 class TestBoundCommand:
@@ -312,6 +338,27 @@ class TestEstimateCommand:
         assert_allclose(report["bound_estimate"], hc0, rtol=1e-12)
         assert_allclose(report["se"], np.sqrt(max(hc0, 0.0)), rtol=1e-12)
 
+    def test_negative_bound_estimate_is_flagged(self, tmp_path):
+        # constant outcomes: Algorithm M's bound is PSD only within its tolerance, and
+        # its single-draw estimate of the zero variance comes out just below zero
+        obs = tmp_path / "obs.csv"
+        obs.write_text("unit_id,arm_assigned,y_obs\n0,0,1.0\n1,0,1.0\n2,1,1.0\n3,1,1.0\n")
+        reports = {}
+        for bound in ("algm", "as"):
+            out = tmp_path / f"{bound}.json"
+            code = main([
+                "estimate", "--design", write_json(tmp_path / "d.json", COMPLETE_SPEC),
+                "--data", str(obs), "--estimator", "ht", "--contrast=-1,1",
+                "--bound", bound, "--out", str(out),
+            ])
+            assert code == 0
+            reports[bound] = json.loads(out.read_text())
+        assert reports["algm"]["bound_estimate"] < 0.0
+        assert reports["algm"]["negative_bound_estimate"] is True
+        assert reports["algm"]["se"] == 0.0
+        assert reports["as"]["bound_estimate"] >= 0.0
+        assert reports["as"]["negative_bound_estimate"] is False
+
     def test_cm_empty_arm_exits_3(self, tmp_path):
         design_spec = {"type": "bernoulli", "k": 2, "n": 3, "p": 0.5}
         obs = tmp_path / "obs.csv"
@@ -482,9 +529,20 @@ class TestSimulateCommand:
               "mode": "mc", "seed": -1, "replicates": 5}, "seed"),
             ({"design": PAIRED_SPEC, "y": [0.0] * 8, "estimator": {"kind": 5, "contrast": [-1, 1]}},
              "kind"),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "ht", "contrast": [-1, 1]},
+              "mode": "mc", "seed": 0, "replicates": 5.5}, '"replicates"'),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "ht", "contrast": [-1, 1]},
+              "mode": "mc", "seed": True, "replicates": 5}, '"seed"'),
+            ({"design": PAIRED_SPEC, "y": {"base": [[0.0, 1.0], [1.0, 2.0]], "copies": 1.5},
+              "estimator": {"kind": "ht", "contrast": [-1, 1]}}, '"copies"'),
+            ({"sweep": {"estimator": {"kind": "cm", "contrast": [-1, 1]},
+                        "base_y": [[0.0, 1.0], [1.0, 2.0]], "n_list": [4, 6.5]}}, '"n_list"'),
         ],
         ids=["without-y", "top-level-list", "estimator-without-kind", "replicates-many",
-             "seed-text", "sweep-without-estimator", "seed-negative", "kind-number"],
+             "seed-text", "sweep-without-estimator", "seed-negative", "kind-number",
+             "replicates-fractional", "seed-bool", "copies-fractional", "n-list-fractional"],
     )
     def test_malformed_scenario_field_exits_2(self, tmp_path, capsys, doc, named):
         path = write_json(tmp_path / "s.json", doc)

@@ -3,8 +3,14 @@
 The reference values come from oracles.exact_moments, which sums the
 support directly, so every exact entry the library reports is checked
 for equality (not closeness) and its float for being the rounded value.
+The exact kernel, ``elementwise``, is checked against a per-entry
+Fraction evaluation of every formula the library passes to it.
 """
 
+import ast
+import functools
+import inspect
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import designvar as dv
-from designvar import serialization as ser
+from designvar import bound_estimation, bounds, designs, serialization as ser
+from designvar.designs import ExactMatrix, elementwise
 from oracles import exact_moments, random_small_design
 
 
@@ -131,3 +138,113 @@ def test_float_inputs_follow_the_numpy_expressions(tmp_path):
     with np.errstate(divide="ignore", invalid="ignore"):
         expected_ipw = np.where(zero_p, 0.0, expected_dt / np.where(zero_p, 1.0, pp))
     assert ipw.matrix.tobytes() == expected_ipw.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel against a per-entry Fraction evaluation
+
+FORMULA_MODULES = (designs, bounds, bound_estimation)
+
+
+def _formula_key(fn):
+    """A lambda by where it is written (each call makes a new one), anything else as itself."""
+    code = getattr(fn, "__code__", None)
+    return fn if code is None else (code.co_filename, code.co_firstlineno)
+
+
+def _formulas_in_source() -> set:
+    """Keys of the first argument of every ``elementwise`` call in the library source."""
+    keys = set()
+    for module in FORMULA_MODULES:
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "elementwise":
+                fn = node.args[0]
+                keys.add((module.__file__, fn.lineno) if isinstance(fn, ast.Lambda)
+                         else eval(ast.unparse(fn), vars(module)))
+    return keys
+
+
+@functools.lru_cache(maxsize=None)
+def _library_formulas() -> dict:
+    """Each formula the library passes to ``elementwise``, with its operand count,
+    caught while exact designs run through the whole pipeline."""
+    seen = {}
+
+    def spy(fn, *operands):
+        seen.setdefault(_formula_key(fn), (fn, len(operands)))
+        return elementwise(fn, *operands)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in FORMULA_MODULES:
+            patch.setattr(module, "elementwise", spy)
+        for design in (dv.complete_design([2, 2]), dv.bernoulli_design("1/3", n=2)):
+            dmat, _ = dv.first_order_design_matrix(design)
+            p = dv.joint_probabilities(design)
+            dv.ipw_bound_matrix(dv.aronow_samii_bound(dmat), p)
+            dv.neyman_bound(dmat, np.array([-1.0, 1.0]))
+    return seen
+
+
+def test_every_library_formula_is_caught():
+    assert set(_library_formulas()) == _formulas_in_source()
+
+
+# zero, negatives, and numerators and denominators above 2**63
+RATIONALS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2**64 + 1, 3)]),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+
+
+def _operand(data, shape):
+    values = data.draw(st.lists(RATIONALS, min_size=1, max_size=4, unique=True))
+    codes = data.draw(st.lists(st.integers(0, len(values) - 1),
+                               min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return values, np.array(codes).reshape(shape)
+
+
+def _reference(fn, operands):
+    """``elementwise`` written out on Fractions: ``fn`` once per distinct tuple of
+    operand codes, in lexicographic order, its distinct results numbered in the
+    order they first appear."""
+    shape = np.broadcast_shapes(*(codes.shape for _, codes in operands))
+    entries = list(zip(*(np.broadcast_to(codes, shape).ravel().tolist() for _, codes in operands)))
+    results = {t: Fraction(fn(*(values[c] for (values, _), c in zip(operands, t))))
+               for t in sorted(set(entries))}
+    book = list(dict.fromkeys(results.values()))
+    codes = np.array([book.index(results[t]) for t in entries]).reshape(shape)
+    return codes, book, np.array([float(results[t]) for t in entries]).reshape(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_elementwise_matches_per_entry_fractions(data):
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    for fn, arity in _library_formulas().values():
+        operands = [_operand(data, data.draw(st.sampled_from([(rows, cols), (rows, 1), (1, cols)])))
+                    for _ in range(arity)]
+        exact = [ExactMatrix.of([v.numerator for v in values], codes,
+                                [v.denominator for v in values]) for values, codes in operands]
+        try:
+            codes, book, floats = _reference(fn, operands)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                elementwise(fn, *exact)
+            continue
+        got_floats, got = elementwise(fn, *exact)
+        assert np.array_equal(got.codes, codes)
+        assert list(zip(got.book.num.tolist(), got.book.den.tolist())) == [
+            (v.numerator, v.denominator) for v in book]
+        assert list(got.values) == book
+        assert got_floats.tobytes() == floats.tobytes()
+
+
+def test_complete_design_with_one_unit():
+    """n = 1 builds (its p formula has no zero divisor); its lone unit is never
+    in arm 1, which is reported when its probabilities are asked for."""
+    design = dv.complete_design([1, 0])
+    assert [[design.p_frac[a, b] for b in range(2)] for a in range(2)] == [[1, 0], [0, 0]]
+    message = ("non-identified design: inclusion probability at flat index 0 "
+               "(arm 0, unit 0) is 1.0, outside (0, 1)")
+    with pytest.raises(dv.NonIdentifiedDesignError, match=f"^{re.escape(message)}$"):
+        dv.inclusion_probabilities(design)
