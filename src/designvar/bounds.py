@@ -6,7 +6,10 @@ an *identified* bound when it vanishes wherever a joint assignment is
 impossible.  Three constructions are provided: the block-diagonal
 (generalized Neyman) bound, the Aronow-Samii bound, and an iterative
 projection scheme that alternates PSD projection with re-forcing the
-impossible positions.
+impossible positions.  Certification and the projection both work per
+connected component of the nonzero pattern (see ``spectral``): a pair,
+a block, a cluster or one unit's arms is decomposed on its own, in one
+batched eigendecomposition with every other component of its size.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import ht_linearization
-from .spectral import DEFAULT_PSD_TOL, eigen_psd_check, psd_threshold
+from .spectral import DEFAULT_PSD_TOL, connected_components, eigen_psd_check, psd_threshold
 
 
 @dataclass(eq=False)
@@ -237,6 +240,13 @@ def algorithm_m_bound(
     iterates until the working matrix is PSD within tolerance while
     keeping exact ones at every masked position.  The converged additive
     part t gives dtilde = d + t, which is identified by construction.
+
+    Both steps keep the connected components of the start's nonzero
+    pattern, so the iterate is held as stacked (count, size, size)
+    blocks, one stack per component size, and each step is one batched
+    eigendecomposition per stack.  Convergence is judged on the smallest
+    and largest eigenvalue over all blocks, which are those of the whole
+    matrix.  t is zero outside the blocks.
     """
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
@@ -251,15 +261,26 @@ def algorithm_m_bound(
     else:
         t = layout.check_matrix(np.array(init, dtype=float), "initial matrix").copy()
         t = m + (1.0 - m) * t  # masked entries must start at one
+    # projecting a block-diagonal matrix and re-masking keep it block-diagonal,
+    # so every iterate lives in the blocks of the start's nonzero pattern
+    blocks = [(idx[:, :, None], idx[:, None, :])
+              for idx in connected_components((t != 0) | (t.T != 0))]
+    ms = [m[b] for b in blocks]
+    ts = [t[b] for b in blocks]
     for iteration in range(1, max_iter + 1):
-        t = (t + t.T) / 2.0
-        vals, vecs = np.linalg.eigh(t)
-        last_min = float(vals[0])
-        if last_min >= -psd_threshold(float(vals[-1]), tol):
+        ts = [(tb + tb.swapaxes(1, 2)) / 2.0 for tb in ts]
+        spectra = [np.linalg.eigh(tb) for tb in ts]
+        last_min = min(float(vals[:, 0].min()) for vals, _ in spectra)
+        max_eig = max(float(vals[:, -1].max()) for vals, _ in spectra)
+        if last_min >= -psd_threshold(max_eig, tol):
+            t = np.zeros(m.shape)
+            for b, tb in zip(blocks, ts):
+                t[b] = tb
             bound = BoundMatrix(layout, dmat.d + t, "algorithm-m", iterations=iteration)
             return certify(bound, dmat, mask, tol)
-        t = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        t = m + (1.0 - m) * t
+        projected = [(vecs * np.clip(vals, 0.0, None)[:, None, :]) @ vecs.swapaxes(1, 2)
+                     for vals, vecs in spectra]
+        ts = [mb + (1.0 - mb) * pb for mb, pb in zip(ms, projected)]
     raise NonConvergenceError(
         f"projection did not converge within {max_iter} iterations "
         f"(last minimum eigenvalue {last_min:.3e})",

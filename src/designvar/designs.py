@@ -75,10 +75,10 @@ class Codebook:
 class ExactMatrix:
     """Exact rational array: integer codes into a Codebook of distinct rationals.
 
-    ``m[a][b]`` and ``m[a, b]`` are Fractions, made from the codebook's
-    integer parts when first asked for; ``values`` is the whole codebook as
-    Fractions.  Slices are ExactMatrix views over the same codebook, and
-    iterating a matrix yields its rows.
+    ``m[a][b]`` and ``m[a, b]`` are Fractions, each made from its codebook
+    entry's integer parts when asked for; ``values`` is the whole codebook
+    as Fractions, made once.  Slices are ExactMatrix views over the same
+    codebook, and iterating a matrix yields its rows.
     """
 
     codes: np.ndarray
@@ -107,7 +107,7 @@ class ExactMatrix:
     def __getitem__(self, index):
         codes = self.codes[index]
         if np.ndim(codes) == 0:
-            return self.values[codes]
+            return Fraction(self.book.num[codes], self.book.den[codes])
         return ExactMatrix(codes, self.book)
 
     def __iter__(self):
@@ -596,6 +596,7 @@ def bernoulli_design(
     def _is_scalar(x) -> bool:
         return isinstance(x, (int, float, np.integer, np.floating, Fraction, str))
 
+    k, n = (None if v is None else spec_int(v) for v in (k, n))
     if _is_scalar(probs):
         if k not in (None, 2):
             raise InfeasibleSpecError("scalar probability implies k=2")
@@ -618,7 +619,7 @@ def bernoulli_design(
             if n is not None and len(table) != n:
                 raise InfeasibleSpecError("probs row count disagrees with n")
             n = len(table)
-        k = len(table[0]) if k is None else int(k)
+        k = len(table[0]) if k is None else k
         if any(len(row) != k for row in table):
             raise InfeasibleSpecError("every probability row must have length k")
     layout = IndexLayout(k, n)
@@ -682,7 +683,7 @@ def complete_design(
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> Design:
     """Completely randomized assignment with fixed arm sizes."""
-    counts = [int(c) for c in counts]
+    counts = [spec_int(c) for c in counts]
     if any(c < 0 for c in counts):
         raise InfeasibleSpecError("arm counts must be nonnegative")
     n = sum(counts)
@@ -805,6 +806,7 @@ def paired_design(
     A block design of one k-unit complete design per group, so
     ``support_cap`` bounds the whole support of k!**groups points.
     """
+    k = spec_int(k)
     for pair in pairs:
         if len(pair) != k:
             raise InfeasibleSpecError(
@@ -956,13 +958,17 @@ def _listed(value, item=lambda v: v) -> list:
 
 
 def spec_int(value) -> int:
-    """An integer field: 2 and 2.0 give 2; a bool or a non-integral number
-    is rejected rather than truncated."""
-    if isinstance(value, bool):
-        raise TypeError("expected an integer, got a bool")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    """An integer field or argument: 2 and 2.0 give 2; a bool, a
+    non-integral number or a non-number raises ValidationError rather than
+    being truncated."""
+    if isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, (float, np.floating)) and not float(value).is_integer()
+    ):
+        raise ValidationError(f"expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"expected an integer, got {value!r}") from exc
 
 
 def _ints(value) -> list[int]:

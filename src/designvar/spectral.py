@@ -1,4 +1,12 @@
-"""Eigen-based certification and comparison of designs and bounds."""
+"""Eigen-based certification and comparison of designs and bounds.
+
+Every decomposition runs per connected component of the matrix's nonzero
+pattern: the components of one size are stacked and go through one
+batched ``np.linalg.eigh`` call.  Design, mask and bound matrices split
+into many small components (a unit's arms, a pair, a block, a cluster),
+so their spectra cost little; a dense matrix is one component and is
+decomposed whole.
+"""
 
 from __future__ import annotations
 
@@ -34,11 +42,50 @@ def psd_threshold(max_eig: float, tol: float) -> float:
     return max(tol * max(1.0, abs(max_eig)), PSD_ABS_FLOOR)
 
 
+def connected_components(pattern: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean pattern, grouped by size.
+
+    Returns one (count, size) index array per component size, smallest
+    size first; each row lists one component's indices in increasing
+    order.  An index with an empty row is a component of size one.
+
+    Labels start as the indices.  Each pass hooks every index to the
+    smallest label among its neighbours, and every root to the smallest
+    label its members see, then jumps pointers (label of the label) until
+    they settle; passes repeat until no label changes.
+    A pass reads one boolean copy of the pattern with its rows in label
+    order, so no kn x kn integer array is formed.
+    """
+    adj = np.array(pattern, dtype=bool)
+    np.fill_diagonal(adj, True)
+    labels = np.arange(len(adj))
+    while True:
+        order = np.argsort(labels, kind="stable")
+        # first row in label order that touches each column: its smallest neighbouring label
+        hooked = labels[order[adj[order].argmax(axis=0)]]
+        # each root also takes the smallest label any of its members sees
+        np.minimum.at(hooked, labels, hooked.copy())
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    sizes = np.bincount(labels)[labels]
+    nodes = np.lexsort((labels, sizes))  # stable: indices ascend within a component
+    return [nodes[sizes[nodes] == s].reshape(-1, s) for s in np.unique(sizes)]
+
+
 def eigen_psd_check(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> EigenReport:
     """Symmetric eigendecomposition with a tolerance-based PSD verdict.
 
     The input must be symmetric to within 1e-10 and is symmetrized as
-    (M + M') / 2 before decomposition.
+    (M + M') / 2 before decomposition.  The decomposition runs once per
+    component size over the stacked blocks of ``connected_components``
+    of the nonzero pattern; each block's eigenvectors are scattered back
+    into full-length columns, zero outside the block.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -48,7 +95,14 @@ def eigen_psd_check(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> EigenReport:
     if np.max(np.abs(m - m.T)) > 1e-10:
         raise ValidationError("matrix is not symmetric within 1e-10")
     sym = (m + m.T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = np.empty(len(sym)), np.zeros(sym.shape)
+    start = 0
+    for idx in connected_components(sym != 0):
+        w, v = np.linalg.eigh(sym[idx[:, :, None], idx[:, None, :]])
+        cols = np.arange(start, start + idx.size).reshape(idx.shape)  # this group's eigenpairs
+        vals[cols] = w
+        vecs[idx[:, :, None], cols[:, None, :]] = v
+        start += idx.size
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]

@@ -231,6 +231,27 @@ def brute_force_second_order_norm(design: Design, dtilde: np.ndarray) -> float:
     return total / layout.n
 
 
+def dense_algorithm_m(mask: np.ndarray, init: np.ndarray | None = None,
+                      tol: float = 1e-8, max_iter: int = 10000) -> tuple[np.ndarray, int]:
+    """Alternating projections on the whole kn x kn matrix, one full eigh a step.
+
+    Symmetrize, stop once the smallest eigenvalue is at least
+    -max(tol * max(1, |largest|), 1e-10), else clip the negative
+    eigenvalues away and put ones back at every masked position.
+    Returns the converged additive part and the number of steps taken.
+    """
+    m = np.asarray(mask, dtype=float)
+    t = m.copy() if init is None else m + (1.0 - m) * np.asarray(init, dtype=float)
+    for step in range(1, max_iter + 1):
+        t = (t + t.T) / 2.0
+        vals, vecs = np.linalg.eigh(t)
+        if vals[0] >= -max(tol * max(1.0, abs(vals[-1])), 1e-10):
+            return t, step
+        t = vecs @ np.diag(np.maximum(vals, 0.0)) @ vecs.T
+        t = np.where(m == 1.0, 1.0, t)
+    raise AssertionError(f"dense projection did not converge in {max_iter} steps")
+
+
 def hc0_scalar_loops(y_obs: np.ndarray, rdiag: np.ndarray, xx: np.ndarray,
                      c_full: np.ndarray) -> float:
     """HC0 via explicit scalar summations (no matrix sandwich expression)."""

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import designvar as dv
 from conftest import DT_AS_PAIRED, DT_INVAR_PAIRED, DT_M_PAIRED
-from oracles import random_small_design
+from oracles import dense_algorithm_m, random_small_design
 
 
 def c2():
@@ -161,6 +161,98 @@ class TestAlgorithmM:
         bound = dv.algorithm_m_bound(dmat, mask, init=neyman.dtilde - dmat.d)
         assert bound.certified_bounding == "yes"
         assert bound.certified_identified == "yes"
+
+
+def _custom_spec(seed: int, n: int = 6, points: int = 3) -> dict:
+    """A custom design whose support holds each drawn assignment and its mirror."""
+    rng = np.random.default_rng(seed)
+    support = []
+    for arms in rng.integers(0, 2, size=(points, n)).tolist():
+        weight = int(rng.integers(1, 9))
+        support += [{"arms": arms, "prob": weight},
+                    {"arms": [1 - a for a in arms], "prob": weight}]
+    total = sum(entry["prob"] for entry in support)
+    for entry in support:
+        entry["prob"] = f"{entry['prob']}/{total}"
+    return {"type": "custom", "k": 2, "n": n, "support": support}
+
+
+ALGM_PARITY_SPECS = {
+    "complete": {"type": "complete", "counts": [3, 4, 2]},
+    "paired": {"type": "paired", "k": 2, "pairs": [[0, 5], [1, 3], [2, 4], [6, 7]]},
+    "bernoulli": {"type": "bernoulli", "probs": [["1/5", "3/10", "1/2"], ["1/3", "1/3", "1/3"],
+                                                 ["1/10", "1/10", "4/5"], ["1/4", "1/2", "1/4"]]},
+    "cluster": {"type": "cluster", "k": 2, "clusters": [[0, 3], [1], [2, 4, 5]],
+                "cluster_design": {"type": "bernoulli", "p": "2/5"}},
+    "custom": _custom_spec(7),
+}
+
+
+def _closure(pattern: np.ndarray) -> np.ndarray:
+    """Same-component indicator of a symmetric pattern, by repeated squaring."""
+    reach = (pattern | np.eye(len(pattern), dtype=bool)).astype(float)
+    while True:
+        grown = (reach @ reach) > 0
+        if np.array_equal(grown, reach > 0):
+            return grown
+        reach = grown.astype(float)
+
+
+class TestAlgorithmMParity:
+    """The per-block iteration against a dense one on the whole matrix."""
+
+    def _check(self, dmat, mask, init=None):
+        bound = dv.algorithm_m_bound(dmat, mask, init=init)
+        t_dense, steps = dense_algorithm_m(mask.mask, init)
+        t = bound.dtilde - dmat.d
+        scale = max(1.0, np.max(np.abs(dmat.d)), np.max(np.abs(t_dense)))
+        assert bound.iterations == steps
+        assert np.max(np.abs(t - t_dense)) <= 1e-12 * scale
+        start = mask.mask if init is None else mask.mask + (1.0 - mask.mask) * init
+        outside = ~_closure((start != 0) | (start.T != 0))
+        assert np.all(t[outside] == 0.0)
+        assert bound.certified_bounding == "yes"
+        assert bound.certified_identified == "yes"
+        return bound
+
+    @pytest.mark.parametrize("family", sorted(ALGM_PARITY_SPECS))
+    def test_matches_dense_projection(self, family):
+        dmat, mask = dv.first_order_design_matrix(dv.build_design(ALGM_PARITY_SPECS[family]))
+        bound = self._check(dmat, mask)
+        assert bound.iterations > 1
+
+    def test_neyman_init_matches_dense_projection(self):
+        dmat, mask = dv.first_order_design_matrix(dv.complete_design([4, 3]))
+        neyman = dv.neyman_bound(dmat, c2(), mask)
+        self._check(dmat, mask, init=neyman.dtilde - dmat.d)
+
+    def test_smaller_blocks_decide_convergence(self, complete42_matrices):
+        # blocks of sizes 1, 2 and 3: the 3-block of ones is PSD from the
+        # start, so only the masked pair keeps the iteration going
+        dmat, _ = complete42_matrices
+        m = np.zeros((8, 8))
+        m[0, 4] = m[4, 0] = 1.0
+        init = np.zeros((8, 8))
+        init[1:4, 1:4] = 1.0
+        bound = self._check(dmat, dv.ImpossibilityMask(dmat.layout, m), init=init)
+        assert bound.iterations > 1
+
+    def test_paired_decomposes_only_pair_blocks(self, monkeypatch):
+        pairs = [[2 * i, 2 * i + 1] for i in range(25)]
+        design = dv.build_design({"type": "paired", "k": 2, "pairs": pairs, "mode": "mc"})
+        dmat, mask = dv.first_order_design_matrix(design)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        bound = dv.algorithm_m_bound(dmat, mask)
+        assert bound.certified_bounding == "yes"
+        assert len(sizes) > bound.iterations  # the iterations plus the certification
+        assert max(sizes) <= 4
 
 
 class TestCertify:

@@ -66,6 +66,30 @@ class TestBuilders:
         with pytest.raises(error, match=message):
             dv.custom_design(dv.IndexLayout(2, 2), support)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: dv.complete_design([1.5, 2.9]),
+            lambda: dv.complete_design([2, True]),
+            lambda: dv.paired_design([[0, 1]], k=2.5),
+            lambda: dv.paired_design([[0, 1]], k="two"),
+            lambda: dv.bernoulli_design(0.5, n=3.5),
+            lambda: dv.bernoulli_design(["1/2", "1/2"], n=2.5),
+            lambda: dv.bernoulli_design([["1/2", "1/2"]], k=2.5),
+        ],
+        ids=["complete-float", "complete-bool", "paired-k", "paired-k-str",
+             "bernoulli-n", "bernoulli-row-n", "bernoulli-k"],
+    )
+    def test_non_integral_sizes_rejected(self, build):
+        with pytest.raises(dv.ValidationError, match="expected an integer"):
+            build()
+
+    def test_integral_float_sizes_accepted(self):
+        assert dv.complete_design([2.0, 1.0]).layout == dv.IndexLayout(2, 3)
+        assert dv.paired_design([[0, 1]], k=2.0).layout == dv.IndexLayout(2, 2)
+        assert dv.bernoulli_design(0.5, n=3.0).layout == dv.IndexLayout(2, 3)
+        assert dv.bernoulli_design([["1/2", "1/2"]], k=2.0).layout == dv.IndexLayout(2, 1)
+
     def test_complete_counts_disagree_with_n(self):
         with pytest.raises(dv.InfeasibleSpecError):
             dv.build_design({"type": "complete", "counts": [2, 2], "n": 5})

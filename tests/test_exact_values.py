@@ -248,3 +248,13 @@ def test_complete_design_with_one_unit():
                "(arm 0, unit 0) is 1.0, outside (0, 1)")
     with pytest.raises(dv.NonIdentifiedDesignError, match=f"^{re.escape(message)}$"):
         dv.inclusion_probabilities(design)
+
+
+def test_scalar_index_makes_one_fraction():
+    dmat, _ = dv.first_order_design_matrix(dv.complete_design([2, 3]))
+    book = dmat.frac.book
+    assert dmat.frac[0, 1] == Fraction(-3, 8)
+    assert dmat.frac[0][1] == Fraction(-3, 8)
+    assert "fractions" not in vars(book)  # the codebook's Fractions are still unmade
+    assert dmat.frac.values[dmat.frac.codes[0, 1]] == Fraction(-3, 8)
+    assert "fractions" in vars(book)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import designvar as dv
+from designvar.spectral import connected_components
 from conftest import DT_AS_PAIRED, DT_INVAR_PAIRED, DT_M_PAIRED, PAIR_HOMOGENEOUS_PATTERN
 
 
@@ -49,6 +50,79 @@ def test_eigen_reconstruction_and_orthonormality(seed, size):
     assert np.max(np.abs(m - recon)) <= 1e-8 * scale
     assert np.max(np.abs(v.T @ v - np.eye(size))) <= 1e-8
     assert np.all(np.diff(lam) <= 1e-12)  # descending
+
+
+def _pattern(n, edges):
+    p = np.zeros((n, n), dtype=bool)
+    for a, b in edges:
+        p[a, b] = p[b, a] = True
+    return p
+
+
+class TestConnectedComponents:
+    def test_zero_pattern_is_all_singletons(self):
+        groups = connected_components(np.zeros((5, 5), dtype=bool))
+        assert len(groups) == 1
+        assert_array_equal(groups[0], np.arange(5).reshape(5, 1))
+
+    def test_dense_pattern_is_one_component(self):
+        groups = connected_components(np.ones((6, 6), dtype=bool))
+        assert len(groups) == 1
+        assert_array_equal(groups[0], np.arange(6)[None, :])
+
+    def test_chain_across_label_order(self):
+        # the chain 1-3-5-7-6-4-2-0 alternates high and low labels, so one
+        # hook-and-jump pass does not settle it; 8 joins it through 0, and
+        # 9 and 10 are a separate pair
+        chain = [1, 3, 5, 7, 6, 4, 2, 0, 8]
+        groups = connected_components(_pattern(11, list(zip(chain, chain[1:])) + [(9, 10)]))
+        assert [g.shape for g in groups] == [(1, 2), (1, 9)]
+        assert_array_equal(groups[0], [[9, 10]])
+        assert_array_equal(groups[1], [np.arange(9)])
+
+    def test_groups_by_size_with_sorted_rows(self):
+        edges = [(0, 4), (4, 2), (1, 5), (3, 6)]
+        groups = connected_components(_pattern(8, edges))
+        assert [g.tolist() for g in groups] == [[[7]], [[1, 5], [3, 6]], [[0, 2, 4]]]
+
+
+class TestBlockwiseEigen:
+    def test_dense_input_matches_eigh_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(40, 40))
+        m = (m + m.T) / 2.0
+        vals, vecs = np.linalg.eigh(m)
+        order = np.argsort(vals)[::-1]
+        report = dv.eigen_psd_check(m)
+        assert np.array_equal(report.eigenvalues, vals[order])
+        assert np.array_equal(report.eigenvectors, vecs[:, order])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(1, 40))
+    def test_scattered_blocks_decompose_the_matrix(self, seed, size):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(size, size)) * (rng.random((size, size)) < 0.1)
+        m = (m + m.T) / 2.0
+        report = dv.eigen_psd_check(m)
+        v, lam = report.eigenvectors, report.eigenvalues
+        scale = max(1.0, np.max(np.abs(m)))
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(m)[::-1])) <= 1e-12 * scale
+        assert np.max(np.abs(m - (v * lam) @ v.T)) <= 1e-12 * scale
+        assert np.max(np.abs(v.T @ v - np.eye(size))) <= 1e-12
+        assert np.all(np.diff(lam) <= 0)
+        assert (report.min_eig, report.max_eig) == (lam[-1], lam[0])
+
+    def test_pair_blocks_never_decompose_the_whole_matrix(self, monkeypatch):
+        dmat, mask = dv.first_order_design_matrix(dv.complete_design([6, 6]))
+        diff = dv.aronow_samii_bound(dmat, mask).dtilde - dmat.d
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a, *args: sizes.append(np.shape(a)) or eigh(a, *args)
+        )
+        report = dv.eigen_psd_check(diff)
+        assert sizes == [(12, 2, 2)]  # one batched call over the units' arm pairs
+        assert_allclose(report.eigenvalues, np.linalg.eigvalsh(diff)[::-1], atol=1e-12)
 
 
 class TestCompareDesigns:
