@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import DesignMatrix, ExactMatrix, ImpossibilityMask, IndexLayout, elementwise
+from .designs import (DesignMatrix, ExactMatrix, ImpossibilityMask, IndexLayout,
+                      _pair_indicators, elementwise)
 from .errors import (
     LayoutMismatchError,
     NeymanPreconditionError,
@@ -153,15 +154,14 @@ def neyman_bound(
     sum_{r<s} c_r c_s tau_rs' d_01 tau_rs (see neyman_identity_check).
     """
     layout = dmat.layout
-    k, n = layout.k, layout.n
+    k = layout.k
     c = np.asarray(c, dtype=float)
     if c.shape != (k,):
         raise LayoutMismatchError(f"contrast must have length k={k}")
     if mask is None:
         mask = derive_mask(dmat)
     d01 = _check_neyman_preconditions(dmat, c, mask)
-    arm = np.arange(layout.kn) // n
-    same_arm = ExactMatrix.of((0, 1), arm[:, None] == arm[None, :])
+    _, same_arm = _pair_indicators(layout)
     # + 0 turns the -0.0 that float input leaves off the diagonal blocks into 0.0
     dt, frac = elementwise(
         lambda same, d, d01: same * (d - d01) + 0, same_arm, dmat.frac or dmat.d, d01
@@ -259,7 +259,9 @@ def algorithm_m_bound(
     if init is None:
         t = m.copy()
     else:
-        t = layout.check_matrix(np.array(init, dtype=float), "initial matrix").copy()
+        t = layout.check_matrix(init, "initial matrix")
+        if not np.all(np.isfinite(t)):
+            raise ValidationError("init must hold only finite entries")
         t = m + (1.0 - m) * t  # masked entries must start at one
     # projecting a block-diagonal matrix and re-masking keep it block-diagonal,
     # so every iterate lives in the blocks of the start's nonzero pattern
@@ -323,14 +325,14 @@ def build_bound(
 def is_invariant_bounding(
     dtilde: np.ndarray | BoundMatrix, layout: IndexLayout, tol: float = 1e-10
 ) -> bool:
-    """True when every n x n arm-pair partition has zero row sums (within
-    ``tol``); a NaN entry makes it False.
+    """True when each row of every n x n arm-pair partition sums to zero
+    within ``tol`` times its absolute sum; a non-finite entry makes it False.
 
     Quadratic forms of such matrices are unchanged by adding a constant
     within each arm of the outcome vector.
     """
-    dt = np.asarray(getattr(dtilde, "dtilde", dtilde), dtype=float)
-    dt = layout.check_matrix(dt, "bounding matrix")
-    # sums[a, s]: row a summed over block column s
-    sums = dt.reshape(layout.kn, layout.k, layout.n).sum(axis=2)
-    return bool(np.all(np.abs(sums) <= tol))
+    dt = layout.check_matrix(getattr(dtilde, "dtilde", dtilde), "bounding matrix")
+    # rows[a, s]: row a's entries in block column s
+    rows = dt.reshape(layout.kn, layout.k, layout.n)
+    sums, scale = np.abs(rows.sum(axis=2)), tol * np.abs(rows).sum(axis=2)
+    return bool(np.isfinite(dt).all() and np.all(sums <= scale))

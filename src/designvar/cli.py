@@ -32,7 +32,7 @@ from .designs import (
 )
 from .errors import NumericalError, ValidationError
 from .estimators import EstimatorSpec, point_estimate
-from .simulate import SimScenario, consistency_sweep, run_scenario
+from .simulate import SimScenario, _tiled_outcomes, consistency_sweep, run_scenario
 from .spectral import compare_bounds, compare_designs
 
 
@@ -198,7 +198,7 @@ def _scenario_from_json(doc: dict) -> SimScenario | dict:
     if isinstance(y_doc, dict):
         base = spec_field(y_doc, "base", 'scenario "y"', cast=_floats)
         copies = spec_field(y_doc, "copies", 'scenario "y"', cast=spec_int)
-        y = np.concatenate([np.tile(row, copies) for row in base])
+        y = _tiled_outcomes(base, copies)
     else:
         y = spec_field(doc, "y", what, cast=_floats)
     est = spec_field(doc, "estimator", what)

@@ -19,10 +19,13 @@ through ``elementwise``: on exact rationals, one entry per distinct
 tuple of operand values, or on the floats when an operand has no exact
 values.  A formula must therefore be branch-free.
 
-Only a sampler-only custom design estimates its moments, by Monte Carlo
-at build time (``custom_design(..., sampler=..., seed=..., mc_replicates=...)``).
-A block or cluster design over such a part builds and draws but carries
-no moments; estimate them by wrapping its sampler the same way:
+A design's one probability state is its joint matrix p_ab = E[R_a R_b];
+indicators are 0/1, so the inclusion probabilities pi are p's diagonal.
+Only a sampler-only custom design estimates p, by Monte Carlo at build
+time (``custom_design(..., sampler=..., seed=..., mc_replicates=...)``),
+as ``moments`` = (p, p se); pi and its se are their diagonals.  A block
+or cluster design over such a part builds and draws but carries no
+moments; estimate them by wrapping its sampler the same way:
 ``custom_design(d.layout, sampler=d.draw, seed=s, mc_replicates=r)``.
 """
 
@@ -405,20 +408,20 @@ class Design:
 
     In exact mode the full support is enumerated, with rational point
     probabilities.  In monte-carlo mode assignments are drawn from a
-    sampler; pi/p stay exact rationals wherever the parts have them, so
-    only support-dependent quantities need sampling.  ``moments`` holds
-    the estimated (pi, p, pi se, p se) of a sampler-only custom design
-    built with a seed, and is None otherwise.
+    sampler; p stays exact wherever the parts have it, so only
+    support-dependent quantities need sampling.  ``p_frac`` is the exact
+    joint matrix; ``moments`` holds the estimated (p, p se) of a
+    sampler-only custom design built with a seed, and is None otherwise.
+    Inclusion probabilities are p's diagonal.
     """
 
     layout: IndexLayout
     family: str
     support: Support | None = None
     sampler: Callable[[np.random.Generator], np.ndarray] | None = None
-    pi_frac: ExactMatrix | None = None
     p_frac: ExactMatrix | None = None
     support_size: int | None = None
-    moments: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    moments: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.support is None:
@@ -694,7 +697,6 @@ def complete_design(
     # and two units in arms a, b with probability n_a (n_b - [same arm]) / (n (n - 1));
     # n = 1 has no second unit, so its divisor only needs to be nonzero
     sizes = ExactMatrix.of(counts, np.repeat(np.arange(k), n))
-    _, pi_frac = elementwise(lambda na: na / n, sizes)
     _, p_frac = elementwise(
         lambda na, nb, same_unit, same_arm: same_unit * same_arm * na / n
         + (1 - same_unit) * na * (nb - same_arm) / (n * max(n - 1, 1)),
@@ -717,7 +719,6 @@ def complete_design(
         family="complete",
         support=support,
         sampler=sampler,
-        pi_frac=pi_frac,
         p_frac=p_frac,
         support_size=size,
     )
@@ -758,14 +759,16 @@ def block_design(
         )
     layout = IndexLayout(k, n)
 
-    pi_frac = p_frac = None
-    if all(sub.pi_frac is not None and sub.p_frac is not None for _, sub in blocks):
+    p_frac = None
+    if all(sub.p_frac is not None for _, sub in blocks):
         # flat indices of each block, in its sub-design's own arm-major order
         flats = [np.array([layout.flat(r, u) for r in range(k) for u in us]) for us in unit_sets]
         subs = [sub for _, sub in blocks]
-        pi_frac = _embed(np.empty(layout.kn, dtype=np.intp), zip(flats, (s.pi_frac for s in subs)))
-        # independent across blocks: joints are products of marginals
-        _, across = elementwise(operator.mul, *_outer_pair(pi_frac))
+        # independent across blocks: joints are products of the marginals, which
+        # are the parts' p diagonals (read directly: a part may have pi = 0)
+        marginals = (s.p_frac[np.diag_indices(s.layout.kn)] for s in subs)
+        pi = _embed(np.empty(layout.kn, dtype=np.intp), zip(flats, marginals))
+        _, across = elementwise(operator.mul, *_outer_pair(pi))
         within = [(np.ix_(idx, idx), sub.p_frac) for idx, sub in zip(flats, subs)]
         p_frac = _embed(across.codes.copy(), within, [across.book])
 
@@ -788,7 +791,6 @@ def block_design(
         family="block",
         support=support,
         sampler=sampler,
-        pi_frac=pi_frac,
         p_frac=p_frac,
         support_size=size,
     )
@@ -838,12 +840,11 @@ def cluster_design(clusters: Sequence[Sequence[int]], cluster_level: Design) -> 
     for g, cl in enumerate(clusters):
         group[np.asarray(cl, dtype=int)] = g
 
-    pi_frac = p_frac = None
-    if cluster_level.pi_frac is not None and cluster_level.p_frac is not None:
+    p_frac = None
+    if cluster_level.p_frac is not None:
         # flat index of each (arm, unit) in the cluster-level design
         flat = np.arange(layout.kn)
         to_cluster = cluster_level.layout.flat(flat // n, group[flat % n])
-        pi_frac = cluster_level.pi_frac[to_cluster]
         p_frac = cluster_level.p_frac[np.ix_(to_cluster, to_cluster)]
 
     support = None
@@ -861,7 +862,6 @@ def cluster_design(clusters: Sequence[Sequence[int]], cluster_level: Design) -> 
         family="cluster",
         support=support,
         sampler=sampler,
-        pi_frac=pi_frac,
         p_frac=p_frac,
         support_size=cluster_level.support_size,
     )
@@ -878,12 +878,13 @@ def custom_design(
 ) -> Design:
     """Design given directly by an enumerated support or by a sampler.
 
-    Enumerated supports get exact rational pi and p.  A sampler-only design
-    is the one design that estimates its moments: with a ``seed`` it
-    counts ``mc_replicates`` draws from the child generators
-    ``default_rng((seed, rep))`` at build time, and everything derived from
-    them is flagged as estimated.  Without a seed it still draws, but asking
-    for its pi or p raises ValidationError.  Wrapping a composite's sampler,
+    Enumerated supports get an exact rational p; pi is its diagonal.  A
+    sampler-only design is the one design that estimates its moments: with
+    a ``seed`` it counts ``mc_replicates`` draws from the child generators
+    ``default_rng((seed, rep))`` at build time into ``moments`` = (p, p se),
+    and everything derived from them is flagged as estimated.  Without a
+    seed it still draws, but asking for its pi or p raises ValidationError.
+    Wrapping a composite's sampler,
     ``custom_design(d.layout, sampler=d.draw, seed=s, mc_replicates=r)``,
     estimates the moments of a block or cluster over sampler-only parts.
     """
@@ -920,7 +921,6 @@ def custom_design(
     counts = (ind.T * weights) @ ind
     uniq, inverse = np.unique(counts, return_inverse=True)
     design.p_frac = ExactMatrix.of(uniq.astype(object), inverse.reshape(counts.shape), denom)
-    design.pi_frac = design.p_frac[np.diag_indices(layout.kn)]
     return design
 
 
@@ -1041,46 +1041,43 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
 # moments
 
 
-def _empirical_moments(design: Design, seed: int, reps: int) -> tuple[np.ndarray, ...]:
-    """Monte Carlo (pi, p, pi se, p se) from ``reps`` seeded replicate draws."""
+def _empirical_moments(design: Design, seed: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo (p, p se) from ``reps`` seeded replicate draws."""
     if reps < 1:
         raise ValidationError(f"mc_replicates must be >= 1, got {reps}")
     kn = design.layout.kn
-    pi_sum = np.zeros(kn)
     p_sum = np.zeros((kn, kn))
     for mat in design.replicate_indicators(seed, reps):
-        pi_sum += mat.sum(axis=0)
         p_sum += mat.T @ mat
-    pi_hat = pi_sum / reps
     p_hat = p_sum / reps
-    pi_se = np.sqrt(np.clip(pi_hat * (1 - pi_hat), 0, None) / reps)
-    p_se = np.sqrt(np.clip(p_hat * (1 - p_hat), 0, None) / reps)
-    return pi_hat, p_hat, pi_se, p_se
+    return p_hat, np.sqrt(np.clip(p_hat * (1 - p_hat), 0, None) / reps)
 
 
-def _estimated_moments(design: Design) -> tuple[np.ndarray, ...]:
+def _moments(design: Design, index) -> tuple[np.ndarray, ExactMatrix | None, np.ndarray | None]:
+    """p at ``index`` as (floats, exact values, se): exact when the design
+    has an exact p (se None), else its Monte Carlo estimate (frac None)."""
+    if design.p_frac is not None:
+        frac = design.p_frac[index]
+        return frac.to_float(), frac, None
     if design.moments is None:
         raise ValidationError(
             f"{design.family} design has neither exact nor estimated moments; estimate them "
             "with custom_design(d.layout, sampler=d.draw, seed=s, mc_replicates=r)"
         )
-    return design.moments
+    p_hat, p_se = design.moments
+    return p_hat[index], None, p_se[index]
 
 
 def inclusion_probabilities(design: Design) -> PiDiagonal:
-    """Marginal assignment probabilities, exact where the family allows."""
-    if design.pi_frac is not None:
-        return PiDiagonal(design.layout, design.pi_frac.to_float(), frac=design.pi_frac)
-    pi_hat, _, pi_se, _ = _estimated_moments(design)
-    return PiDiagonal(design.layout, pi_hat, estimated=True, se=pi_se)
+    """Marginal assignment probabilities, p's diagonal: exact where p is."""
+    probs, frac, se = _moments(design, np.diag_indices(design.layout.kn))
+    return PiDiagonal(design.layout, probs, frac=frac, estimated=se is not None, se=se)
 
 
 def joint_probabilities(design: Design) -> JointProbMatrix:
     """Joint assignment probabilities, exact where the family allows."""
-    if design.p_frac is not None:
-        return JointProbMatrix(design.layout, design.p_frac.to_float(), frac=design.p_frac)
-    _, p_hat, _, p_se = _estimated_moments(design)
-    return JointProbMatrix(design.layout, p_hat, estimated=True, se=p_se)
+    p, frac, se = _moments(design, ...)
+    return JointProbMatrix(design.layout, p, frac=frac, estimated=se is not None, se=se)
 
 
 def first_order_design_matrix(design: Design) -> tuple[DesignMatrix, ImpossibilityMask]:

@@ -88,7 +88,7 @@ def design_summary(design: Design) -> dict:
         "family": design.family,
         "mode": design.mode,
         "support_size": design.support_size,
-        "exact_probabilities": design.pi_frac is not None,
+        "exact_probabilities": design.p_frac is not None,
     }
 
 

@@ -122,21 +122,19 @@ def run_scenario(scenario: SimScenario) -> SimReport:
         bound_value = float(z.z @ bound.dtilde @ z.z)
         ipw_matrix = ipw_bound_matrix(bound, joint_probabilities(design)).matrix
 
+    # exact mode: one batch, points weigh their probability; MC: each replicate weighs 1 / total
     if scenario.mode == "exact":
         r, probs = design.support_arrays()
-        points, bests, feasible = _evaluate_draws(spec, pi, y, r, ipw_matrix)
+        batches, total = [r], 1
     else:
         batches = design.replicate_indicators(scenario.seed, scenario.replicates)
-        parts = [_evaluate_draws(spec, pi, y, r, ipw_matrix) for r in batches]
-        points, bests, feasible = (
-            None if field[0] is None else np.concatenate(field) for field in zip(*parts)
-        )
-        probs = np.ones(scenario.replicates)
+        probs, total = np.ones(scenario.replicates), scenario.replicates
+    parts = [_evaluate_draws(spec, pi, y, r, ipw_matrix) for r in batches]
+    points, bests, feasible = (
+        None if field[0] is None else np.concatenate(field) for field in zip(*parts)
+    )
     infeasible_count = int(np.sum(~feasible))
-    if scenario.mode == "exact":
-        infeasible_weight = float(probs[~feasible].sum())
-    else:
-        infeasible_weight = infeasible_count / scenario.replicates
+    infeasible_weight = float(probs[~feasible].sum()) / total
     if infeasible_count:
         warnings.warn(
             f"{infeasible_count} draws were estimation-infeasible and excluded "

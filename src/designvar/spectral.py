@@ -81,19 +81,20 @@ def connected_components(pattern: np.ndarray) -> list[np.ndarray]:
 def eigen_psd_check(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> EigenReport:
     """Symmetric eigendecomposition with a tolerance-based PSD verdict.
 
-    The input must be symmetric to within 1e-10 and is symmetrized as
-    (M + M') / 2 before decomposition.  The decomposition runs once per
-    component size over the stacked blocks of ``connected_components``
-    of the nonzero pattern; each block's eigenvectors are scattered back
-    into full-length columns, zero outside the block.
+    The input must be symmetric to within 1e-10 times its largest entry
+    magnitude and is symmetrized as (M + M') / 2 before decomposition.
+    The decomposition runs once per component size over the stacked
+    blocks of ``connected_components`` of the nonzero pattern; each
+    block's eigenvectors are scattered back into full-length columns,
+    zero outside the block.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix entries must be finite")
-    if np.max(np.abs(m - m.T)) > 1e-10:
-        raise ValidationError("matrix is not symmetric within 1e-10")
+    if np.max(np.abs(m - m.T)) > 1e-10 * np.max(np.abs(m)):
+        raise ValidationError("matrix is not symmetric within 1e-10 of its largest entry")
     sym = (m + m.T) / 2.0
     vals, vecs = np.empty(len(sym)), np.zeros(sym.shape)
     start = 0

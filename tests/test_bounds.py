@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +157,17 @@ class TestAlgorithmM:
         assert err.value.iterations == 1
         assert err.value.last_min_eig < 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 1), (0, 2)])  # a masked and an unmasked position
+    def test_nonfinite_init_rejected(self, paired4_matrices, bad, at):
+        dmat, mask = paired4_matrices
+        init = np.zeros((8, 8))
+        init[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from the eigensolver
+            with pytest.raises(dv.ValidationError, match="init"):
+                dv.algorithm_m_bound(dmat, mask, init=init)
+
     def test_neyman_seeded_init(self, complete42_matrices):
         dmat, mask = complete42_matrices
         neyman = dv.neyman_bound(dmat, c2(), mask)
@@ -286,6 +299,22 @@ class TestInvariantBounding:
 
     def test_zero_matrix(self):
         assert dv.is_invariant_bounding(np.zeros((8, 8)), dv.IndexLayout(2, 4))
+
+    def test_tolerance_scales_with_the_block(self, paired4_matrices):
+        # 1e-11 is 5e-5 of the raised entry: not invariant at any scale
+        dmat, _ = paired4_matrices
+        small = 1e-7 * DT_INVAR_PAIRED
+        assert dv.is_invariant_bounding(small, dmat.layout)
+        small[0, 0] += 1e-11
+        assert not dv.is_invariant_bounding(small, dmat.layout)
+        large = 1e7 * DT_INVAR_PAIRED
+        large[0, 0] *= 1 + 1e-15  # float rounding of a large invariant matrix
+        assert dv.is_invariant_bounding(large, dmat.layout)
+
+    def test_infinite_entry_is_not_invariant(self):
+        m = np.zeros((4, 4))
+        m[0, 1] = np.inf  # its row block's sum and absolute sum are both inf
+        assert not dv.is_invariant_bounding(m, dv.IndexLayout(2, 2))
 
     def test_nan_entry_is_not_invariant(self):
         m = np.zeros((4, 4))

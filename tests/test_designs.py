@@ -34,7 +34,7 @@ class TestBuilders:
         d = dv.bernoulli_design(0.5, n=30, support_cap=2**20, mode="mc")
         assert d.mode == "mc"
         assert d.support is None
-        assert d.pi_frac is not None  # moments stay exact
+        assert dv.inclusion_probabilities(d).frac is not None  # moments stay exact
 
     def test_bernoulli_support_size_counts_positive_arms(self):
         spec = REFERENCE_SPECS["bernoulli-zero-arm"]
@@ -367,7 +367,8 @@ class TestMonteCarloMoments:
         spec = {"type": "bernoulli", "n": 4, "p": "1/3", "mode": "mc"}
         plain = dv.build_design(spec)
         carried = dv.build_design({**spec, "seed": 3, "mc_replicates": 10})
-        assert carried.pi_frac.values == plain.pi_frac.values
+        assert (dv.inclusion_probabilities(carried).frac.values
+                == dv.inclusion_probabilities(plain).frac.values)
         assert_array_equal(carried.p_frac.codes, plain.p_frac.codes)
         assert_array_equal(carried.draw(np.random.default_rng(1)),
                            plain.draw(np.random.default_rng(1)))

@@ -71,7 +71,7 @@ def test_bernoulli_float_rows_carry_an_exact_measure():
     design = dv.bernoulli_design([[0.1, 0.9], [0.3, 0.7]])
     assert sum(prob for _, prob in zip(design.support.arms, design.support.probs)) == 1
     pi, _ = exact_moments(design)
-    assert [design.pi_frac[a] for a in range(design.layout.kn)] == pi
+    assert [dv.inclusion_probabilities(design).frac[a] for a in range(design.layout.kn)] == pi
     assert_exact(design)
 
 

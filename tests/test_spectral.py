@@ -31,6 +31,21 @@ class TestEigenPsdCheck:
         with pytest.raises(dv.ValidationError):
             dv.eigen_psd_check(m)
 
+    @pytest.mark.parametrize("scale, asymmetry, accepted", [
+        (1e6, 1e-15, True),  # float noise on large entries
+        (1e-6, 1e-5, False),  # a real asymmetry on small entries
+    ])
+    def test_symmetry_tolerance_scales_with_the_matrix(self, scale, asymmetry, accepted):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(6, 6))
+        m = scale * (m + m.T)
+        m[1, 4] *= 1 + asymmetry
+        if accepted:
+            assert dv.eigen_psd_check(m).eigenvalues.shape == (6,)
+        else:
+            with pytest.raises(dv.ValidationError, match="symmetric"):
+                dv.eigen_psd_check(m)
+
     def test_nonfinite_rejected(self):
         m = np.full((2, 2), np.nan)
         with pytest.raises(dv.ValidationError):
