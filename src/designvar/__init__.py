@@ -4,8 +4,6 @@ linear estimators under enumerable experimental designs."""
 from .bound_estimation import (
     BoundEstimate,
     IpwBoundMatrix,
-    cr0_sandwich,
-    hc0_sandwich,
     ht_bound_estimate,
     ipw_bound_matrix,
     plugin_bound_estimate,
@@ -19,7 +17,6 @@ from .bounds import (
     derive_mask,
     is_invariant_bounding,
     neyman_bound,
-    neyman_identity_check,
     user_bound,
 )
 from .conditions import first_order_condition_norm, second_order_condition_norm

@@ -26,7 +26,6 @@ from .errors import (
     NonConvergenceError,
     ValidationError,
 )
-from .estimators import ht_linearization
 from .spectral import DEFAULT_PSD_TOL, connected_components, eigen_psd_check, psd_threshold
 
 
@@ -151,7 +150,8 @@ def neyman_bound(
     the contrast gates but does not enter: no diagonal block of d holds a
     -1, every off-diagonal block equals d_01, the contrast sums to zero
     and has no zero entry.  The quadratic-form slack is
-    sum_{r<s} c_r c_s tau_rs' d_01 tau_rs (see neyman_identity_check).
+    sum_{r<s} c_r c_s tau_rs' d_01 tau_rs, with tau_rs the arm-r-minus-arm-s
+    effect vector.
     """
     layout = dmat.layout
     k = layout.k
@@ -168,35 +168,6 @@ def neyman_bound(
     )
     bound = BoundMatrix(layout, dt, "neyman", frac=frac)
     return certify(bound, dmat, mask, tol)
-
-
-def neyman_identity_check(
-    dmat: DesignMatrix, c: np.ndarray, y: np.ndarray
-) -> tuple[float, float]:
-    """Two independent evaluations of the block-diagonal bound's slack.
-
-    Returns (lhs_gap, rhs_sum): the quadratic-form gap
-    n^2 (z' dtilde z - z' d z) for the Horvitz-Thompson linearization of
-    y, and the direct double sum over arm pairs of
-    c_r c_s tau_rs' d_01 tau_rs with tau_rs the arm-r-minus-arm-s effect
-    vector.  The two agree identically and the sum is nonnegative because
-    the shared off-diagonal block is negative semidefinite.
-    """
-    layout = dmat.layout
-    k, n = layout.k, layout.n
-    c = np.asarray(c, dtype=float)
-    y = layout.check_vector(y, "potential outcomes")
-    bound = neyman_bound(dmat, c)
-    z = ht_linearization(y, c, layout).z
-    lhs_gap = float(n**2 * (z @ bound.dtilde @ z - z @ dmat.d @ z))
-    d01 = dmat.block(0, 1)
-    arm = [y[r * n : (r + 1) * n] for r in range(k)]
-    rhs_sum = 0.0
-    for r in range(k - 1):
-        for s in range(r + 1, k):
-            tau = arm[r] - arm[s]
-            rhs_sum += c[r] * c[s] * float(tau @ d01 @ tau)
-    return lhs_gap, rhs_sum
 
 
 def aronow_samii_bound(

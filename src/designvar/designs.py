@@ -365,10 +365,6 @@ class DesignMatrix:
     def __post_init__(self):
         self.d = self.layout.check_matrix(self.d, "design matrix")
 
-    def block(self, r: int, s: int) -> np.ndarray:
-        n = self.layout.n
-        return self.d[r * n : (r + 1) * n, s * n : (s + 1) * n]
-
 
 @dataclass(eq=False)
 class ImpossibilityMask:
@@ -456,12 +452,6 @@ class Design:
             return self.sampler(rng)
         idx = rng.choice(len(self.support), p=self.support.draw_probs)
         return self.support.arms[idx].copy()
-
-    def assignments(self) -> Iterator[tuple[Assignment, Fraction]]:
-        if self.support is None:
-            raise ValidationError("design has no enumerated support")
-        for arms, prob in zip(self.support.arms, self.support.probs):
-            yield Assignment(self.layout, arms), prob
 
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Support as (S x kn indicator matrix, length-S float probabilities)."""

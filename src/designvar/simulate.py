@@ -8,12 +8,13 @@ deterministic numbers: bias, variance, mean bound estimate, and
 normal-interval coverage are all probability-weighted sums.  Monte Carlo
 mode feeds it seeded replicate draws, still one deterministic child seed
 per replicate, and reports Monte Carlo standard errors alongside each
-metric.  The linearization gaps (``taylor_gap`` over a support, the
-count-class gap of the sweep) use the same engine.
+metric.  The sweep's linearization gap uses the same engine, over the
+treated-copy count classes of a tiled population instead of a support.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,9 +23,10 @@ import numpy as np
 
 from .bounds import build_bound
 from .bound_estimation import ipw_bound_matrix
-from .conditions import first_order_condition_norm
+from .conditions import DEFAULT_ENTRY_BUDGET, first_order_condition_norm
 from .designs import (
     Design,
+    PiDiagonal,
     arms_to_indicators,
     complete_design,
     first_order_design_matrix,
@@ -32,9 +34,9 @@ from .designs import (
     joint_probabilities,
 )
 from .errors import (
+    BudgetExceededError,
     EstimationInfeasibleError,
     InfeasiblePointsWarning,
-    SupportOverflowError,
     ValidationError,
 )
 from .estimators import (
@@ -42,7 +44,6 @@ from .estimators import (
     _evaluate_draws,
     _linearization_gap,
     linearization_vector,
-    taylor_gap,
     taylor_variance,
 )
 
@@ -201,33 +202,52 @@ def _tiled_outcomes(base_y: np.ndarray, copies: int) -> np.ndarray:
     return np.concatenate([np.tile(row, copies) for row in base_y])
 
 
-def _tiled_complete_gap(
-    spec: EstimatorSpec, design: Design, base_y: np.ndarray, copies: int
-) -> float:
-    """Exact max linearization gap for two-arm complete designs on tiled
-    populations, enumerating treated-copy count classes instead of the
-    full support (the estimator value depends only on how many copies of
-    each base unit land in each arm)."""
-    layout = design.layout
-    pi = inclusion_probabilities(design)
-    n_treat = int(round(pi.probs[layout.n] * layout.n))
-    n_base = base_y.shape[1]
-    # every class: treated-copy counts per base unit summing to n_treat, built
-    # one base unit at a time and pruned once a partial sum passes n_treat
-    counts = np.zeros((1, 0), dtype=int)
+def _class_count(n_base: int, copies: int, n_treat: int) -> int:
+    """Number of ways to treat n_treat units, 0..copies copies of each of
+    n_base base units: the coefficient of x^n_treat in
+    (1 + x + ... + x^copies)^n_base, in exact integers."""
+    coef = [1] + [0] * n_treat
     for _ in range(n_base):
-        counts = np.column_stack([
-            np.repeat(counts, copies + 1, axis=0),
-            np.tile(np.arange(copies + 1), len(counts)),
-        ])
-        counts = counts[counts.sum(axis=1) <= n_treat]
-    counts = counts[counts.sum(axis=1) == n_treat]
+        run = [0, *itertools.accumulate(coef)]
+        coef = [run[j + 1] - run[max(j - copies, 0)] for j in range(n_treat + 1)]
+    return coef[n_treat]
+
+
+def _tiled_complete_gap(
+    spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, n_base: int, copies: int
+) -> float:
+    """Exact max linearization gap of a balanced two-arm complete design on
+    y, ``copies`` tiles of an ``n_base``-unit base population.
+
+    The estimator value depends only on how many copies of each base unit
+    land in each arm, so the gap is taken over these treated-copy count
+    classes, not over the support.  The classes are counted before any is
+    built; BudgetExceededError is raised when classes x kn exceeds
+    DEFAULT_ENTRY_BUDGET.
+    """
+    layout = pi.layout
+    n_treat = layout.n // 2
+    classes = _class_count(n_base, copies, n_treat)
+    if classes * layout.kn > DEFAULT_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"the sweep at n={layout.n} has {classes} count classes; classes x kn = "
+            f"{classes * layout.kn} exceeds the entry budget {DEFAULT_ENTRY_BUDGET}"
+        )
+    # treated-copy counts per base unit summing to n_treat, one base unit at a
+    # time; a prefix takes only the counts that keep n_treat reachable, so no
+    # intermediate array has more rows than the final one
+    counts = np.zeros((1, 0), dtype=int)
+    for b in range(n_base):
+        partial = counts.sum(axis=1)
+        lo = np.maximum(n_treat - partial - (n_base - 1 - b) * copies, 0)
+        reps = np.minimum(n_treat - partial, copies) - lo + 1
+        step = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts = np.column_stack([np.repeat(counts, reps, axis=0), np.repeat(lo, reps) + step])
     # copies of base unit b sit at indices b, b + n_base, b + 2 n_base, ...;
     # a class treats the first counts[b] of them
     units = np.arange(layout.n)
     arms = (units // n_base < counts[:, units % n_base]).astype(int)
     r = arms_to_indicators(arms, layout)
-    y = _tiled_outcomes(base_y, copies)
     return _linearization_gap(spec, pi, y, r, "count classes")
 
 
@@ -245,7 +265,9 @@ def consistency_sweep(
     linearized estimator, the max linearization gap (times n), and the
     first-order condition norm, all of which should stay bounded.  The
     estimator takes no covariates or weights: those belong to units and
-    cannot be tiled along with base_y.
+    cannot be tiled along with base_y.  The gap is exact at every n and
+    never enumerates the support (see ``_tiled_complete_gap``), so
+    ``support_cap`` is accepted and unread.
     """
     if not n_list:
         raise ValidationError("the sweep needs at least one n in n_list")
@@ -268,14 +290,10 @@ def consistency_sweep(
         if n % 2:
             raise ValidationError(f"balanced design needs even n, got {n}")
         copies = n // n_base
-        y = _tiled_outcomes(base_y, copies)
-        try:
-            design = complete_design([n // 2, n // 2], support_cap=support_cap)
-            gap = taylor_gap(spec, design, y)
-        except SupportOverflowError:
-            design = complete_design([n // 2, n // 2], mode="mc")
-            gap = _tiled_complete_gap(spec, design, base_y, copies)
+        design = complete_design([n // 2, n // 2], mode="mc")
         pi = inclusion_probabilities(design)
+        y = _tiled_outcomes(base_y, copies)
+        gap = _tiled_complete_gap(spec, pi, y, n_base, copies)
         dmat, _ = first_order_design_matrix(design)
         z = linearization_vector(spec, y, pi)
         var = taylor_variance(z, dmat)

@@ -89,8 +89,8 @@ def eigen_psd_check(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> EigenReport:
     zero outside the block.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValidationError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix entries must be finite")
     if np.max(np.abs(m - m.T)) > 1e-10 * np.max(np.abs(m)):
@@ -107,8 +107,7 @@ def eigen_psd_check(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> EigenReport:
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    max_eig = float(vals[0]) if vals.size else 0.0
-    min_eig = float(vals[-1]) if vals.size else 0.0
+    max_eig, min_eig = float(vals[0]), float(vals[-1])
     psd = min_eig >= -psd_threshold(max_eig, tol)
     return EigenReport(vals, vecs, min_eig, max_eig, psd, tol)
 

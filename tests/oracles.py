@@ -2,7 +2,9 @@
 
 Everything here is written directly from the defining formulas with its
 own linear algebra, deliberately not reusing the library's estimator or
-bound machinery, so agreement between the two is informative.
+bound machinery, so agreement between the two is informative.  The one
+exception is ``neyman_identity_check``, which reads the library's Neyman
+bound as the side of the identity it checks.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +74,18 @@ def reference_support(spec: dict) -> list[tuple[tuple[int, ...], Fraction]]:
     if kind == "custom":
         return [(tuple(e["arms"]), Fraction(e["prob"])) for e in spec["support"]]
     raise ValueError(kind)
+
+
+def assignments(design: Design) -> Iterator[tuple[dv.Assignment, Fraction]]:
+    """Each support point as an (Assignment, exact probability) pair, in support order."""
+    for arms, prob in zip(design.support.arms, design.support.probs):
+        yield dv.Assignment(design.layout, arms), prob
+
+
+def block(dmat: dv.DesignMatrix, r: int, s: int) -> np.ndarray:
+    """The n x n block of a design matrix between arms r and s."""
+    n = dmat.layout.n
+    return dmat.d[r * n : (r + 1) * n, s * n : (s + 1) * n]
 
 
 def exact_moments(design: Design) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -194,7 +209,7 @@ def enumeration_mean_var(design: Design, fn) -> tuple[float, float]:
     """Probability-weighted mean and variance of fn(assignment) over the support."""
     vals = []
     probs = []
-    for assignment, prob in design.assignments():
+    for assignment, prob in assignments(design):
         vals.append(fn(assignment))
         probs.append(float(prob))
     vals = np.array(vals)
@@ -271,6 +286,97 @@ def hc0_scalar_loops(y_obs: np.ndarray, rdiag: np.ndarray, xx: np.ndarray,
             lever = float(xx[a] @ bread @ c_full)
             total += (u * lever) ** 2
     return total
+
+
+def neyman_identity_check(
+    dmat: dv.DesignMatrix, c: np.ndarray, y: np.ndarray
+) -> tuple[float, float]:
+    """Two independent evaluations of the block-diagonal bound's slack.
+
+    Returns (lhs_gap, rhs_sum): the quadratic-form gap
+    n^2 (z' dtilde z - z' d z) for the Horvitz-Thompson linearization of
+    y, and the direct double sum over arm pairs of
+    c_r c_s tau_rs' d_01 tau_rs with tau_rs the arm-r-minus-arm-s effect
+    vector.  The two agree identically and the sum is nonnegative because
+    the shared off-diagonal block is negative semidefinite.
+    """
+    layout = dmat.layout
+    k, n = layout.k, layout.n
+    c = np.asarray(c, dtype=float)
+    y = layout.check_vector(y, "potential outcomes")
+    bound = dv.neyman_bound(dmat, c)
+    z = dv.ht_linearization(y, c, layout).z
+    lhs_gap = float(n**2 * (z @ bound.dtilde @ z - z @ dmat.d @ z))
+    d01 = block(dmat, 0, 1)
+    arm = [y[r * n : (r + 1) * n] for r in range(k)]
+    rhs_sum = 0.0
+    for r in range(k - 1):
+        for s in range(r + 1, k):
+            tau = arm[r] - arm[s]
+            rhs_sum += c[r] * c[s] * float(tau @ d01 @ tau)
+    return lhs_gap, rhs_sum
+
+
+def _sandwich_pieces(data: dv.ObservedData, xx: np.ndarray, c: np.ndarray):
+    layout = data.assignment.layout
+    xx = np.asarray(xx, dtype=float)
+    if xx.shape[0] != layout.kn:
+        raise dv.LayoutMismatchError("covariate expansion rows do not match kn")
+    l = xx.shape[1] - layout.k
+    if l < 0:
+        raise dv.LayoutMismatchError("covariate expansion has fewer columns than arms")
+    c = np.asarray(c, dtype=float)
+    if c.shape == (layout.k,):
+        fc = np.concatenate([c, np.zeros(l)])
+    elif c.shape == (layout.k + l,):
+        fc = c
+    else:
+        raise dv.LayoutMismatchError("contrast length matches neither k nor k+l")
+    r = data.assignment.indicators()
+    denom = (xx * r[:, None]).T @ xx
+    try:
+        bhat = np.linalg.solve(denom, xx.T @ data.y_obs)
+        bread_c = np.linalg.solve(denom, fc)
+    except np.linalg.LinAlgError as exc:
+        raise dv.EstimationInfeasibleError(f"singular realized denominator: {exc}") from exc
+    u_obs = data.y_obs - r * (xx @ bhat)
+    return bread_c, u_obs
+
+
+def hc0_sandwich(data: dv.ObservedData, xx: np.ndarray, c: np.ndarray) -> float:
+    """Heteroskedasticity-consistent (HC0) sandwich for the OLS contrast.
+
+    c' (X'RX)^-1 X' diag(R u-hat^2) X (X'RX)^-1 c with u-hat the realized
+    residuals.  Written directly from that formula, independent of the
+    bound machinery, so it can serve as an oracle for it.
+    """
+    bread_c, u_obs = _sandwich_pieces(data, xx, c)
+    xx = np.asarray(xx, dtype=float)
+    meat = (xx * (u_obs**2)[:, None]).T @ xx
+    return float(bread_c @ meat @ bread_c)
+
+
+def cr0_sandwich(
+    data: dv.ObservedData, xx: np.ndarray, c: np.ndarray, clusters: list[list[int]]
+) -> float:
+    """Cluster-robust (CR0) sandwich for the OLS contrast.
+
+    Meat is the sum over clusters of outer products of within-cluster
+    score sums; singleton clusters reduce it to HC0.
+    """
+    layout = data.assignment.layout
+    bread_c, u_obs = _sandwich_pieces(data, xx, c)
+    xx = np.asarray(xx, dtype=float)
+    meat = np.zeros((xx.shape[1], xx.shape[1]))
+    seen = set()
+    for cl in clusters:
+        seen.update(int(u) for u in cl)
+        idx = [r * layout.n + int(u) for r in range(layout.k) for u in cl]
+        score = xx[idx].T @ u_obs[idx]
+        meat += np.outer(score, score)
+    if seen != set(range(layout.n)):
+        raise dv.LayoutMismatchError("clusters must partition units 0..n-1")
+    return float(bread_c @ meat @ bread_c)
 
 
 def random_small_design(

@@ -20,8 +20,11 @@ from conftest import (
 )
 from oracles import (
     brute_force_second_order_norm,
+    cr0_sandwich,
     enumeration_mean_var,
     finite_difference_z,
+    hc0_sandwich,
+    neyman_identity_check,
     random_small_design,
 )
 
@@ -136,7 +139,7 @@ def test_criterion_06_sandwich_equivalences():
         bound = dv.build_bound(method, dmat, mask, contrast=C2, tol=1e-12)
         ipw = dv.ipw_bound_matrix(bound, dv.joint_probabilities(design))
         plug = dv.plugin_bound_estimate(spec, data, pi, ipw).value
-        hc0 = dv.hc0_sandwich(data, spec.design_x(design.layout), C2)
+        hc0 = hc0_sandwich(data, spec.design_x(design.layout), C2)
         assert abs(plug - hc0) <= 1e-10 * max(1.0, abs(hc0))
         done += 1
 
@@ -163,7 +166,7 @@ def test_criterion_06_sandwich_equivalences():
         bound = dv.neyman_bound(dmat, C2, mask)
         ipw = dv.ipw_bound_matrix(bound, dv.joint_probabilities(design))
         plug = dv.plugin_bound_estimate(spec, data, pi, ipw).value
-        cr0 = dv.cr0_sandwich(data, spec.design_x(design.layout), C2, clusters)
+        cr0 = cr0_sandwich(data, spec.design_x(design.layout), C2, clusters)
         assert abs(plug - cr0) <= 1e-10 * max(1.0, abs(cr0))
         done += 1
     elapsed = time.perf_counter() - start
@@ -236,7 +239,7 @@ def test_criterion_08_neyman_identity():
             c -= c.mean()
         y = rng.normal(size=layout.kn)
         dmat, _ = dv.first_order_design_matrix(design)
-        lhs, rhs = dv.neyman_identity_check(dmat, c, y)
+        lhs, rhs = neyman_identity_check(dmat, c, y)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
         assert rhs >= -1e-10
     ok(8, "block-diagonal bound identity holds with nonnegative slack on 100 instances")

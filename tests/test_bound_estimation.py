@@ -4,7 +4,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import designvar as dv
-from oracles import enumeration_mean_var, hc0_scalar_loops, random_small_design
+from oracles import (
+    assignments,
+    cr0_sandwich,
+    enumeration_mean_var,
+    hc0_sandwich,
+    hc0_scalar_loops,
+    random_small_design,
+)
 
 
 def c2():
@@ -63,7 +70,7 @@ class TestHtBoundEstimate:
         dmat, mask = paired4_matrices
         bound = dv.aronow_samii_bound(dmat, mask)
         ipw = dv.ipw_bound_matrix(bound, dv.joint_probabilities(paired4))
-        assignment = next(paired4.assignments())[0]
+        assignment = next(assignments(paired4))[0]
         assert dv.ht_bound_estimate(np.zeros(8), c2(), assignment, ipw).value == 0.0
 
     def test_complete_neyman_nonnegative_and_unbiased(self, complete42, complete42_matrices):
@@ -74,7 +81,7 @@ class TestHtBoundEstimate:
         ipw = dv.ipw_bound_matrix(bound, dv.joint_probabilities(complete42))
         z = dv.ht_linearization(y, c2(), dmat.layout).z
         values = []
-        for assignment, _ in complete42.assignments():
+        for assignment, _ in assignments(complete42):
             values.append(dv.ht_bound_estimate(y, c2(), assignment, ipw).value)
         assert all(v >= -1e-10 for v in values)
         mean, _ = enumeration_mean_var(
@@ -94,7 +101,7 @@ def test_ipw_reconstruction_identity(seed):
     ipw = dv.ipw_bound_matrix(bound, dv.joint_probabilities(design))
     kn = design.layout.kn
     acc = np.zeros((kn, kn))
-    for assignment, prob in design.assignments():
+    for assignment, prob in assignments(design):
         r = assignment.indicators()
         acc += float(prob) * np.outer(r, r) * ipw.matrix
     assert_allclose(acc, bound.dtilde, atol=1e-10, rtol=0)
@@ -119,7 +126,7 @@ class TestSandwichEquivalence:
         p = dv.joint_probabilities(design)
         spec = dv.EstimatorSpec("ols", c2(), covariates=x)
         xx = dv.expand_covariates(x, design.layout)
-        hc0 = dv.hc0_sandwich(data, xx, c2())
+        hc0 = hc0_sandwich(data, xx, c2())
         for method in ("neyman", "as"):
             bound = dv.build_bound(method, dmat, mask, contrast=c2())
             plug = dv.plugin_bound_estimate(spec, data, pi, dv.ipw_bound_matrix(bound, p))
@@ -131,7 +138,7 @@ class TestSandwichEquivalence:
     def test_hc0_matches_scalar_loop_oracle(self):
         design, pi, x, y, data = self._bernoulli_case(4, n=6, l=1)
         xx = dv.expand_covariates(x, design.layout)
-        hc0 = dv.hc0_sandwich(data, xx, c2())
+        hc0 = hc0_sandwich(data, xx, c2())
         fc = np.concatenate([c2(), np.zeros(1)])
         oracle = hc0_scalar_loops(data.y_obs, data.assignment.indicators(), xx, fc)
         assert_allclose(hc0, oracle, atol=1e-12, rtol=0)
@@ -144,7 +151,7 @@ class TestSandwichEquivalence:
         y = xx @ beta  # exactly linear outcomes
         arms = design.draw(np.random.default_rng(99))
         data = dv.observe(dv.Assignment(layout, arms), y)
-        assert dv.hc0_sandwich(data, xx, c2()) <= 1e-20
+        assert hc0_sandwich(data, xx, c2()) <= 1e-20
         dmat, mask = dv.first_order_design_matrix(design)
         bound = dv.aronow_samii_bound(dmat, mask)
         ipw = dv.ipw_bound_matrix(bound, dv.joint_probabilities(design))
@@ -170,7 +177,7 @@ class TestSandwichEquivalence:
         spec = dv.EstimatorSpec("ols", c2(), covariates=x)
         plug = dv.plugin_bound_estimate(spec, data, pi, ipw)
         xx = dv.expand_covariates(x, design.layout)
-        cr0 = dv.cr0_sandwich(data, xx, c2(), clusters)
+        cr0 = cr0_sandwich(data, xx, c2(), clusters)
         assert_allclose(plug.value, cr0, rtol=1e-12, atol=0)
 
     def test_cr0_with_singleton_clusters_is_hc0(self):
@@ -178,8 +185,8 @@ class TestSandwichEquivalence:
         xx = dv.expand_covariates(x, design.layout)
         singletons = [[u] for u in range(5)]
         assert_allclose(
-            dv.cr0_sandwich(data, xx, c2(), singletons),
-            dv.hc0_sandwich(data, xx, c2()),
+            cr0_sandwich(data, xx, c2(), singletons),
+            hc0_sandwich(data, xx, c2()),
             atol=1e-14, rtol=0,
         )
 
@@ -189,7 +196,7 @@ class TestSandwichEquivalence:
         y = np.random.default_rng(9).normal(size=8)
         bound = dv.aronow_samii_bound(dmat, mask)
         ipw = dv.ipw_bound_matrix(bound, dv.joint_probabilities(paired4))
-        assignment = next(paired4.assignments())[0]
+        assignment = next(assignments(paired4))[0]
         data = dv.observe(assignment, y)
         plug = dv.plugin_bound_estimate(dv.EstimatorSpec("ht", c2()), data, pi, ipw)
         direct = dv.ht_bound_estimate(y, c2(), assignment, ipw)

@@ -8,6 +8,7 @@ import designvar as dv
 from designvar import serialization as ser
 from designvar.cli import main
 from conftest import D_PAIRED, DT_AS_PAIRED, DT_INVAR_PAIRED
+from oracles import hc0_sandwich
 
 
 PAIRED_SPEC = {"type": "paired", "k": 2, "pairs": [[0, 1], [2, 3]]}
@@ -334,7 +335,7 @@ class TestEstimateCommand:
         report = json.loads(out.read_text())
         layout = design.layout
         data = ser.read_observed(obs, layout)
-        hc0 = dv.hc0_sandwich(data, dv.expand_covariates(x, layout), np.array([-1.0, 1.0]))
+        hc0 = hc0_sandwich(data, dv.expand_covariates(x, layout), np.array([-1.0, 1.0]))
         assert_allclose(report["bound_estimate"], hc0, rtol=1e-12)
         assert_allclose(report["se"], np.sqrt(max(hc0, 0.0)), rtol=1e-12)
 
@@ -574,3 +575,17 @@ class TestSimulateCommand:
         lines = (out / "trend.csv").read_text().strip().splitlines()
         assert lines[0].startswith("n,")
         assert len(lines) == 3
+
+    def test_oversized_sweep_exits_3(self, tmp_path, capsys):
+        scenario = {
+            "sweep": {
+                "estimator": {"kind": "cm", "contrast": [-1, 1]},
+                "base_y": [list(range(20)), list(range(1, 21))],
+                "n_list": [40],
+            }
+        }
+        out = tmp_path / "sweep"
+        code = main(["simulate", write_json(tmp_path / "s.json", scenario), "--out", str(out)])
+        assert code == 3
+        assert "entry budget" in capsys.readouterr().err
+        assert not (out / "trend.csv").exists()

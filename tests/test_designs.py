@@ -9,6 +9,7 @@ import designvar as dv
 from designvar import serialization as ser
 from conftest import D_COMPLETE, D_PAIRED
 from oracles import (
+    assignments,
     empirical_moments,
     enumeration_design_matrix,
     random_small_design,
@@ -193,10 +194,10 @@ REFERENCE_SPECS = {
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
 def test_support_matches_reference_enumeration(name):
-    """Row order and exact probabilities, read through the stable accessor."""
+    """Row order and exact probabilities, read as (Assignment, Fraction) pairs."""
     spec = REFERENCE_SPECS[name]
     support = [(tuple(assignment.arms.tolist()), prob)
-               for assignment, prob in dv.build_design(spec).assignments()]
+               for assignment, prob in assignments(dv.build_design(spec))]
     assert support == reference_support(spec)
     assert all(type(prob) is Fraction for _, prob in support)
 

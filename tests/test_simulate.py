@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -166,13 +167,32 @@ class TestConsistencySweep:
             with pytest.raises(dv.ValidationError, match=field):
                 dv.consistency_sweep(spec, base, [8], support_cap=cap)
 
-    def test_count_class_path_matches_enumeration(self):
+    @pytest.mark.parametrize("kind", ["ht", "cm", "hj", "ols"])
+    def test_count_class_path_matches_enumeration(self, kind):
+        # reference: the gap over the whole enumerated support of the same design
         base = np.array([[0.5, -1.0], [2.0, 1.0]])
-        spec = dv.EstimatorSpec("hj", c2())
-        full = dv.consistency_sweep(spec, base, [8], support_cap=10**4)[0]
-        classed = dv.consistency_sweep(spec, base, [8], support_cap=10)[0]
-        assert_allclose(full["taylor_gap"], classed["taylor_gap"], atol=1e-12)
-        assert_allclose(full["n_times_var"], classed["n_times_var"], atol=1e-12)
+        spec = dv.EstimatorSpec(kind, c2())
+        n = 8
+        row = dv.consistency_sweep(spec, base, [n])[0]
+        design = dv.complete_design([n // 2, n // 2])
+        y = np.concatenate([np.tile(arm, n // base.shape[1]) for arm in base])
+        dmat, _ = dv.first_order_design_matrix(design)
+        z = dv.linearization_vector(spec, y, dv.inclusion_probabilities(design))
+        assert_allclose(row["taylor_gap"], dv.taylor_gap(spec, design, y), atol=1e-12)
+        assert_allclose(row["n_times_var"], n * dv.taylor_variance(z, dmat), atol=1e-12)
+
+    def test_oversized_count_classes_raise_before_allocating(self):
+        # a 20-unit base at n = 40 has 377,379,369 count classes (the coefficient
+        # of x^20 in (1 + x + x^2)^20): tens of GB as an indicator batch
+        base = np.vstack([np.arange(20.0), np.arange(20.0) + 1.0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(dv.BudgetExceededError, match="377379369 count classes"):
+                dv.consistency_sweep(dv.EstimatorSpec("cm", c2()), base, [40])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestRunScenarioAgainstOracle:

@@ -51,6 +51,10 @@ class TestEigenPsdCheck:
         with pytest.raises(dv.ValidationError):
             dv.eigen_psd_check(m)
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(dv.ValidationError, match="nonempty"):
+            dv.eigen_psd_check(np.zeros((0, 0)))
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9), st.integers(2, 64))
@@ -226,3 +230,7 @@ class TestCompareBounds:
         bm = dv.algorithm_m_bound(d, mask, tol=1e-12)
         bas = dv.aronow_samii_bound(d, mask)
         assert dv.compare_bounds(bm, bas).relation == "a-tighter"
+
+    def test_empty_bounds_rejected(self):
+        with pytest.raises(dv.ValidationError, match="nonempty"):
+            dv.compare_bounds(np.zeros((0, 0)), np.zeros((0, 0)))
