@@ -193,28 +193,43 @@ def elementwise(fn, *operands) -> tuple[np.ndarray, ExactMatrix | None]:
     ``fn`` runs once, as an array expression.  When every operand is an
     ExactMatrix it runs on exact rationals, one entry per distinct tuple
     of operand codes, and the result is exact, its codebook in the order
-    of those tuples.  Otherwise it runs on the float arrays and there are
-    no exact values.  Callers write their formula once through it instead
-    of branching on exactness, so a formula must be branch-free: ``+ - *
-    /``, ``abs`` and comparisons, mixed with integers.  They may still
-    rearrange operand codes (``_outer_pair`` sorts the codes of a
-    symmetric pair so it is evaluated once).
+    of those tuples.  The distinct tuples, in ascending order, come from a
+    presence table when the tuple key space is no larger than the entry
+    count, and from a sort otherwise.  When an operand is not exact, ``fn``
+    runs on the float arrays and there are no exact values.  Callers
+    write their formula once through it instead of branching on
+    exactness, so a formula must be branch-free: ``+ - * /``, ``abs`` and
+    comparisons, mixed with integers.  They may still rearrange operand
+    codes (``_outer_pair`` sorts the codes of a symmetric pair so it is
+    evaluated once).
     """
     if not all(isinstance(op, ExactMatrix) for op in operands):
         floats = [op.to_float() if isinstance(op, ExactMatrix) else op for op in operands]
         return np.asarray(fn(*floats), dtype=float), None
     shape = np.broadcast_shapes(*(op.codes.shape for op in operands))
-    columns = [np.broadcast_to(op.codes, shape).ravel() for op in operands]
+    space = math.prod(len(op.book) for op in operands)
     # one integer key per entry, mixed-radix over the operand codebooks
-    key, radix = np.zeros(math.prod(shape), dtype=np.int64), 1
-    for op, col in zip(operands, columns):
+    key, radix = np.zeros(shape, dtype=np.int64), 1
+    for op in operands:
         if radix * len(op.book) >= 2**62:  # renumber densely before it overflows
-            key = np.unique(key, return_inverse=True)[1].ravel()
+            key = np.unique(key, return_inverse=True)[1].reshape(shape)
             radix = int(key.max()) + 1
-        key, radix = key * len(op.book) + col, radix * len(op.book)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    args = [_Rationals(op.book.num[col[first]], op.book.den[col[first]])
-            for op, col in zip(operands, columns)]
+        key, radix = key * len(op.book) + op.codes, radix * len(op.book)
+    key = key.ravel()
+    # a key space no larger than the entry count was never renumbered: rank its
+    # keys through a presence table instead of a sort, and decode them to codes
+    if space <= len(key):
+        present = np.zeros(space, dtype=bool)
+        present[key] = True
+        inverse = (np.cumsum(present) - 1)[key]
+        rest, picks = np.flatnonzero(present), []
+        for op in reversed(operands):  # the last operand is the lowest digit
+            rest, pick = np.divmod(rest, len(op.book))
+            picks.insert(0, pick)
+    else:
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        picks = [np.broadcast_to(op.codes, shape).ravel()[first] for op in operands]
+    args = [_Rationals(op.book.num[pick], op.book.den[pick]) for op, pick in zip(operands, picks)]
     result = _Rationals.lift(fn(*args))
     exact = ExactMatrix.of(result.num, inverse.reshape(shape), result.den)
     return exact.to_float(), exact

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -375,24 +376,29 @@ def linearized_estimator(spec: EstimatorSpec, y: np.ndarray, pi: PiDiagonal):
 
 
 def _linearization_gap(
-    spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, r: np.ndarray, what: str
+    spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, batches: Iterable[np.ndarray], what: str
 ) -> float:
-    """max |estimator - linearization| over the draws in the S x kn batch r.
+    """max |estimator - linearization| over the draws in ``batches``, S x kn
+    indicator batches.
 
     Draws with a singular realized denominator are excluded and reported
-    through a warning that counts them as ``what``.
+    through one warning that counts them, over all batches, as ``what``.
     """
     linearized = linearized_estimator(spec, y, pi)
-    points, _, feasible = _evaluate_draws(spec, pi, y, r)
-    skipped = int(np.sum(~feasible))
+    gap, skipped, total = 0.0, 0, 0
+    for r in batches:
+        points, _, feasible = _evaluate_draws(spec, pi, y, r)
+        skipped += int(np.sum(~feasible))
+        total += len(r)
+        gap = max(gap, float(np.abs(points - linearized(r))[feasible].max(initial=0.0)))
     if skipped:
         warnings.warn(
-            f"{skipped} of {len(r)} {what} were estimation-infeasible and "
+            f"{skipped} of {total} {what} were estimation-infeasible and "
             "excluded from the gap",
             InfeasiblePointsWarning,
             stacklevel=3,
         )
-    return float(np.abs(points - linearized(r))[feasible].max(initial=0.0))
+    return gap
 
 
 def taylor_gap(spec: EstimatorSpec, design: Design, y: np.ndarray) -> float:
@@ -406,4 +412,4 @@ def taylor_gap(spec: EstimatorSpec, design: Design, y: np.ndarray) -> float:
         raise ValidationError("taylor_gap requires an exact (enumerated) design")
     y = design.layout.check_vector(y, "potential outcomes")
     r, _ = design.support_arrays()
-    return _linearization_gap(spec, inclusion_probabilities(design), y, r, "support points")
+    return _linearization_gap(spec, inclusion_probabilities(design), y, [r], "support points")

@@ -4,16 +4,26 @@ Matrices are written row-major with a header row of flat indices.
 Floats are rendered with repr(), the shortest string that round-trips
 to the exact same double, so re-ingesting a file reproduces values
 bit-for-bit; integer and boolean matrices are written as exact integers.
-See docs/formats.md for byte-level examples.  Matrix CSVs
-go through a codebook: the writer formats each distinct value (bit
-pattern) once and the reader runs float() once per distinct token, which
-pays because design matrices hold few distinct values.
+See docs/formats.md for byte-level examples.  Matrix CSVs go through a
+codebook, which pays because design matrices hold few distinct values.
+The writer formats each distinct value (bit pattern) once into a token
+table whose entries carry their separator, "," inside a row and CR LF
+after a row's last cell, so a block of rows is one gather from the table
+and one join.  The reader streams the file a line at a time: a line
+without a quote character is split on commas with ``str.split``, and
+csv.reader parses a file only from its first quote character on, so the
+fields are csv.reader's either way; float() runs once per distinct
+token.  Data
+tables go through csv.DictReader.  A field longer than
+csv.field_size_limit() is a ValidationError on every path.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+from typing import Iterator
 
 import numpy as np
 
@@ -24,38 +34,86 @@ from .estimators import ObservedData
 from .spectral import EigenReport
 
 
+WRITE_BLOCK = 1 << 12  # cells gathered per write
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries, by one sort and a neighbour comparison
+    (np.unique hashes since numpy 2.3, several times slower on these keys)."""
+    ordered = np.sort(keys, axis=None)
+    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+
+
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(np.asarray(matrix))
-    if matrix.dtype.kind in "iub":  # integers as themselves, never through float64
-        distinct, codes = np.unique(matrix, return_inverse=True)
-        tokens = [str(int(v)) for v in distinct]
-    else:
-        # distinct bit patterns, so -0.0 stays apart from 0.0; each is formatted once
-        bits, codes = np.unique(matrix.astype(float).view(np.uint64), return_inverse=True)
-        tokens = [repr(float(v)) for v in bits.view(np.float64)]
+    integers = matrix.dtype.kind in "iub"  # written as themselves, never through float64
+    # floats by bit pattern, so -0.0 stays apart from 0.0
+    keys = matrix if integers else matrix.astype(float).view(np.uint64)
+    distinct = _distinct(keys)
+    codes = np.searchsorted(distinct, keys)
+    rows, width = codes.shape
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(str, range(matrix.shape[1]))) + "\r\n")
-        for row in codes.reshape(matrix.shape):
-            fh.write(",".join(map(tokens.__getitem__, row.tolist())) + "\r\n")
+        fh.write(",".join(map(str, range(width))) + "\r\n")
+        if not width:  # a row without cells is a bare line end
+            fh.write("\r\n" * rows)
+            return
+        # the token table, each distinct value formatted once and carrying its
+        # separator: "," inside a row, then CR LF for the values of the last column
+        if integers:
+            cells = [str(int(v)) + "," for v in distinct]
+        else:
+            cells = [repr(float(v)) + "," for v in distinct.view(np.float64)]
+        ends, codes[:, -1] = np.unique(codes[:, -1], return_inverse=True)
+        codes[:, -1] += len(cells)
+        table = np.array(cells + [cells[e][:-1] + "\r\n" for e in ends.tolist()], dtype=object)
+        step = max(WRITE_BLOCK // width, 1)
+        for start in range(0, rows, step):
+            fh.write("".join(table[codes[start:start + step]].ravel().tolist()))
+
+
+def _csv_rows(path, fh) -> Iterator[list[str]]:
+    """The rows csv.reader gives for ``fh``, a file opened with newline="".
+
+    Until a line holds a quote character, a line is its own row and
+    splitting it on commas gives csv.reader's fields; from that line on,
+    csv.reader parses the rest.  A csv.Error becomes a ValidationError
+    naming the file and row.
+    """
+    limit, row = csv.field_size_limit(), 0
+    for line in fh:
+        row += 1
+        if '"' in line:
+            try:
+                for fields in csv.reader(itertools.chain([line], fh)):
+                    yield fields
+                    row += 1
+            except csv.Error as exc:
+                raise ValidationError(f"{path}: row {row}: {exc}") from exc
+            return
+        line = line.rstrip("\r\n")
+        fields = line.split(",") if line else []
+        if len(line) > limit and max(map(len, fields)) > limit:
+            raise ValidationError(f"{path}: row {row}: field larger than field limit ({limit})")
+        yield fields
 
 
 def read_matrix_csv(path) -> np.ndarray:
     parsed: dict[str, float] = {}  # float() runs once per distinct token
     data = []
     with open(path, newline="") as fh:
-        rows = csv.reader(fh)
+        rows = _csv_rows(path, fh)
         width = len(next(rows, ()))
         for i, row in enumerate(rows, start=2):
             if len(row) != width:
                 raise ValidationError(f"{path}: row {i} has {len(row)} fields, expected {width}")
             try:
-                data.append(list(map(parsed.__getitem__, row)))
+                data.append(np.fromiter(map(parsed.__getitem__, row), float, width))
             except KeyError:  # the row holds tokens not seen before
                 try:
                     parsed.update((token, float(token)) for token in row if token not in parsed)
                 except ValueError as exc:
                     raise ValidationError(f"{path}: row {i}: {exc}") from exc
-                data.append(list(map(parsed.__getitem__, row)))
+                data.append(np.fromiter(map(parsed.__getitem__, row), float, width))
     if not data:
         raise ValidationError(f"{path}: expected a header row plus data rows")
     return np.array(data)
@@ -122,15 +180,25 @@ def _cell(path, line: int, row: dict, column: str, convert=float):
         raise ValidationError(text) from exc
 
 
-def _read_table(path, required: list[str]) -> list[dict]:
+def _dict_rows(path) -> tuple[list[str] | None, list[dict]]:
+    """csv.DictReader's header and rows; a csv.Error becomes a
+    ValidationError naming the file and row."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty file")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise ValidationError(f"{path}: missing column(s) {missing}")
-        return list(reader)
+        try:
+            return reader.fieldnames, list(reader)
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: row {reader.reader.line_num}: {exc}") from exc
+
+
+def _read_table(path, required: list[str]) -> list[dict]:
+    fieldnames, rows = _dict_rows(path)
+    if fieldnames is None:
+        raise ValidationError(f"{path}: empty file")
+    missing = [c for c in required if c not in fieldnames]
+    if missing:
+        raise ValidationError(f"{path}: missing column(s) {missing}")
+    return rows
 
 
 def read_potential_outcomes(path, layout: IndexLayout) -> np.ndarray:
@@ -159,12 +227,10 @@ def read_potential_outcomes(path, layout: IndexLayout) -> np.ndarray:
 
 def read_covariates(path, n: int) -> np.ndarray:
     """Table (unit_id, x1..xl) -> n x l matrix ordered by unit id."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "unit_id" not in reader.fieldnames:
-            raise ValidationError(f"{path}: needs a unit_id column")
-        xcols = [c for c in reader.fieldnames if c != "unit_id"]
-        rows = list(reader)
+    fieldnames, rows = _dict_rows(path)
+    if fieldnames is None or "unit_id" not in fieldnames:
+        raise ValidationError(f"{path}: needs a unit_id column")
+    xcols = [c for c in fieldnames if c != "unit_id"]
     if len(rows) != n:
         raise ValidationError(f"{path}: expected {n} rows, got {len(rows)}")
     x = np.full((n, len(xcols)), np.nan)

@@ -25,6 +25,7 @@ from .bounds import build_bound
 from .bound_estimation import ipw_bound_matrix
 from .conditions import DEFAULT_ENTRY_BUDGET, first_order_condition_norm
 from .designs import (
+    DRAW_CHUNK,
     Design,
     PiDiagonal,
     arms_to_indicators,
@@ -223,7 +224,8 @@ def _tiled_complete_gap(
     land in each arm, so the gap is taken over these treated-copy count
     classes, not over the support.  The classes are counted before any is
     built; BudgetExceededError is raised when classes x kn exceeds
-    DEFAULT_ENTRY_BUDGET.
+    DEFAULT_ENTRY_BUDGET.  Only their treated-copy counts are held whole:
+    arms and indicators are built DRAW_CHUNK classes at a time.
     """
     layout = pi.layout
     n_treat = layout.n // 2
@@ -244,11 +246,14 @@ def _tiled_complete_gap(
         step = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
         counts = np.column_stack([np.repeat(counts, reps, axis=0), np.repeat(lo, reps) + step])
     # copies of base unit b sit at indices b, b + n_base, b + 2 n_base, ...;
-    # a class treats the first counts[b] of them
+    # a class treats the first counts[b] of them; DRAW_CHUNK classes per batch
     units = np.arange(layout.n)
-    arms = (units // n_base < counts[:, units % n_base]).astype(int)
-    r = arms_to_indicators(arms, layout)
-    return _linearization_gap(spec, pi, y, r, "count classes")
+    batches = (
+        arms_to_indicators(units // n_base < counts[start:start + DRAW_CHUNK, units % n_base],
+                           layout)
+        for start in range(0, len(counts), DRAW_CHUNK)
+    )
+    return _linearization_gap(spec, pi, y, batches, "count classes")
 
 
 def consistency_sweep(

@@ -439,3 +439,18 @@ def read_matrix_csv_reference(path) -> np.ndarray:
         except ValueError as exc:
             raise dv.ValidationError(f"{path}: row {i}: {exc}") from exc
     return np.array(data)
+
+
+def grouped_reference(fn, operands) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """``elementwise``'s exact grouping the sorting way: np.unique over the
+    rows of broadcast operand codes (lexicographic order), ``fn`` on
+    Fractions once per distinct row, the results numbered in the order they
+    first appear.  Returns (codes, codebook as (numerator, denominator))."""
+    shape = np.broadcast_shapes(*(op.codes.shape for op in operands))
+    columns = np.stack([np.broadcast_to(op.codes, shape).ravel() for op in operands], axis=1)
+    rows, inverse = np.unique(columns, axis=0, return_inverse=True)
+    results = [Fraction(fn(*(op.values[c] for op, c in zip(operands, row)))) for row in rows.tolist()]
+    book = list(dict.fromkeys(results))
+    number = {value: i for i, value in enumerate(book)}
+    codes = np.array([number[value] for value in results], dtype=np.intp)[inverse.ravel()]
+    return codes.reshape(shape), [(v.numerator, v.denominator) for v in book]

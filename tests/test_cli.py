@@ -433,6 +433,22 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert "obs.csv" in err and "row 3" in err and repr(column) in err
 
+    def test_overlong_data_field_exits_2(self, tmp_path, capsys):
+        # past csv.field_size_limit(): a validation error, not a csv traceback
+        obs = tmp_path / "obs.csv"
+        obs.write_text("unit_id,arm_assigned,y_obs\n0,0,1.0\n1,1," + "1" * 200_000
+                       + "\n2,1,3.0\n3,0,4.0\n")
+        out = tmp_path / "r.json"
+        code = main([
+            "estimate", "--design", write_json(tmp_path / "d.json", PAIRED_SPEC),
+            "--data", str(obs), "--estimator", "hj", "--contrast=-1,1",
+            "--bound", "as", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "obs.csv: row 3: field larger than field limit" in err
+
     @pytest.mark.parametrize("rows", ["0,1.0\n1,oops\n2,0.5\n3,0.1\n",
                                       "0,1.0\n1\n2,0.5\n3,0.1\n"])
     def test_malformed_covariate_cell_exits_2(self, tmp_path, capsys, rows):

@@ -10,17 +10,19 @@ Fraction evaluation of every formula the library passes to it.
 import ast
 import functools
 import inspect
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import designvar as dv
 from designvar import bound_estimation, bounds, designs, serialization as ser
 from designvar.designs import ExactMatrix, elementwise
-from oracles import exact_moments, random_small_design
+from oracles import exact_moments, grouped_reference, random_small_design
 
 
 def reference_values(design):
@@ -237,6 +239,47 @@ def test_elementwise_matches_per_entry_fractions(data):
             (v.numerator, v.denominator) for v in book]
         assert list(got.values) == book
         assert got_floats.tobytes() == floats.tobytes()
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["key-table", "key-sort"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_elementwise_grouping_on_both_sides_of_the_key_space_threshold(table, data):
+    """A key space (the product of the operand codebook sizes) no larger than
+    the entry count is ranked through a table, a larger one by sorting; both
+    give the grouping np.unique gives, and every entry is its Fraction value."""
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    for fn, arity in _library_formulas().values():
+        shapes = [data.draw(st.sampled_from([(rows, cols), (rows, 1), (1, cols)]))
+                  for _ in range(arity)]
+        entries = math.prod(np.broadcast_shapes(*shapes))
+        sizes = []  # codebook sizes, unused values included, on the chosen side
+        for i in range(arity):
+            if table:
+                sizes.append(data.draw(st.integers(1, entries // math.prod(sizes))))
+            else:
+                least = 1 if i < arity - 1 else entries // math.prod(sizes) + 1
+                sizes.append(data.draw(st.integers(least, least + 6)))
+        assert (math.prod(sizes) <= entries) == table
+        operands = []
+        for shape, size in zip(shapes, sizes):
+            values = data.draw(st.lists(RATIONALS, min_size=size, max_size=size, unique=True))
+            codes = data.draw(arrays(np.intp, shape, elements=st.integers(0, size - 1)))
+            operands.append(ExactMatrix.of([v.numerator for v in values], codes,
+                                           [v.denominator for v in values]))
+        try:
+            codes, book = grouped_reference(fn, operands)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                designs.elementwise(fn, *operands)
+            continue
+        floats, got = designs.elementwise(fn, *operands)
+        assert np.array_equal(got.codes, codes)
+        assert list(zip(got.book.num.tolist(), got.book.den.tolist())) == book
+        for a, b in np.ndindex(got.codes.shape):  # a size-1 axis broadcasts
+            want = Fraction(fn(*(op[a % op.codes.shape[0], b % op.codes.shape[1]]
+                                 for op in operands)))
+            assert got[a, b] == want and floats[a, b] == float(want)
 
 
 def test_complete_design_with_one_unit():

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,9 @@ class TestMatrixRoundTrip:
 SPECIAL = [0.0, -0.0, 1.0 / 3.0, -1.0 / 3.0, -1.0, 1e300, 5e-324, 2.2250738585072014e-308 / 3,
            float("nan"), float("inf"), float("-inf")]
 SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=7)
+# zero rows, zero columns (a row of no cells is a bare line end), one cell
+EDGE_SHAPES = st.one_of(st.tuples(st.integers(1, 4), st.just(0)),
+                        st.tuples(st.just(0), st.integers(0, 4)), st.just((1, 1)))
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -87,6 +92,37 @@ class TestMatrixCsvAgainstReference:
         assert back.dtype == np.float64 and back.shape == matrix.shape
         assert_array_equal(_bits(back), _bits(read_matrix_csv_reference(ref)))
         assert_array_equal(_bits(back), _bits(matrix))
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=st.one_of(arrays(np.float64, EDGE_SHAPES, elements=st.sampled_from(SPECIAL)),
+                            arrays(np.int64, EDGE_SHAPES, elements=st.integers(-3, 3)),
+                            arrays(np.bool_, EDGE_SHAPES)))
+    def test_edge_shapes_match_reference(self, tmp_path_factory, matrix):
+        folder = tmp_path_factory.mktemp("csv")
+        ours, ref = folder / "ours.csv", folder / "ref.csv"
+        ser.write_matrix_csv(ours, matrix)
+        write_matrix_csv_reference(ref, matrix)
+        assert ours.read_bytes() == ref.read_bytes()
+        try:
+            want = read_matrix_csv_reference(ours)
+        except dv.ValidationError as exc:
+            with pytest.raises(dv.ValidationError) as got:
+                ser.read_matrix_csv(ours)
+            assert str(got.value) == str(exc)
+            return
+        back = ser.read_matrix_csv(ours)
+        assert back.dtype == want.dtype and back.shape == want.shape == matrix.shape
+        assert_array_equal(_bits(back), _bits(want))
+
+    @pytest.mark.parametrize("shape", [(70, 130), (3, ser.WRITE_BLOCK + 5)])
+    def test_several_write_blocks(self, tmp_path, shape):
+        """Rows gathered block by block, and rows wider than a block."""
+        rng = np.random.default_rng(0)
+        matrix = rng.choice(SPECIAL[:-3], size=shape) * rng.integers(1, 4, size=shape)
+        ser.write_matrix_csv(tmp_path / "ours.csv", matrix)
+        write_matrix_csv_reference(tmp_path / "ref.csv", matrix)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert_array_equal(_bits(ser.read_matrix_csv(tmp_path / "ours.csv")), _bits(matrix))
 
     def test_negative_zero_and_line_ends(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -129,6 +165,41 @@ class TestMatrixCsvAgainstReference:
         back = ser.read_matrix_csv(path)
         assert back.shape == want.shape
         assert_array_equal(_bits(back), _bits(want))
+
+
+class TestOverlongField:
+    """A field over csv.field_size_limit() is a ValidationError naming the
+    file and row, whether or not the file holds a quote character."""
+
+    LONG = "1" * 200_000
+
+    @pytest.mark.parametrize("cell", [f'"{LONG}"', LONG], ids=["quoted", "bare"])
+    def test_matrix(self, tmp_path, cell):
+        path = tmp_path / "big.csv"
+        path.write_text(f"0,1\r\n1.0,2.0\r\n3.0,{cell}\r\n", newline="")
+        with pytest.raises(dv.ValidationError,
+                           match=r"big\.csv: row 3: field larger than field limit \(131072\)"):
+            ser.read_matrix_csv(path)
+        with pytest.raises(csv.Error):  # where csv.reader stops too
+            read_matrix_csv_reference(path)
+
+    def test_long_field_within_limit_reads(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        cell = "0." + "3" * (csv.field_size_limit() - 2)
+        path.write_text(f"0\n{cell}\n")
+        assert ser.read_matrix_csv(path)[0, 0] == float(cell)
+
+    def test_observed_table(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"unit_id,arm_assigned,y_obs\n0,1,2.0\n1,0,{self.LONG}\n2,1,0.5\n")
+        with pytest.raises(dv.ValidationError, match=r"obs\.csv: row 3: field larger"):
+            ser.read_observed(path, dv.IndexLayout(2, 3))
+
+    def test_covariates(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text(f'unit_id,x1\n0,"{self.LONG}"\n1,2.0\n')
+        with pytest.raises(dv.ValidationError, match=r"x\.csv: row 2: field larger"):
+            ser.read_covariates(path, 2)
 
 
 class TestDataTables:
