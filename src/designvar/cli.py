@@ -3,6 +3,13 @@
 Subcommands: design, bound, estimate, compare, simulate.  All input and
 output is file-based (CSV matrices, JSON sidecars); see docs/formats.md.
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
+
+A process pays for what its subcommand runs and little else.  Each
+``cmd_*`` function imports the library modules it needs, so ``design``
+loads only ``designs``, ``errors`` and ``serialization``.  The console
+script and ``python -m designvar.cli`` enter through ``run``, which
+exits without interpreter teardown once ``main`` has returned;
+``main`` itself only returns the exit code.
 """
 
 from __future__ import annotations
@@ -10,15 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import serialization as ser
-from .bounds import build_bound, certify, user_bound
-from .bound_estimation import ipw_bound_matrix, plugin_bound_estimate
 from .designs import (
     DesignMatrix,
     ImpossibilityMask,
@@ -31,9 +38,10 @@ from .designs import (
     spec_int,
 )
 from .errors import NumericalError, ValidationError
-from .estimators import EstimatorSpec, point_estimate
-from .simulate import SimScenario, _tiled_outcomes, consistency_sweep, run_scenario
-from .spectral import compare_bounds, compare_designs
+
+if TYPE_CHECKING:
+    from .estimators import EstimatorSpec
+    from .simulate import SimScenario
 
 
 def _parse_contrast(text: str) -> np.ndarray:
@@ -43,15 +51,10 @@ def _parse_contrast(text: str) -> np.ndarray:
         raise ValidationError(f"bad contrast {text!r}: {exc}") from exc
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _layout_for_matrix(matrix: np.ndarray, path, k: int | None) -> IndexLayout:
     """Layout of a kn x kn matrix, k from --k and the design.json written beside it."""
     sidecar = Path(path).parent / "design.json"
-    recorded = _load_json(sidecar).get("k") if sidecar.is_file() else None
+    recorded = ser.read_json(sidecar).get("k") if sidecar.is_file() else None
     if k is None and recorded is None:
         raise ValidationError(f"arm count unknown: pass --k or keep design.json beside {path}")
     if k is not None and recorded is not None and k != recorded:
@@ -66,7 +69,7 @@ def _layout_for_matrix(matrix: np.ndarray, path, k: int | None) -> IndexLayout:
 
 
 def cmd_design(args) -> int:
-    spec = _load_json(args.spec)
+    spec = ser.read_json(args.spec)
     design = build_design(spec, support_cap=args.support_cap)
     pi = inclusion_probabilities(design)
     p = joint_probabilities(design)
@@ -85,6 +88,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .bounds import build_bound, certify, user_bound
+
     d = ser.read_matrix_csv(args.d)
     layout = _layout_for_matrix(d, args.d, args.k)
     dmat = DesignMatrix(layout, d)
@@ -121,6 +126,8 @@ def cmd_bound(args) -> int:
 
 
 def _estimator_from_args(kind, contrast, covariates, weights, pi) -> EstimatorSpec:
+    from .estimators import EstimatorSpec
+
     kw = {}
     if covariates is not None:
         kw["covariates"] = covariates
@@ -135,7 +142,11 @@ def _estimator_from_args(kind, contrast, covariates, weights, pi) -> EstimatorSp
 
 
 def cmd_estimate(args) -> int:
-    design = build_design(_load_json(args.design))
+    from .bound_estimation import ipw_bound_matrix, plugin_bound_estimate
+    from .bounds import build_bound
+    from .estimators import point_estimate
+
+    design = build_design(ser.read_json(args.design))
     layout = design.layout
     data = ser.read_observed(args.data, layout)
     pi = inclusion_probabilities(design)
@@ -163,6 +174,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .spectral import compare_bounds, compare_designs
+
     a = ser.read_matrix_csv(args.a)
     b = ser.read_matrix_csv(args.b)
     if args.as_what == "designs":
@@ -189,6 +202,8 @@ def _floats(value) -> np.ndarray:
 
 
 def _scenario_from_json(doc: dict) -> SimScenario | dict:
+    from .simulate import SimScenario, _tiled_outcomes
+
     what = "scenario"
     if spec_field(doc, "sweep", what, None) is not None:
         return doc["sweep"]
@@ -221,7 +236,10 @@ def _scenario_from_json(doc: dict) -> SimScenario | dict:
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_json(args.scenario)
+    from .estimators import EstimatorSpec
+    from .simulate import SimScenario, consistency_sweep, run_scenario
+
+    doc = ser.read_json(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scenario = _scenario_from_json(doc)
@@ -330,5 +348,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Console entry point: ``main()``, then exit without interpreter teardown.
+
+    Every output file is closed by its ``with`` block before ``main``
+    returns, so only the standard streams need a flush before
+    ``os._exit``.  An exception ``main`` does not handle (argparse's
+    SystemExit among them) propagates and exits the usual way, and so
+    does a flush that fails (a reader that closed the pipe).
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,24 +14,30 @@ without a quote character is split on commas with ``str.split``, and
 csv.reader parses a file only from its first quote character on, so the
 fields are csv.reader's either way; float() runs once per distinct
 token.  Data
-tables go through csv.DictReader.  A field longer than
-csv.field_size_limit() is a ValidationError on every path.
+tables go through the same row reader, one dict per row as
+csv.DictReader makes it, numbered like matrix rows (a blank line counts).
+Every reader opens its file as UTF-8.  A field longer than
+csv.field_size_limit(), or bytes that do not decode, are a
+ValidationError naming the file on every path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .bounds import BoundMatrix
 from .designs import Assignment, Design, IndexLayout
 from .errors import NumericalError, ValidationError
-from .estimators import ObservedData
-from .spectral import EigenReport
+
+if TYPE_CHECKING:
+    from .bounds import BoundMatrix
+    from .estimators import ObservedData
+    from .spectral import EigenReport
 
 
 WRITE_BLOCK = 1 << 12  # cells gathered per write
@@ -71,6 +77,23 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
             fh.write("".join(table[codes[start:start + step]].ravel().tolist()))
 
 
+@contextlib.contextmanager
+def _open_text(path, **kwargs) -> Iterator:
+    """``path`` opened for reading as UTF-8.  Bytes that do not decode,
+    wherever in the file the reading meets them, are a ValidationError
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 text ({exc.reason})") from exc
+
+
+def read_json(path):
+    with _open_text(path) as fh:
+        return json.load(fh)
+
+
 def _csv_rows(path, fh) -> Iterator[list[str]]:
     """The rows csv.reader gives for ``fh``, a file opened with newline="".
 
@@ -100,7 +123,7 @@ def _csv_rows(path, fh) -> Iterator[list[str]]:
 def read_matrix_csv(path) -> np.ndarray:
     parsed: dict[str, float] = {}  # float() runs once per distinct token
     data = []
-    with open(path, newline="") as fh:
+    with _open_text(path, newline="") as fh:
         rows = _csv_rows(path, fh)
         width = len(next(rows, ()))
         for i, row in enumerate(rows, start=2):
@@ -180,18 +203,21 @@ def _cell(path, line: int, row: dict, column: str, convert=float):
         raise ValidationError(text) from exc
 
 
-def _dict_rows(path) -> tuple[list[str] | None, list[dict]]:
-    """csv.DictReader's header and rows; a csv.Error becomes a
-    ValidationError naming the file and row."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            return reader.fieldnames, list(reader)
-        except csv.Error as exc:
-            raise ValidationError(f"{path}: row {reader.reader.line_num}: {exc}") from exc
+def _dict_rows(path) -> tuple[list[str] | None, list[tuple[int, dict]]]:
+    """A table's header and its rows, each a dict as csv.DictReader makes
+    it (a short row's missing cells are None), numbered as in
+    read_matrix_csv: the header is row 1 and a blank line is a row, though
+    it yields no dict."""
+    with _open_text(path, newline="") as fh:
+        rows = _csv_rows(path, fh)
+        header = next(rows, None)
+        if header is None:
+            return None, []
+        return header, [(number, dict(itertools.zip_longest(header, fields)))
+                        for number, fields in enumerate(rows, start=2) if fields]
 
 
-def _read_table(path, required: list[str]) -> list[dict]:
+def _read_table(path, required: list[str]) -> list[tuple[int, dict]]:
     fieldnames, rows = _dict_rows(path)
     if fieldnames is None:
         raise ValidationError(f"{path}: empty file")
@@ -209,7 +235,7 @@ def read_potential_outcomes(path, layout: IndexLayout) -> np.ndarray:
     """
     rows = _read_table(path, ["unit_id", "arm", "y"])
     y = np.full(layout.kn, np.nan)
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         unit, arm = (_cell(path, line, row, c, int) for c in ("unit_id", "arm"))
         if not (0 <= unit < layout.n and 0 <= arm < layout.k):
             raise ValidationError(
@@ -234,7 +260,7 @@ def read_covariates(path, n: int) -> np.ndarray:
     if len(rows) != n:
         raise ValidationError(f"{path}: expected {n} rows, got {len(rows)}")
     x = np.full((n, len(xcols)), np.nan)
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         unit = _cell(path, line, row, "unit_id", int)
         if not 0 <= unit < n:
             raise ValidationError(f"{path}: unit_id {unit} out of range")
@@ -246,12 +272,14 @@ def read_covariates(path, n: int) -> np.ndarray:
 
 def read_observed(path, layout: IndexLayout) -> ObservedData:
     """Table (unit_id, arm_assigned, y_obs) -> observed data."""
+    from .estimators import ObservedData
+
     rows = _read_table(path, ["unit_id", "arm_assigned", "y_obs"])
     if len(rows) != layout.n:
         raise ValidationError(f"{path}: expected {layout.n} rows, got {len(rows)}")
     arms = np.full(layout.n, -1, dtype=int)
     y_obs = np.zeros(layout.kn)
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         unit, arm = (_cell(path, line, row, c, int) for c in ("unit_id", "arm_assigned"))
         if not (0 <= unit < layout.n and 0 <= arm < layout.k):
             raise ValidationError(f"{path}: unit_id/arm out of range")

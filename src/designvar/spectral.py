@@ -75,7 +75,8 @@ def connected_components(pattern: np.ndarray) -> list[np.ndarray]:
         labels = hooked
     sizes = np.bincount(labels)[labels]
     nodes = np.lexsort((labels, sizes))  # stable: indices ascend within a component
-    return [nodes[sizes[nodes] == s].reshape(-1, s) for s in np.unique(sizes)]
+    # the distinct sizes, ascending; an index-free np.unique imports numpy.ma (numpy >= 2.3)
+    return [nodes[sizes[nodes] == s].reshape(-1, s) for s in np.flatnonzero(np.bincount(sizes))]
 
 
 def eigen_psd_check(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> EigenReport:

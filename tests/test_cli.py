@@ -605,3 +605,51 @@ class TestSimulateCommand:
         assert code == 3
         assert "entry budget" in capsys.readouterr().err
         assert not (out / "trend.csv").exists()
+
+
+class TestUndecodableInput:
+    """Bytes that are not UTF-8 exit 2 with an error naming the file, for
+    each kind of input file."""
+
+    def _exits_2_naming(self, argv, path, capsys):
+        assert main([str(a) for a in argv]) == 2
+        assert f"error: {path}: not valid UTF-8 text" in capsys.readouterr().err
+
+    def test_matrix_csv(self, tmp_path, capsys):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"\xff\xfe")
+        self._exits_2_naming(["compare", "--a", path, "--b", path, "--as", "bounds",
+                              "--out", tmp_path / "c.json"], path, capsys)
+
+    def test_design_spec(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff" + json.dumps(PAIRED_SPEC).encode())
+        self._exits_2_naming(["design", path, "--out", tmp_path / "x"], path, capsys)
+
+    def test_design_json_beside_a_matrix(self, paired_dir, tmp_path, capsys):
+        sidecar = paired_dir / "design.json"
+        sidecar.write_bytes(b'{"k": 2\xff}')
+        self._exits_2_naming(["bound", "--d", paired_dir / "d.csv", "--mask",
+                              paired_dir / "mask.csv", "--method", "as", "--out",
+                              tmp_path / "b"], sidecar, capsys)
+
+    def test_observed_table(self, tmp_path, capsys):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(b"unit_id,arm_assigned,y_obs\n0,0,1.0\n1,1,\xe92.0\n")
+        self._exits_2_naming(["estimate", "--design", write_json(tmp_path / "d.json", PAIRED_SPEC),
+                              "--data", path, "--estimator", "hj", "--contrast=-1,1",
+                              "--out", tmp_path / "r.json"], path, capsys)
+
+    def test_covariate_table(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("unit_id,arm_assigned,y_obs\n0,0,1.0\n1,1,2.0\n2,1,3.0\n3,0,4.0\n")
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"unit_id,x1\xff\n0,1.0\n1,2.0\n2,0.5\n3,0.1\n")
+        self._exits_2_naming(["estimate", "--design", write_json(tmp_path / "d.json", PAIRED_SPEC),
+                              "--data", obs, "--covariates", path, "--estimator", "ols",
+                              "--contrast=-1,1", "--out", tmp_path / "r.json"], path, capsys)
+
+    def test_simulate_scenario(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'{"sweep": "\xc3"}')
+        self._exits_2_naming(["simulate", path, "--out", tmp_path / "s"], path, capsys)

@@ -249,3 +249,52 @@ class TestDataTables:
         path.write_text("unit_id,arm_assigned,y_obs\n0,1,2.0\n")
         with pytest.raises(dv.ValidationError, match="rows"):
             ser.read_observed(path, layout)
+
+
+class TestTableRowNumbers:
+    """A blank line is a row, as in matrix CSVs: the header is row 1."""
+
+    def test_potential_outcomes(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text("unit_id,arm,y\n\n0,0,x\n1,0,2.5\n0,1,3.5\n1,1,4.5\n")
+        with pytest.raises(dv.ValidationError, match=r"y\.csv: row 3, column 'y'"):
+            ser.read_potential_outcomes(path, dv.IndexLayout(2, 2))
+
+    def test_covariates(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("unit_id,x1\n0,1.0\n\n\n1,oops\n")
+        with pytest.raises(dv.ValidationError, match=r"x\.csv: row 5, column 'x1'"):
+            ser.read_covariates(path, 2)
+
+    def test_observed(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text('unit_id,arm_assigned,y_obs\n0,1,2.0\n\n1,"0",-1.0\n\n2,1,abc\n')
+        with pytest.raises(dv.ValidationError, match=r"obs\.csv: row 6, column 'y_obs'"):
+            ser.read_observed(path, dv.IndexLayout(2, 3))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("unit_id,arm_assigned,y_obs\n\n0,1,2.0\n1,0,-1.0\n\n2,1,0.5\n\n")
+        data = ser.read_observed(path, dv.IndexLayout(2, 3))
+        assert_array_equal(data.assignment.arms, [1, 0, 1])
+        assert_array_equal(data.y_obs, [0.0, -1.0, 0.0, 2.0, 0.0, 0.5])
+
+
+class TestUndecodableFile:
+    """Bytes that are not UTF-8 are a ValidationError naming the file."""
+
+    @pytest.mark.parametrize("read", [
+        ser.read_matrix_csv,
+        ser.read_vector_csv,
+        ser.read_json,
+        lambda path: ser.read_potential_outcomes(path, dv.IndexLayout(2, 2)),
+        lambda path: ser.read_covariates(path, 2),
+        lambda path: ser.read_observed(path, dv.IndexLayout(2, 2)),
+    ], ids=["matrix", "vector", "json", "outcomes", "covariates", "observed"])
+    @pytest.mark.parametrize("data", [b"\xff\xfe", b"0,1\r\n1.0,2.0\r\n" * 5000 + b"\xff"],
+                             ids=["first-byte", "after-a-read-block"])
+    def test_names_the_file(self, tmp_path, read, data):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(data)
+        with pytest.raises(dv.ValidationError, match=r"bin\.csv: not valid UTF-8 text"):
+            read(path)
