@@ -27,6 +27,12 @@ as ``moments`` = (p, p se); pi and its se are their diagonals.  A block
 or cluster design over such a part builds and draws but carries no
 moments; estimate them by wrapping its sampler the same way:
 ``custom_design(d.layout, sampler=d.draw, seed=s, mc_replicates=r)``.
+
+Support points and replicate draws reach the rest of the package as
+indicator batches (``support_indicators``, ``replicate_indicators``).
+Every batched loop in the package sizes its batches by one byte budget
+per float temporary, ``BATCH_BYTES``, through ``batch_rows``, so its
+memory does not grow with the number of draws or support points.
 """
 
 from __future__ import annotations
@@ -50,7 +56,13 @@ from .errors import (
 
 DEFAULT_SUPPORT_CAP = 10**6
 MODES = ("exact", "mc")
-DRAW_CHUNK = 4096  # draws per batch wherever draws are generated or evaluated
+BATCH_BYTES = 2**18  # bytes per float temporary of every batched loop
+
+
+def batch_rows(width: int) -> int:
+    """Rows of ``width`` floats that fit one batch: every batched loop over
+    draws, support points or tensor rows takes this many rows at a time."""
+    return max(1, BATCH_BYTES // (8 * width))
 
 
 class Codebook:
@@ -468,14 +480,17 @@ class Design:
         idx = rng.choice(len(self.support), p=self.support.draw_probs)
         return self.support.arms[idx].copy()
 
-    def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Support as (S x kn indicator matrix, length-S float probabilities)."""
+    def support_indicators(self) -> Iterator[np.ndarray]:
+        """The support points' indicators, in support order, as S x kn
+        batches of ``batch_rows(kn)`` rows."""
         if self.support is None:
             raise ValidationError("design has no enumerated support")
-        return arms_to_indicators(self.support.arms, self.layout), self.support.probs.to_float()
+        arms, rows = self.support.arms, batch_rows(self.layout.kn)
+        for start in range(0, len(arms), rows):
+            yield arms_to_indicators(arms[start:start + rows], self.layout)
 
     def replicate_indicators(self, seed: int, replicates: int) -> Iterator[np.ndarray]:
-        """Seeded replicate draws as indicator batches of at most DRAW_CHUNK rows.
+        """Seeded replicate draws as indicator batches of ``batch_rows(kn)`` rows.
 
         Replicate ``rep`` draws from its own child generator
         ``default_rng((seed, rep))``, so any replicate can be reproduced
@@ -483,8 +498,9 @@ class Design:
         """
         if seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
-        for start in range(0, replicates, DRAW_CHUNK):
-            reps = range(start, min(start + DRAW_CHUNK, replicates))
+        rows = batch_rows(self.layout.kn)
+        for start in range(0, replicates, rows):
+            reps = range(start, min(start + rows, replicates))
             arms = [self.draw(np.random.default_rng((seed, rep))) for rep in reps]
             yield arms_to_indicators(np.array(arms), self.layout)
 
@@ -516,9 +532,16 @@ def _pair_indicators(layout: IndexLayout) -> tuple[ExactMatrix, ExactMatrix]:
     )
 
 
-def _embed(codes: np.ndarray, pieces, books=()) -> ExactMatrix:
+def _embed(codes: np.ndarray, pieces, books=(), *, reached_only: bool = False) -> ExactMatrix:
     """``codes`` over the concatenated ``books``, with each (index, ExactMatrix)
-    piece written in."""
+    piece written in.
+
+    With ``reached_only`` the codebook is first cut to the entries whose
+    float equals that of an entry some code reaches, in codebook order.
+    Every occurrence of a reached value survives the cut, so the reached
+    values keep the order the whole codebooks give them, and the entries
+    of a large codebook that no code reaches are never deduplicated.
+    """
     books = list(books)
     offset = sum(map(len, books))
     for index, piece in pieces:
@@ -526,6 +549,11 @@ def _embed(codes: np.ndarray, pieces, books=()) -> ExactMatrix:
         books.append(piece.book)
         offset += len(piece.book)
     num, den = (np.concatenate([getattr(b, part) for b in books]) for part in ("num", "den"))
+    if reached_only:
+        floats = np.concatenate([b.floats for b in books])
+        reached = np.sort(floats[codes])
+        keep = reached[np.searchsorted(reached, floats).clip(max=len(reached) - 1)] == floats
+        codes, num, den = (np.cumsum(keep) - 1)[codes], num[keep], den[keep]
     return ExactMatrix.of(num, codes, den)
 
 
@@ -772,7 +800,7 @@ def block_design(
         # independent across blocks: joints are products of the marginals, which
         # are the parts' p diagonals (read directly: a part may have pi = 0)
         marginals = (s.p_frac[np.diag_indices(s.layout.kn)] for s in subs)
-        pi = _embed(np.empty(layout.kn, dtype=np.intp), zip(flats, marginals))
+        pi = _embed(np.empty(layout.kn, dtype=np.intp), zip(flats, marginals), reached_only=True)
         _, across = elementwise(operator.mul, *_outer_pair(pi))
         within = [(np.ix_(idx, idx), sub.p_frac) for idx, sub in zip(flats, subs)]
         p_frac = _embed(across.codes.copy(), within, [across.book])

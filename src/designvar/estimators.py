@@ -8,11 +8,12 @@ weights) as special cases; Horvitz-Thompson has a nonrandom W and is
 handled on its own.
 
 One batched engine evaluates every draw: an S x kn batch of 0/1
-indicators, DRAW_CHUNK rows at a time, gives point estimates, plug-in
-bound estimates and a feasibility mask.  The WLS family shares one
-stacked realized fit (one condition check and one solve per batch); a
-single estimate is a batch of one, and the population fit is the same
-fit at R = pi.
+indicators, ``batch_rows(kn)`` rows at a time, gives point estimates,
+plug-in bound estimates and a feasibility mask.  Its per-draw
+temporaries are updated in place, each at most ``BATCH_BYTES``.  The
+WLS family shares one stacked realized fit (one condition check and one
+solve per batch); a single estimate is a batch of one, and the
+population fit is the same fit at R = pi.
 
 Each family member also has a population linearization vector z such
 that the estimator behaves, to first order around R = E[R], like an
@@ -30,12 +31,12 @@ from typing import Iterable
 import numpy as np
 
 from .designs import (
-    DRAW_CHUNK,
     Assignment,
     Design,
     DesignMatrix,
     IndexLayout,
     PiDiagonal,
+    batch_rows,
     inclusion_probabilities,
 )
 from .errors import (
@@ -211,7 +212,8 @@ def _realized_fit(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, r: np.ndar
     mr = m * r
     outer = (xx[:, :, None] * xx[:, None, :]).reshape(layout.kn, q * q)
     denom = (mr @ outer).reshape(-1, q, q)
-    rhs = np.stack([(mr * y) @ xx, np.broadcast_to(spec.padded_contrast(layout), (len(r), q))], 2)
+    mr *= y
+    rhs = np.stack([mr @ xx, np.broadcast_to(spec.padded_contrast(layout), (len(r), q))], 2)
     cond = np.linalg.cond(denom)
     feasible = cond <= COND_FAIL
     if np.any(cond[feasible] > COND_WARN):
@@ -237,8 +239,8 @@ def _evaluate_draws(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, r: np.nd
 
     r is an S x kn batch of 0/1 indicators and y the outcomes (full
     potential outcomes or an observed vector; only R y enters).  Rows are
-    evaluated DRAW_CHUNK at a time.  Horvitz-Thompson is one product with
-    its fixed weight vector; the rest of the family goes through the
+    evaluated ``batch_rows(kn)`` at a time.  Horvitz-Thompson is one
+    product with its fixed weight vector; the rest of the family goes through the
     stacked realized fit.  The plug-in vector R z-hat replaces population
     denominators and coefficients by realized ones, and the bound estimate
     is R z-hat' (dtilde / p) R z-hat.
@@ -251,17 +253,27 @@ def _evaluate_draws(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, r: np.nd
     points = np.full(len(r), np.nan)
     bounds = None if ipw_matrix is None else np.full(len(r), np.nan)
     feasible = np.ones(len(r), dtype=bool)
-    for start in range(0, len(r), DRAW_CHUNK):
-        rows = slice(start, start + DRAW_CHUNK)
-        y_obs = r[rows] * y
+    step = batch_rows(layout.kn)
+    for start in range(0, len(r), step):
+        rows = slice(start, start + step)
+        rz = r[rows] * y  # R y, then in place R z-hat
         if spec.kind == "ht":
             carm = np.repeat(spec.contrast, layout.n)
-            points[rows] = y_obs @ (carm / (layout.n * pi.probs))
-            rz = y_obs * carm / layout.n
+            points[rows] = rz @ (carm / (layout.n * pi.probs))
+            rz *= carm
+            rz /= layout.n
         else:
             xx, m, b, v, feasible[rows] = _realized_fit(spec, pi, y, r[rows])
             points[rows] = b @ fc
-            rz = pi.probs * (y_obs - r[rows] * (b @ xx.T)) * (m * (v @ xx.T))
+            fitted = b @ xx.T
+            fitted *= r[rows]
+            rz -= fitted  # the residual
+            del fitted
+            rz *= pi.probs
+            lever = v @ xx.T
+            lever *= m
+            rz *= lever
+            del lever
         if bounds is not None:
             bounds[rows] = np.einsum("sa,sa->s", rz @ ipw_matrix, rz)
     return points, bounds, feasible
@@ -411,5 +423,5 @@ def taylor_gap(spec: EstimatorSpec, design: Design, y: np.ndarray) -> float:
     if design.support is None:
         raise ValidationError("taylor_gap requires an exact (enumerated) design")
     y = design.layout.check_vector(y, "potential outcomes")
-    r, _ = design.support_arrays()
-    return _linearization_gap(spec, inclusion_probabilities(design), y, [r], "support points")
+    return _linearization_gap(spec, inclusion_probabilities(design), y,
+                              design.support_indicators(), "support points")

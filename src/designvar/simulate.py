@@ -1,9 +1,9 @@
 """Exact-enumeration and Monte Carlo validation harness.
 
-Every per-draw number comes from one batched evaluation: a batch of
-0/1 indicator rows goes through the estimator engine in
-``estimators``, DRAW_CHUNK rows at a time.  Exact mode feeds it the
-whole support with its probabilities and therefore returns
+Every per-draw number comes from one batched evaluation: batches of
+0/1 indicator rows, ``batch_rows(kn)`` at a time, go through the
+estimator engine in ``estimators``.  Exact mode feeds it the whole
+support, batch by batch, with its probabilities and therefore returns
 deterministic numbers: bias, variance, mean bound estimate, and
 normal-interval coverage are all probability-weighted sums.  Monte Carlo
 mode feeds it seeded replicate draws, still one deterministic child seed
@@ -25,10 +25,10 @@ from .bounds import build_bound
 from .bound_estimation import ipw_bound_matrix
 from .conditions import DEFAULT_ENTRY_BUDGET, first_order_condition_norm
 from .designs import (
-    DRAW_CHUNK,
     Design,
     PiDiagonal,
     arms_to_indicators,
+    batch_rows,
     complete_design,
     first_order_design_matrix,
     inclusion_probabilities,
@@ -124,10 +124,9 @@ def run_scenario(scenario: SimScenario) -> SimReport:
         bound_value = float(z.z @ bound.dtilde @ z.z)
         ipw_matrix = ipw_bound_matrix(bound, joint_probabilities(design)).matrix
 
-    # exact mode: one batch, points weigh their probability; MC: each replicate weighs 1 / total
+    # exact mode: support points weigh their probability; MC: each replicate weighs 1 / total
     if scenario.mode == "exact":
-        r, probs = design.support_arrays()
-        batches, total = [r], 1
+        batches, probs, total = design.support_indicators(), design.support.probs.to_float(), 1
     else:
         batches = design.replicate_indicators(scenario.seed, scenario.replicates)
         probs, total = np.ones(scenario.replicates), scenario.replicates
@@ -225,7 +224,7 @@ def _tiled_complete_gap(
     classes, not over the support.  The classes are counted before any is
     built; BudgetExceededError is raised when classes x kn exceeds
     DEFAULT_ENTRY_BUDGET.  Only their treated-copy counts are held whole:
-    arms and indicators are built DRAW_CHUNK classes at a time.
+    arms and indicators are built ``batch_rows(kn)`` classes at a time.
     """
     layout = pi.layout
     n_treat = layout.n // 2
@@ -246,12 +245,11 @@ def _tiled_complete_gap(
         step = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
         counts = np.column_stack([np.repeat(counts, reps, axis=0), np.repeat(lo, reps) + step])
     # copies of base unit b sit at indices b, b + n_base, b + 2 n_base, ...;
-    # a class treats the first counts[b] of them; DRAW_CHUNK classes per batch
-    units = np.arange(layout.n)
+    # a class treats the first counts[b] of them
+    units, step = np.arange(layout.n), batch_rows(layout.kn)
     batches = (
-        arms_to_indicators(units // n_base < counts[start:start + DRAW_CHUNK, units % n_base],
-                           layout)
-        for start in range(0, len(counts), DRAW_CHUNK)
+        arms_to_indicators(units // n_base < counts[start:start + step, units % n_base], layout)
+        for start in range(0, len(counts), step)
     )
     return _linearization_gap(spec, pi, y, batches, "count classes")
 

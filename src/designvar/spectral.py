@@ -10,7 +10,8 @@ decomposed whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,14 +29,24 @@ class EigenReport:
     Eigenvalues are sorted descending; eigenvector columns match that
     order.  psd is judged against a relative threshold (tol times the
     dominant eigenvalue magnitude, floored at 1 and at an absolute 1e-10).
+    The eigenvectors are kept as per-component blocks, (indices, columns,
+    vectors) per component size; ``eigenvectors`` assembles the dense
+    matrix from them on first read.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     min_eig: float
     max_eig: float
     psd: bool
     tol: float
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        vecs = np.zeros((len(self.eigenvalues),) * 2)
+        for idx, cols, v in self.blocks:
+            vecs[idx[:, :, None], cols[:, None, :]] = v
+        return vecs
 
 
 def psd_threshold(max_eig: float, tol: float) -> float:
@@ -86,31 +97,35 @@ def eigen_psd_check(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> EigenReport:
     magnitude and is symmetrized as (M + M') / 2 before decomposition.
     The decomposition runs once per component size over the stacked
     blocks of ``connected_components`` of the nonzero pattern; each
-    block's eigenvectors are scattered back into full-length columns,
-    zero outside the block.
+    block's eigenvectors are kept with the indices and the (sorted)
+    columns they take in the full, zero-padded eigenvector matrix.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise ValidationError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix entries must be finite")
-    if np.max(np.abs(m - m.T)) > 1e-10 * np.max(np.abs(m)):
+    # one kn x kn temporary: the asymmetry, then (M + M') / 2 in its place
+    sym = np.subtract(m, m.T)
+    if np.max(np.abs(sym, out=sym)) > 1e-10 * max(m.max(), -m.min()):
         raise ValidationError("matrix is not symmetric within 1e-10 of its largest entry")
-    sym = (m + m.T) / 2.0
-    vals, vecs = np.empty(len(sym)), np.zeros(sym.shape)
-    start = 0
+    np.add(m, m.T, out=sym)
+    sym /= 2.0
+    vals, blocks, start = np.empty(len(sym)), [], 0
     for idx in connected_components(sym != 0):
         w, v = np.linalg.eigh(sym[idx[:, :, None], idx[:, None, :]])
         cols = np.arange(start, start + idx.size).reshape(idx.shape)  # this group's eigenpairs
         vals[cols] = w
-        vecs[idx[:, :, None], cols[:, None, :]] = v
+        blocks.append((idx, cols, v))
         start += idx.size
     order = np.argsort(vals)[::-1]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))  # the sorted column of each eigenpair
     vals = vals[order]
-    vecs = vecs[:, order]
     max_eig, min_eig = float(vals[0]), float(vals[-1])
     psd = min_eig >= -psd_threshold(max_eig, tol)
-    return EigenReport(vals, vecs, min_eig, max_eig, psd, tol)
+    blocks = [(idx, rank[cols], v) for idx, cols, v in blocks]
+    return EigenReport(vals, min_eig, max_eig, psd, tol, blocks)
 
 
 @dataclass(eq=False)

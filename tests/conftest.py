@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,19 @@ DT_INVAR_PAIRED = np.array(
     ],
     dtype=float,
 )
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs
+    (numpy reports its array buffers to it), above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
 
 # Within-pair-constant, arm-antisymmetric direction attached to the
 # leading eigenvalue of D_COMPLETE - D_PAIRED.

@@ -82,6 +82,15 @@ def assignments(design: Design) -> Iterator[tuple[dv.Assignment, Fraction]]:
         yield dv.Assignment(design.layout, arms), prob
 
 
+def support_arrays(design: Design) -> tuple[np.ndarray, np.ndarray]:
+    """The support as an S x kn 0/1 indicator matrix and its float probabilities."""
+    n = design.layout.n
+    arms = design.support.arms
+    mat = np.zeros((len(arms), design.layout.kn))
+    mat[np.arange(len(arms))[:, None], arms * n + np.arange(n)] = 1.0
+    return mat, np.array([float(prob) for prob in design.support.probs])
+
+
 def block(dmat: dv.DesignMatrix, r: int, s: int) -> np.ndarray:
     """The n x n block of a design matrix between arms r and s."""
     n = dmat.layout.n
@@ -220,7 +229,7 @@ def enumeration_mean_var(design: Design, fn) -> tuple[float, float]:
 
 def enumeration_design_matrix(design: Design) -> np.ndarray:
     """Covariance of the inverse-probability weighted indicators, enumerated."""
-    mat, probs = design.support_arrays()
+    mat, probs = support_arrays(design)
     pi = probs @ mat
     v = mat / pi[None, :]
     mean = probs @ v
@@ -232,7 +241,7 @@ def brute_force_second_order_norm(design: Design, dtilde: np.ndarray) -> float:
     """Quadruple loop over all index tuples, materializing nothing clever."""
     layout = design.layout
     kn = layout.kn
-    mat, probs = design.support_arrays()
+    mat, probs = support_arrays(design)
     p = (mat * probs[:, None]).T @ mat
     total = 0.0
     for a in range(kn):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import designvar as dv
+from conftest import traced_peak
 from oracles import brute_force_second_order_norm
 
 
@@ -38,12 +39,31 @@ class TestSecondOrderNorm:
     def test_zero_bound_gives_zero(self, complete42):
         assert dv.second_order_condition_norm(complete42, np.zeros((8, 8))) == 0.0
 
-    def test_streaming_blocks_agree(self, complete42, complete42_matrices):
+    def test_streaming_blocks_agree(self, complete42, complete42_matrices, monkeypatch):
         dmat, mask = complete42_matrices
         bound = dv.aronow_samii_bound(dmat, mask)
-        full = dv.second_order_condition_norm(complete42, bound.dtilde, block_rows=4096)
-        tiny = dv.second_order_condition_norm(complete42, bound.dtilde, block_rows=3)
-        assert_allclose(full, tiny, rtol=1e-12)
+        norms = []
+        # one row per tensor block and per support batch, then the whole tensor in one block
+        for budget in (8, 8 * 8**4):
+            monkeypatch.setattr(dv.designs, "BATCH_BYTES", budget)
+            norms.append(dv.second_order_condition_norm(complete42, bound.dtilde))
+        assert_allclose(norms[0], norms[1], rtol=1e-12)
+
+    def test_asymmetric_bound_matches_oracle(self):
+        # pairs (a, b) and (b, a) share one tensor row, weighted |dt_ab| + |dt_ba|
+        design = dv.complete_design([2, 1, 1])
+        dt = np.random.default_rng(4).normal(size=(12, 12))
+        assert_allclose(dv.second_order_condition_norm(design, dt),
+                        brute_force_second_order_norm(design, dt), rtol=1e-12)
+
+    def test_memory_is_bounded_by_the_batch_budget(self):
+        # complete [7,7]: the kn^2 x kn^2 tensor alone is 4.9 MB, and the
+        # S x kn^2 outer products of its 3,432 support points 21.5 MB each
+        design = dv.complete_design([7, 7])
+        dmat, mask = dv.first_order_design_matrix(design)
+        bound = dv.aronow_samii_bound(dmat, mask)
+        peak = traced_peak(dv.second_order_condition_norm, design, bound.dtilde)
+        assert peak <= 6 * dv.designs.BATCH_BYTES + 16 * 8 * design.layout.kn**2
 
     def test_monte_carlo_design_rejected(self):
         d = dv.bernoulli_design(0.5, n=30, mode="mc")

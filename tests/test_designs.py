@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import designvar as dv
 from designvar import serialization as ser
+from designvar.designs import _embed, _outer_pair, elementwise
 from conftest import D_COMPLETE, D_PAIRED
 from oracles import (
     assignments,
@@ -407,6 +409,32 @@ class TestCompositionAgainstEnumeration:
         assert_array_equal(
             dv.joint_probabilities(block).p, dv.joint_probabilities(custom).p
         )
+
+    @pytest.mark.parametrize("parts", [
+        # 1/4 is a cross-unit joint, not a marginal, of the first part and a
+        # marginal of the second: it keeps its place in the codebook
+        [([0, 1], lambda: dv.bernoulli_design(Fraction(1, 2), n=2)),
+         ([2, 3, 4, 5], lambda: dv.complete_design([1, 3]))],
+        # distinct float rows: a part codebook of 1,891 values, 60 of them marginals
+        [(list(range(30)), lambda: dv.bernoulli_design(
+            [[1 - x, x] for x in np.random.default_rng(0).random(30).tolist()], mode="mc")),
+         ([30, 31], lambda: dv.complete_design([1, 1], mode="mc"))],
+    ])
+    def test_block_codes_match_whole_codebook_marginals(self, parts):
+        parts = [(units, build()) for units, build in parts]
+        block = dv.block_design(parts, mode="mc")
+        # reference: the marginals embedded over their parts' whole p codebooks
+        layout = block.layout
+        flats = [np.array([layout.flat(r, u) for r in range(layout.k) for u in units])
+                 for units, _ in parts]
+        marginals = [sub.p_frac[np.diag_indices(sub.layout.kn)] for _, sub in parts]
+        pi = _embed(np.empty(layout.kn, dtype=np.intp), zip(flats, marginals))
+        _, across = elementwise(operator.mul, *_outer_pair(pi))
+        within = [(np.ix_(idx, idx), sub.p_frac) for idx, (_, sub) in zip(flats, parts)]
+        p = _embed(across.codes.copy(), within, [across.book])
+        assert_array_equal(block.p_frac.codes, p.codes)
+        assert block.p_frac.book.num.tolist() == p.book.num.tolist()
+        assert block.p_frac.book.den.tolist() == p.book.den.tolist()
 
     def test_cluster_moments_match_enumerated_support(self):
         level = dv.complete_design([1, 1])

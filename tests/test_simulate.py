@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import designvar as dv
+from conftest import traced_peak
 from oracles import estimator_value, exact_moments, plug_in_rz
 
 
@@ -63,6 +64,15 @@ class TestRunScenarioExact:
         with pytest.raises(dv.ValidationError):
             dv.SimScenario(design, np.zeros(60), dv.EstimatorSpec("ht", c2()))
 
+    def test_memory_is_bounded_by_the_batch_budget(self):
+        # complete [8,8]: the indicators of its 12,870 support points are 3.3 MB
+        design = dv.complete_design([8, 8])
+        y = np.random.default_rng(2).normal(size=32)
+        scenario = dv.SimScenario(design, y, dv.EstimatorSpec("hj", c2()), bound_method="as")
+        peak = traced_peak(dv.run_scenario, scenario)
+        # per-point results (points, bound estimates, weights) are the only O(S) arrays
+        assert peak <= 6 * dv.designs.BATCH_BYTES + 8 * 8 * len(design.support)
+
 
 class TestRunScenarioMonteCarlo:
     def test_reproducible_for_fixed_seed(self):
@@ -100,6 +110,16 @@ class TestRunScenarioMonteCarlo:
             report.mc_se["mean_bound_estimate"] + report.mc_se["empirical_variance"]
         )
         assert slack >= -allowed
+
+    def test_memory_is_bounded_by_the_batch_budget(self):
+        # kn = 200: one batch of all 2,000 draws would be 3.2 MB per temporary
+        design = dv.complete_design([50, 50], mode="mc")
+        y = np.random.default_rng(2).normal(size=200)
+        scenario = dv.SimScenario(design, y, dv.EstimatorSpec("hj", c2()), bound_method="as",
+                                  mode="mc", replicates=2000, seed=5)
+        peak = traced_peak(dv.run_scenario, scenario)
+        # plus the kn x kn matrices the bound and its IPW form need anyway
+        assert peak <= 6 * dv.designs.BATCH_BYTES + 16 * 8 * 200**2
 
     def test_mc_agrees_with_exact_on_small_design(self, paired4):
         rng = np.random.default_rng(3)
@@ -312,7 +332,7 @@ class TestRunScenarioAgainstOracle:
             ("paired4", "hj", 300),
             ("complete322", "ols", 300),
             ("bernoulli3", "cm", 300),
-            ("complete322", "wls", 4100),  # crosses a 4096-draw chunk boundary
+            ("complete322", "wls", 4100),  # spans several batches of draws
         ],
     )
     def test_mc_report_matches_oracle(self, design_name, kind, replicates):

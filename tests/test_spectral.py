@@ -5,7 +5,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import designvar as dv
 from designvar.spectral import connected_components
-from conftest import DT_AS_PAIRED, DT_INVAR_PAIRED, DT_M_PAIRED, PAIR_HOMOGENEOUS_PATTERN
+from conftest import (
+    DT_AS_PAIRED,
+    DT_INVAR_PAIRED,
+    DT_M_PAIRED,
+    PAIR_HOMOGENEOUS_PATTERN,
+    traced_peak,
+)
 
 
 class TestEigenPsdCheck:
@@ -142,6 +148,15 @@ class TestBlockwiseEigen:
         report = dv.eigen_psd_check(diff)
         assert sizes == [(12, 2, 2)]  # one batched call over the units' arm pairs
         assert_allclose(report.eigenvalues, np.linalg.eigvalsh(diff)[::-1], atol=1e-12)
+
+    def test_certify_builds_no_eigenvector_matrix(self):
+        # AS on complete [200,200] (kn = 800): 400 pair blocks; certification
+        # reads eigenvalues only, so beyond the kn x kn difference and its
+        # symmetrized copy only boolean patterns are held (one kn x kn float is 5.1 MB)
+        design = dv.complete_design([200, 200], mode="mc")
+        dmat, mask = dv.first_order_design_matrix(design)
+        bound = dv.aronow_samii_bound(dmat, mask)
+        assert traced_peak(dv.certify, bound, dmat, mask) <= 3 * 8 * 800**2
 
 
 class TestCompareDesigns:
