@@ -18,7 +18,7 @@ from .designs import (
     batch_rows,
     joint_probabilities,
 )
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError
 
 DEFAULT_ENTRY_BUDGET = 10**8
 
@@ -39,7 +39,8 @@ def second_order_condition_norm(
     The tensor entry for index pairs A=(a,b), B=(c,e) is
     E[R_a R_b R_c R_e] / (p_ab p_ce) - 1 with 0/0 resolving to 0; the sum
     accumulates |dtilde_A| * |dtilde_B| * |tensor_AB|.  Requires the exact
-    joint law, so the design must have an enumerated support.
+    joint law, so it enumerates the design's support, and raises
+    SupportOverflowError when the design has none (``Design.enumerated``).
 
     The tensor is summed in blocks of ``batch_rows`` rows, and each
     block's fourth-order expectations accumulate over batches of that many
@@ -50,11 +51,8 @@ def second_order_condition_norm(
     """
     layout = design.layout
     kn = layout.kn
-    if design.support is None:
-        raise ValidationError(
-            "second-order condition norm requires an exact (enumerated) design"
-        )
-    s_count = len(design.support)
+    support = design.enumerated("second_order_condition_norm")
+    s_count = len(support)
     for what, entries in (("kn^4", kn**4), ("S (kn)^2", s_count * kn**2)):
         if entries > entry_budget:
             raise BudgetExceededError(
@@ -74,7 +72,7 @@ def second_order_condition_norm(
     u = np.abs(dt)
     w = u[first, second] + u[second, first]
     w[first == second] *= 0.5
-    arms, probs = design.support.arms, design.support.probs.to_float()
+    arms, probs = support.arms, support.probs.to_float()
     # the tensor is symmetric: a block of rows takes its columns from its own
     # first row on, and the columns past the block count twice
     m = len(p_pairs)

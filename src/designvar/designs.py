@@ -8,7 +8,9 @@ vectors have length kn and joint matrices are kn x kn.
 Probabilities for the combinatorial families (bernoulli, complete,
 paired, block, cluster, enumerated custom) are kept as exact rationals.
 An enumerated support (Support) is an S x n array of arms, one row per
-assignment, over a length-S exact matrix of point probabilities.
+assignment, over a length-S exact matrix of point probabilities.  A
+builder only records how to enumerate it: ``Design.support`` builds it
+on first read, up to the design's ``support_cap``.
 An exact matrix (ExactMatrix) is an integer code array over a Codebook
 of distinct rationals, held as integer numerator/denominator arrays with
 their correctly rounded floats; its floats are a view, floats[codes],
@@ -55,7 +57,6 @@ from .errors import (
 )
 
 DEFAULT_SUPPORT_CAP = 10**6
-MODES = ("exact", "mc")
 BATCH_BYTES = 2**18  # bytes per float temporary of every batched loop
 
 
@@ -425,69 +426,96 @@ class Support:
         return probs / probs.sum()
 
 
+def _checked_support(support: Support, layout: IndexLayout) -> Support:
+    """``support`` once its probabilities are positive and sum to 1 and its
+    rows give each unit an arm of the layout."""
+    arms, probs = support.arms, support.probs
+    if not len(arms):
+        raise ValidationError("an enumerated support needs at least one point")
+    # exact sum and sign, once per distinct probability
+    counts = np.bincount(probs.codes, minlength=len(probs.book))
+    used = counts > 0
+    num, den = probs.book.num[used], probs.book.den[used]
+    common = math.lcm(*den.tolist())
+    total = sum((num * (common // den) * counts[used].astype(object)).tolist()) / common
+    if abs(total - 1.0) > 1e-12:
+        raise ValidationError(f"support probabilities sum to {total}, not 1")
+    if np.any(probs.book.floats[used] <= 0.0):
+        raise ValidationError("support probabilities must be positive")
+    layout.check_arms(arms, rows=probs.codes.shape)
+    return support
+
+
 @dataclass(eq=False)
 class Design:
     """A randomization design.
 
-    In exact mode the full support is enumerated, with rational point
-    probabilities.  In monte-carlo mode assignments are drawn from a
-    sampler; p stays exact wherever the parts have it, so only
-    support-dependent quantities need sampling.  ``p_frac`` is the exact
-    joint matrix; ``moments`` holds the estimated (p, p se) of a
-    sampler-only custom design built with a seed, and is None otherwise.
-    Inclusion probabilities are p's diagonal.
+    ``p_frac`` is the exact joint matrix; ``moments`` holds the estimated
+    (p, p se) of a sampler-only custom design built with a seed, and is
+    None otherwise.  Inclusion probabilities are p's diagonal, so nothing
+    computed from p needs the support.  Assignments are drawn from
+    ``sampler`` when there is one.
+
+    ``support`` is enumerated by ``enumerator``, validated and cached on
+    first read.  It reads as None, without enumerating, when
+    ``support_size`` is None (a part has only a sampler) or above
+    ``support_cap``; a consumer that cannot run without it asks through
+    ``enumerated``, which raises SupportOverflowError instead.
     """
 
     layout: IndexLayout
     family: str
-    support: Support | None = None
     sampler: Callable[[np.random.Generator], np.ndarray] | None = None
     p_frac: ExactMatrix | None = None
     support_size: int | None = None
+    support_cap: int = DEFAULT_SUPPORT_CAP
+    enumerator: Callable[[], Support] | None = field(default=None, repr=False)
     moments: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _support: Support | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.support is None:
-            if self.sampler is None:
-                raise ValidationError("monte-carlo mode requires a sampler")
-            return
-        arms, probs = self.support.arms, self.support.probs
-        if not len(arms):
-            raise ValidationError("exact mode requires an enumerated support")
-        # exact sum and sign, once per distinct probability
-        counts = np.bincount(probs.codes, minlength=len(probs.book))
-        used = counts > 0
-        num, den = probs.book.num[used], probs.book.den[used]
-        common = math.lcm(*den.tolist())
-        total = sum((num * (common // den) * counts[used].astype(object)).tolist()) / common
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"support probabilities sum to {total}, not 1")
-        if np.any(probs.book.floats[used] <= 0.0):
-            raise ValidationError("support probabilities must be positive")
-        self.layout.check_arms(arms, rows=probs.codes.shape)
-        if self.support_size is None:
-            self.support_size = len(arms)
+        if self.sampler is None and self.enumerator is None:
+            raise ValidationError("a design needs a sampler or an enumerable support")
+
+    def _enumerate(self) -> Support:
+        """The support, whatever its size: composites enumerate their parts
+        through it, under the composite's own cap."""
+        if self._support is None:
+            self._support = _checked_support(self.enumerator(), self.layout)
+        return self._support
 
     @property
-    def mode(self) -> str:
-        """The mode the support implies: "exact" if enumerated, else "mc"."""
-        return "mc" if self.support is None else "exact"
+    def support(self) -> Support | None:
+        if self.support_size is None or self.support_size > self.support_cap:
+            return None
+        return self._enumerate()
+
+    def enumerated(self, consumer: str) -> Support:
+        """The support, for ``consumer``, which cannot run without it."""
+        support = self.support
+        if support is None:
+            why = ("it cannot be enumerated: a part has only a sampler"
+                   if self.support_size is None else
+                   f"its {self.support_size} points exceed the cap {self.support_cap}")
+            raise SupportOverflowError(
+                f"{consumer} needs the support of the {self.family} design, but {why}"
+            )
+        return support
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one assignment (arm-per-unit vector)."""
         if self.sampler is not None:
             return self.sampler(rng)
-        idx = rng.choice(len(self.support), p=self.support.draw_probs)
-        return self.support.arms[idx].copy()
+        support = self.support
+        return support.arms[rng.choice(len(support), p=support.draw_probs)].copy()
 
     def support_indicators(self) -> Iterator[np.ndarray]:
         """The support points' indicators, in support order, as S x kn
-        batches of ``batch_rows(kn)`` rows."""
-        if self.support is None:
-            raise ValidationError("design has no enumerated support")
-        arms, rows = self.support.arms, batch_rows(self.layout.kn)
-        for start in range(0, len(arms), rows):
-            yield arms_to_indicators(arms[start:start + rows], self.layout)
+        batches of ``batch_rows(kn)`` rows; raises SupportOverflowError at
+        the call when there is no support."""
+        arms, rows = self.enumerated("support_indicators").arms, batch_rows(self.layout.kn)
+        return (arms_to_indicators(arms[start:start + rows], self.layout)
+                for start in range(0, len(arms), rows))
 
     def replicate_indicators(self, seed: int, replicates: int) -> Iterator[np.ndarray]:
         """Seeded replicate draws as indicator batches of ``batch_rows(kn)`` rows.
@@ -568,27 +596,6 @@ def _outer_pair(v: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
 # builders
 
 
-def _maybe_enumerate(size: int | None, cap: int, mode: str, family: str) -> bool:
-    """Decide exact vs monte-carlo; raise on overflow without opt-in.
-
-    ``size`` is None when the support cannot be enumerated at all.
-    """
-    if mode not in MODES:
-        raise ValidationError(f"unknown design mode {mode!r}; expected one of {MODES}")
-    if mode == "mc":
-        return False
-    if size is None:
-        raise SupportOverflowError(
-            f"cannot enumerate {family} design support; sub-designs are not all exact"
-        )
-    if size > cap:
-        raise SupportOverflowError(
-            f"{family} design has support size {size}, above the cap {cap}; "
-            'pass mode="mc" to sample instead'
-        )
-    return True
-
-
 def _product_support(parts: Sequence[tuple[np.ndarray, Support]], n: int) -> Support:
     """Product measure of independent supports over disjoint unit sets.
 
@@ -615,7 +622,6 @@ def bernoulli_design(
     k: int | None = None,
     n: int | None = None,
     *,
-    mode: str = "exact",
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> Design:
     """Independent per-unit assignment.
@@ -678,9 +684,8 @@ def bernoulli_design(
         if row not in parts:
             arms = [r for r in range(k) if row[r] > 0]
             parts[row] = custom_design(IndexLayout(k, 1), [([r], row[r]) for r in arms])
-    design = block_design(
-        [([i], parts[row]) for i, row in enumerate(table)], mode=mode, support_cap=support_cap
-    )
+    design = block_design([([i], parts[row]) for i, row in enumerate(table)],
+                          support_cap=support_cap)
 
     probs_float = np.array([[float(x) for x in row] for row in table])
 
@@ -715,7 +720,6 @@ def _arm_sequences(counts: Sequence[int]) -> np.ndarray:
 def complete_design(
     counts: Sequence[int],
     *,
-    mode: str = "exact",
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> Design:
     """Completely randomized assignment with fixed arm sizes."""
@@ -737,10 +741,10 @@ def complete_design(
     )
 
     size = _multinomial(counts)
-    support = None
-    if _maybe_enumerate(size, support_cap, mode, "complete"):
-        uniform = ExactMatrix.of([1], np.zeros(size, dtype=np.intp), size)
-        support = Support(_arm_sequences(counts), uniform)
+
+    def enumerator() -> Support:
+        return Support(_arm_sequences(counts),
+                       ExactMatrix.of([1], np.zeros(size, dtype=np.intp), size))
 
     labels = np.repeat(np.arange(k), counts)
 
@@ -750,17 +754,17 @@ def complete_design(
     return Design(
         layout=layout,
         family="complete",
-        support=support,
         sampler=sampler,
         p_frac=p_frac,
         support_size=size,
+        support_cap=support_cap,
+        enumerator=enumerator,
     )
 
 
 def block_design(
     blocks: Sequence[tuple[Sequence[int], Design]],
     *,
-    mode: str = "exact",
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> Design:
     """Independent sub-designs over disjoint unit sets.
@@ -807,11 +811,10 @@ def block_design(
 
     sizes = [sub.support_size for _, sub in blocks]
     size = None if None in sizes else math.prod(sizes)
-    enumerable = all(sub.support is not None for _, sub in blocks)
-    support = None
-    if _maybe_enumerate(size if enumerable else None, support_cap, mode, "block"):
-        parts = [(np.array(units), sub.support) for units, (_, sub) in zip(unit_sets, blocks)]
-        support = _product_support(parts, n)
+
+    def enumerator() -> Support:
+        return _product_support([(np.array(units), sub._enumerate())
+                                 for units, (_, sub) in zip(unit_sets, blocks)], n)
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
         arms = np.empty(n, dtype=int)
@@ -822,10 +825,11 @@ def block_design(
     return Design(
         layout=layout,
         family="block",
-        support=support,
         sampler=sampler,
         p_frac=p_frac,
         support_size=size,
+        support_cap=support_cap,
+        enumerator=enumerator,
     )
 
 
@@ -833,7 +837,6 @@ def paired_design(
     pairs: Sequence[Sequence[int]],
     k: int = 2,
     *,
-    mode: str = "exact",
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> Design:
     """Matched groups of size k; within each group one unit goes to each arm.
@@ -847,11 +850,9 @@ def paired_design(
             raise InfeasibleSpecError(
                 f"each matched group must have exactly k={k} units, got {list(pair)}"
             )
-    # one stateless complete design shared by every group; it takes the
-    # default cap: the caller's cap applies to the product
-    group = complete_design([1] * k, mode=mode)
-    design = block_design([(list(pair), group) for pair in pairs], mode=mode,
-                          support_cap=support_cap)
+    # one complete design shared by every group; the caller's cap applies to the product
+    group = complete_design([1] * k)
+    design = block_design([(list(pair), group) for pair in pairs], support_cap=support_cap)
     design.family = "paired"
     return design
 
@@ -880,12 +881,11 @@ def cluster_design(clusters: Sequence[Sequence[int]], cluster_level: Design) -> 
         to_cluster = cluster_level.layout.flat(flat // n, group[flat % n])
         p_frac = cluster_level.p_frac[np.ix_(to_cluster, to_cluster)]
 
-    support = None
-    if cluster_level.support is not None:
+    def enumerator() -> Support:
         # take keeps rows C-contiguous (arms[:, group] would not): float sums over
         # indicator batches built from the rows depend on their memory order
-        level = cluster_level.support
-        support = Support(level.arms.take(group, axis=1), level.probs)
+        level = cluster_level._enumerate()
+        return Support(level.arms.take(group, axis=1), level.probs)
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
         return cluster_level.draw(rng)[group]
@@ -893,10 +893,11 @@ def cluster_design(clusters: Sequence[Sequence[int]], cluster_level: Design) -> 
     return Design(
         layout=layout,
         family="cluster",
-        support=support,
         sampler=sampler,
         p_frac=p_frac,
         support_size=cluster_level.support_size,
+        support_cap=cluster_level.support_cap,
+        enumerator=enumerator,
     )
 
 
@@ -938,11 +939,14 @@ def custom_design(
         probs = [_as_fraction(prob) for _, prob in support]
         sup = Support(arms, ExactMatrix.of([p.numerator for p in probs],
                                            den=[p.denominator for p in probs]))
-    design = Design(layout=layout, family="custom", support=sup, sampler=sampler)
     if sup is None:
+        design = Design(layout=layout, family="custom", sampler=sampler)
         if seed is not None:
             design.moments = _empirical_moments(design, seed, mc_replicates)
         return design
+    design = Design(layout=layout, family="custom", sampler=sampler, support_size=len(sup),
+                    support_cap=support_cap, enumerator=lambda: sup)
+    design._enumerate()  # a given support is checked at build time
     # p sums prob * outer(indicators) over the support: an integer matmul over
     # the common denominator, in int64 while the (positive) weights sum below 2**62
     book = sup.probs.book
@@ -1028,17 +1032,13 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
     family = spec.get("type")
     if support_cap is None:
         support_cap = spec_field(spec, "support_cap", what, DEFAULT_SUPPORT_CAP, spec_int)
-    mode = spec.get("mode", "exact")
-    if mode not in MODES:  # a custom spec never reaches _maybe_enumerate
-        raise ValidationError(f"unknown design mode {mode!r}; expected one of {MODES}")
-    common = dict(mode=mode, support_cap=support_cap)
     inherited = {"k": spec["k"]} if spec.get("k") is not None else {}  # k passes down to sub-specs
     if family == "bernoulli":
         probs = spec_field(spec, "probs" if "probs" in spec else "p", what, cast=_rationals)
         k, n = (spec_field(spec, key, what, None, spec_int) for key in ("k", "n"))
-        return bernoulli_design(probs, k=k, n=n, **common)
+        return bernoulli_design(probs, k=k, n=n, support_cap=support_cap)
     if family == "complete":
-        d = complete_design(spec_field(spec, "counts", what, cast=_ints), **common)
+        d = complete_design(spec_field(spec, "counts", what, cast=_ints), support_cap=support_cap)
         if spec_field(spec, "n", what, d.layout.n, spec_int) != d.layout.n:
             raise InfeasibleSpecError(
                 f"complete design arm counts sum to {d.layout.n}, not n={spec['n']}"
@@ -1046,19 +1046,20 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
         return d
     if family == "paired":
         pairs = spec_field(spec, "pairs", what, cast=lambda v: _listed(v, _ints))
-        return paired_design(pairs, k=spec_field(spec, "k", what, 2, spec_int), **common)
+        k = spec_field(spec, "k", what, 2, spec_int)
+        return paired_design(pairs, k=k, support_cap=support_cap)
     if family == "block":
         built = []
         for sub in spec_field(spec, "blocks", what, cast=_listed):
             units = spec_field(sub, "units", 'design spec "blocks" entry', cast=_ints)
             sub = {**inherited, "n": len(units), **sub}
             built.append((units, build_design(sub, support_cap=support_cap)))
-        return block_design(built, **common)
+        return block_design(built, support_cap=support_cap)
     if family == "cluster":
         clusters = spec_field(spec, "clusters", what, cast=lambda v: _listed(v, _ints))
         # {**v} raises TypeError unless the cluster-level spec is an object
         sub = spec_field(spec, "cluster_design", what,
-                         cast=lambda v: {**inherited, "n": len(clusters), "mode": mode, **v})
+                         cast=lambda v: {**inherited, "n": len(clusters), **v})
         return cluster_design(clusters, build_design(sub, support_cap=support_cap))
     if family == "custom":
         layout = IndexLayout(spec_field(spec, "k", "custom spec", cast=spec_int),

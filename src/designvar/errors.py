@@ -20,7 +20,7 @@ class InfeasibleSpecError(ValidationError):
 
 
 class SupportOverflowError(ValidationError):
-    """Exact enumeration requested but the support exceeds the cap."""
+    """A support is needed but exceeds the cap or cannot be enumerated."""
 
 
 class LayoutMismatchError(ValidationError):

@@ -418,10 +418,10 @@ def taylor_gap(spec: EstimatorSpec, design: Design, y: np.ndarray) -> float:
 
     Scans the whole support and returns max |point - linearized|; support
     points where the realized denominator is singular are excluded and
-    reported through a warning.
+    reported through a warning.  A design with no support (see
+    ``Design.enumerated``) raises SupportOverflowError.
     """
-    if design.support is None:
-        raise ValidationError("taylor_gap requires an exact (enumerated) design")
+    design.enumerated("taylor_gap")
     y = design.layout.check_vector(y, "potential outcomes")
     return _linearization_gap(spec, inclusion_probabilities(design), y,
                               design.support_indicators(), "support points")

@@ -167,7 +167,6 @@ def design_summary(design: Design) -> dict:
         "k": design.layout.k,
         "n": design.layout.n,
         "family": design.family,
-        "mode": design.mode,
         "support_size": design.support_size,
         "exact_probabilities": design.p_frac is not None,
     }

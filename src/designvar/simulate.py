@@ -68,8 +68,8 @@ class SimScenario:
         self.y = self.design.layout.check_vector(self.y, "potential outcomes")
         if self.mode not in ("exact", "mc"):
             raise ValidationError(f"unknown scenario mode {self.mode!r}")
-        if self.mode == "exact" and self.design.support is None:
-            raise ValidationError("exact scenarios need an enumerable design")
+        if self.mode == "exact":
+            self.design.enumerated("exact scenario")
         if self.mode == "mc":
             if self.seed is None:
                 raise ValidationError("monte-carlo scenarios require an explicit seed")
@@ -293,7 +293,7 @@ def consistency_sweep(
         if n % 2:
             raise ValidationError(f"balanced design needs even n, got {n}")
         copies = n // n_base
-        design = complete_design([n // 2, n // 2], mode="mc")
+        design = complete_design([n // 2, n // 2])
         pi = inclusion_probabilities(design)
         y = _tiled_outcomes(base_y, copies)
         gap = _tiled_complete_gap(spec, pi, y, n_base, copies)

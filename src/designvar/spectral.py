@@ -27,8 +27,8 @@ class EigenReport:
     """Full symmetric eigendecomposition with a PSD verdict.
 
     Eigenvalues are sorted descending; eigenvector columns match that
-    order.  psd is judged against a relative threshold (tol times the
-    dominant eigenvalue magnitude, floored at 1 and at an absolute 1e-10).
+    order.  psd is judged against a relative threshold: tol times the
+    dominant eigenvalue magnitude, floored at an absolute 1e-10.
     The eigenvectors are kept as per-component blocks, (indices, columns,
     vectors) per component size; ``eigenvectors`` assembles the dense
     matrix from them on first read.
@@ -50,7 +50,7 @@ class EigenReport:
 
 
 def psd_threshold(max_eig: float, tol: float) -> float:
-    return max(tol * max(1.0, abs(max_eig)), PSD_ABS_FLOOR)
+    return max(tol * abs(max_eig), PSD_ABS_FLOOR)
 
 
 def connected_components(pattern: np.ndarray) -> list[np.ndarray]:

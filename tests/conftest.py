@@ -95,6 +95,23 @@ def traced_peak(fn, *args) -> int:
 # leading eigenvalue of D_COMPLETE - D_PAIRED.
 PAIR_HOMOGENEOUS_PATTERN = np.array([-1, -1, 1, 1, 1, 1, -1, -1]) / np.sqrt(8.0)
 
+# Default specs of 30 units, one per composable family.  Their supports hold
+# 155,117,520 (complete), 32,768 (paired), 2**30 (bernoulli), 252 (cluster)
+# and 210,862,080 (block) points.
+SPECS_N30 = {
+    "complete": {"type": "complete", "counts": [15, 15]},
+    "paired": {"type": "paired", "k": 2, "pairs": [[2 * i, 2 * i + 1] for i in range(15)]},
+    "bernoulli": {"type": "bernoulli", "n": 30, "p": "1/3"},
+    "cluster": {"type": "cluster", "k": 2,
+                "clusters": [[3 * g, 3 * g + 1, 3 * g + 2] for g in range(10)],
+                "cluster_design": {"type": "complete", "counts": [5, 5]}},
+    "block": {"type": "block", "k": 2,
+              "blocks": [{"units": list(range(15)), "type": "complete", "counts": [7, 8]},
+                         {"units": list(range(15, 30)), "type": "bernoulli", "p": "1/2"}]},
+}
+SUPPORT_SIZES_N30 = {"complete": 155117520, "paired": 2**15, "bernoulli": 2**30,
+                     "cluster": 252, "block": 210862080}
+
 
 @pytest.fixture(scope="session")
 def paired4():

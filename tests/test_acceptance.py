@@ -104,7 +104,7 @@ def _random_bernoulli_dataset(rng, n_max=12, l_max=3):
     l = int(rng.integers(0, l_max + 1))
     probs = rng.uniform(0.25, 0.75, size=n)
     rng.integers(2**31)  # unused, but the datasets drawn after it depend on this position
-    design = dv.bernoulli_design([[1.0 - p, p] for p in probs], mode="mc")
+    design = dv.bernoulli_design([[1.0 - p, p] for p in probs])
     x = rng.normal(size=(n, l)) if l else None
     y = rng.normal(size=2 * n)
     return design, x, y
@@ -152,7 +152,7 @@ def test_criterion_06_sandwich_equivalences():
         n = int(sizes.sum())
         level_probs = rng.uniform(0.3, 0.7, size=m)
         rng.integers(2**31)  # unused, but the datasets drawn after it depend on this position
-        level = dv.bernoulli_design([[1.0 - p, p] for p in level_probs], mode="mc")
+        level = dv.bernoulli_design([[1.0 - p, p] for p in level_probs])
         design = dv.cluster_design(clusters, level)
         l = int(rng.integers(0, 3))
         x = rng.normal(size=(n, l)) if l else None
@@ -293,7 +293,7 @@ def test_criterion_10_taylor_rates_under_replication():
     for n in ns:
         copies = n // base.shape[1]
         y = np.concatenate([np.tile(row, copies) for row in base])
-        design = dv.bernoulli_design(0.5, n=n, mode="mc")
+        design = dv.bernoulli_design(0.5, n=n)
         dmat, _ = dv.first_order_design_matrix(design)
         nvars.append(n * dv.ht_exact_variance(y, C2, dmat))
     assert max(nvars) - min(nvars) <= 1e-9
@@ -304,7 +304,7 @@ def test_criterion_10_taylor_rates_under_replication():
     for n in ns:
         copies = n // base.shape[1]
         y = np.concatenate([np.tile(row, copies) for row in base])
-        design = dv.complete_design([n // 2, n // 2], mode="mc")
+        design = dv.complete_design([n // 2, n // 2])
         dmat, _ = dv.first_order_design_matrix(design)
         corrected.append((n - 1) * dv.ht_exact_variance(y, C2, dmat))
     assert max(corrected) - min(corrected) <= 1e-9

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import designvar as dv
 from designvar import serialization as ser
 from designvar.cli import main
-from conftest import D_PAIRED, DT_AS_PAIRED, DT_INVAR_PAIRED
+from conftest import D_PAIRED, DT_AS_PAIRED, DT_INVAR_PAIRED, SPECS_N30, SUPPORT_SIZES_N30
 from oracles import hc0_sandwich
 
 
@@ -64,21 +64,28 @@ class TestDesignCommand:
         out = tmp_path / "paired"
         assert main(["design", spec, "--out", str(out)]) == 0
         summary = json.loads((out / "design.json").read_text())
-        assert summary == {"k": 2, "n": 4, "family": "paired", "mode": "mc", "support_size": 4,
+        assert summary == {"k": 2, "n": 4, "family": "paired", "support_size": 4,
                            "exact_probabilities": True, "estimated": False}
 
     def test_paired_mc_ignores_the_cap_in_its_pairs(self, tmp_path):
-        # each pair has 2 assignments; with mode "mc" a cap of 1 must not reject them
+        # each pair has 2 assignments; a cap of 1 must not reject them, nor the design:
+        # the cap bounds only a support something reads
         spec = write_json(tmp_path / "spec.json", {**PAIRED_SPEC, "mode": "mc", "support_cap": 1})
         out = tmp_path / "paired"
         assert main(["design", spec, "--out", str(out)]) == 0
         summary = json.loads((out / "design.json").read_text())
-        assert summary["mode"] == "mc" and summary["support_size"] == 4
+        assert "mode" not in summary and summary["support_size"] == 4
+
+    @pytest.mark.parametrize("family", sorted(SPECS_N30))
+    def test_default_specs_of_30_units_build(self, tmp_path, family):
+        spec = write_json(tmp_path / "spec.json", SPECS_N30[family])
+        assert main(["design", spec, "--out", str(tmp_path / family)]) == 0
+        summary = json.loads((tmp_path / family / "design.json").read_text())
+        assert summary["support_size"] == SUPPORT_SIZES_N30[family]
 
     @pytest.mark.parametrize(
         "spec, named",
         [
-            ({**COMPLETE_SPEC, "mode": "bogus"}, "'bogus'"),
             ({"type": "custom", "n": 2, "support": [{"arms": [0, 1], "prob": 1}]}, '"k"'),
             ({"type": "custom", "k": 2, "n": 2, "support": [{"arms": [0, 1]}]}, '"prob"'),
             ({**COMPLETE_SPEC, "support_cap": "abc"}, '"support_cap"'),
@@ -114,7 +121,7 @@ class TestDesignCommand:
             ({**COMPLETE_SPEC, "support_cap": 10.5}, '"support_cap"'),
             ({"type": "bernoulli", "n": False, "p": 0.5}, '"n"'),
         ],
-        ids=["unknown-mode", "custom-without-k", "entry-without-prob", "support-cap-abc",
+        ids=["custom-without-k", "entry-without-prob", "support-cap-abc",
              "bernoulli-n-text", "complete-counts-text", "complete-counts-number",
              "paired-pairs-number", "block-entry-number", "block-units-number",
              "cluster-clusters-number", "cluster-design-number", "bernoulli-p-text",

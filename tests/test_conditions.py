@@ -66,7 +66,7 @@ class TestSecondOrderNorm:
         assert peak <= 6 * dv.designs.BATCH_BYTES + 16 * 8 * design.layout.kn**2
 
     def test_monte_carlo_design_rejected(self):
-        d = dv.bernoulli_design(0.5, n=30, mode="mc")
+        d = dv.bernoulli_design(0.5, n=30)
         with pytest.raises(dv.ValidationError):
             dv.second_order_condition_norm(d, np.zeros((60, 60)))
 

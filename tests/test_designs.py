@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import designvar as dv
 from designvar import serialization as ser
 from designvar.designs import _embed, _outer_pair, elementwise
-from conftest import D_COMPLETE, D_PAIRED
+from conftest import D_COMPLETE, D_PAIRED, SPECS_N30, SUPPORT_SIZES_N30
 from oracles import (
     assignments,
     empirical_moments,
@@ -21,7 +21,6 @@ from oracles import (
 
 class TestBuilders:
     def test_paired_support(self, paired4):
-        assert paired4.mode == "exact"
         assert paired4.support_size == 4
         probs = [prob for _, prob in zip(paired4.support.arms, paired4.support.probs)]
         assert all(p == Fraction(1, 4) for p in probs)
@@ -31,11 +30,9 @@ class TestBuilders:
         support = complete42.support
         assert all(prob == Fraction(1, 6) for _, prob in zip(support.arms, support.probs))
 
-    def test_bernoulli_overflow_goes_mc_only_on_request(self):
-        with pytest.raises(dv.SupportOverflowError):
-            dv.bernoulli_design(0.5, n=30, support_cap=2**20)
-        d = dv.bernoulli_design(0.5, n=30, support_cap=2**20, mode="mc")
-        assert d.mode == "mc"
+    def test_bernoulli_over_the_cap_builds_without_a_support(self):
+        d = dv.bernoulli_design(0.5, n=30, support_cap=2**20)
+        assert (d.support_size, d.support_cap) == (2**30, 2**20)
         assert d.support is None
         assert dv.inclusion_probabilities(d).frac is not None  # moments stay exact
 
@@ -47,12 +44,14 @@ class TestBuilders:
         # the cap is checked against the 12 enumerated points, not k**n = 27
         assert len(dv.build_design(spec, support_cap=20).support) == 12
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(dv.ValidationError, match="bogus"):
-            dv.complete_design([2, 2], mode="bogus")
-        with pytest.raises(dv.ValidationError, match="bogus"):
-            dv.build_design({"type": "custom", "k": 2, "n": 1, "mode": "bogus",
-                             "support": [{"arms": [0], "prob": 1}]})
+    def test_spec_mode_is_ignored(self):
+        # no family reads a "mode" field, whatever its value
+        for spec in ({"type": "complete", "counts": [2, 2]},
+                     {"type": "custom", "k": 2, "n": 1, "support": [{"arms": [0], "prob": 1}]}):
+            plain, moded = dv.build_design(spec), dv.build_design({**spec, "mode": "bogus"})
+            assert ser.design_summary(moded) == ser.design_summary(plain)
+            assert_array_equal(moded.support.arms, plain.support.arms)
+            assert_array_equal(moded.p_frac.codes, plain.p_frac.codes)
 
     @pytest.mark.parametrize(
         "support, error, message",
@@ -144,6 +143,69 @@ class TestBuilders:
     def test_unknown_type(self):
         with pytest.raises(dv.InfeasibleSpecError):
             dv.build_design({"type": "latin-square"})
+
+
+class TestLazySupport:
+    @pytest.fixture()
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the support was enumerated")
+
+        for name in ("_arm_sequences", "_product_support"):
+            monkeypatch.setattr(dv.designs, name, refuse)
+
+    @pytest.mark.parametrize("family", sorted(SPECS_N30))
+    def test_nothing_computed_from_p_enumerates(self, family, no_enumeration):
+        design = dv.build_design(SPECS_N30[family])
+        assert design.support_size == SUPPORT_SIZES_N30[family]
+        pi = dv.inclusion_probabilities(design)
+        p = dv.joint_probabilities(design)
+        dmat, mask = dv.first_order_design_matrix(design)
+        bound = dv.aronow_samii_bound(dmat, mask)
+        ipw = dv.ipw_bound_matrix(bound, p)
+        arms = design.draw(np.random.default_rng(0))
+        data = dv.observe(dv.Assignment(design.layout, arms), np.arange(60.0))
+        spec = dv.EstimatorSpec("hj", np.array([-1.0, 1.0]))
+        value = dv.plugin_bound_estimate(spec, data, pi, ipw, bound_method=bound.method).value
+        assert np.isfinite(dv.point_estimate(spec, data, pi)) and np.isfinite(value)
+
+    def test_support_is_enumerated_once_on_first_read(self, monkeypatch):
+        calls = []
+        enumerate_arms = dv.designs._arm_sequences
+        monkeypatch.setattr(dv.designs, "_arm_sequences",
+                            lambda counts: calls.append(counts) or enumerate_arms(counts))
+        design = dv.cluster_design([[0, 1], [2, 3], [4]], dv.complete_design([1, 2]))
+        assert calls == []
+        assert design.support is design.support
+        assert calls == [[1, 2]] and len(design.support) == 3
+
+    def test_exact_consumers_name_themselves_the_size_and_the_cap(self, no_enumeration):
+        design = dv.bernoulli_design(0.5, n=30)
+        assert design.support is None
+        y, spec = np.zeros(60), dv.EstimatorSpec("ht", np.array([-1.0, 1.0]))
+        consumers = {
+            "exact scenario": lambda: dv.SimScenario(design, y, spec),
+            "taylor_gap": lambda: dv.taylor_gap(spec, design, y),
+            "second_order_condition_norm":
+                lambda: dv.second_order_condition_norm(design, np.zeros((60, 60))),
+            "support_indicators": design.support_indicators,
+        }
+        for name, consume in consumers.items():
+            with pytest.raises(dv.SupportOverflowError) as raised:
+                consume()
+            assert all(part in str(raised.value) for part in (name, str(2**30), str(10**6)))
+
+    def test_a_sampler_only_part_leaves_no_support(self):
+        part = dv.custom_design(dv.IndexLayout(2, 2), sampler=lambda rng: rng.integers(0, 2, 2))
+        block = dv.block_design([([0, 1], part), ([2, 3], dv.complete_design([1, 1]))])
+        assert block.support_size is None and block.support is None
+        with pytest.raises(dv.SupportOverflowError, match="taylor_gap.*cannot be enumerated"):
+            dv.taylor_gap(dv.EstimatorSpec("ht", np.array([-1.0, 1.0])), block, np.zeros(8))
+
+    def test_a_composite_cap_bounds_its_parts(self):
+        # the pairs' own designs keep the default cap; the product's cap of 4 admits them
+        assert len(dv.paired_design([[0, 1], [2, 3]], support_cap=4).support) == 4
+        assert dv.paired_design([[0, 1], [2, 3]], support_cap=3).support is None
 
 
 REFERENCE_SPECS = {
@@ -357,7 +419,7 @@ class TestMonteCarloMoments:
 
         parts = [([0, 1], dv.custom_design(dv.IndexLayout(2, 2), sampler=first)),
                  ([2, 3, 4], dv.custom_design(dv.IndexLayout(2, 3), sampler=second))]
-        block = dv.block_design(parts, mode="mc")
+        block = dv.block_design(parts)
         with pytest.raises(dv.ValidationError, match=r"custom_design\(d.layout, sampler=d.draw"):
             dv.inclusion_probabilities(block)
         wrapped = dv.custom_design(block.layout, sampler=block.draw, mc_replicates=300, seed=5)
@@ -417,12 +479,12 @@ class TestCompositionAgainstEnumeration:
          ([2, 3, 4, 5], lambda: dv.complete_design([1, 3]))],
         # distinct float rows: a part codebook of 1,891 values, 60 of them marginals
         [(list(range(30)), lambda: dv.bernoulli_design(
-            [[1 - x, x] for x in np.random.default_rng(0).random(30).tolist()], mode="mc")),
-         ([30, 31], lambda: dv.complete_design([1, 1], mode="mc"))],
+            [[1 - x, x] for x in np.random.default_rng(0).random(30).tolist()])),
+         ([30, 31], lambda: dv.complete_design([1, 1]))],
     ])
     def test_block_codes_match_whole_codebook_marginals(self, parts):
         parts = [(units, build()) for units, build in parts]
-        block = dv.block_design(parts, mode="mc")
+        block = dv.block_design(parts)
         # reference: the marginals embedded over their parts' whole p codebooks
         layout = block.layout
         flats = [np.array([layout.flat(r, u) for r in range(layout.k) for u in units])

@@ -314,6 +314,6 @@ class TestTaylorGap:
         assert_allclose(g1, g2, atol=1e-12, rtol=0)
 
     def test_monte_carlo_design_rejected(self):
-        design = dv.bernoulli_design(0.5, n=30, mode="mc")
+        design = dv.bernoulli_design(0.5, n=30)
         with pytest.raises(dv.ValidationError):
             dv.taylor_gap(dv.EstimatorSpec("cm", contrast2()), design, np.zeros(60))

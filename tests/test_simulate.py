@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -60,13 +61,14 @@ class TestRunScenarioExact:
         assert report.infeasible_weight == 79 / 300
 
     def test_exact_requires_enumerable_design(self):
-        design = dv.bernoulli_design(0.5, n=30, mode="mc")
+        design = dv.bernoulli_design(0.5, n=30)
         with pytest.raises(dv.ValidationError):
             dv.SimScenario(design, np.zeros(60), dv.EstimatorSpec("ht", c2()))
 
     def test_memory_is_bounded_by_the_batch_budget(self):
         # complete [8,8]: the indicators of its 12,870 support points are 3.3 MB
         design = dv.complete_design([8, 8])
+        design.support  # enumerated on first read, before the run is traced
         y = np.random.default_rng(2).normal(size=32)
         scenario = dv.SimScenario(design, y, dv.EstimatorSpec("hj", c2()), bound_method="as")
         peak = traced_peak(dv.run_scenario, scenario)
@@ -76,7 +78,7 @@ class TestRunScenarioExact:
 
 class TestRunScenarioMonteCarlo:
     def test_reproducible_for_fixed_seed(self):
-        design = dv.bernoulli_design(0.5, n=8, mode="mc")
+        design = dv.bernoulli_design(0.5, n=8)
         rng = np.random.default_rng(2)
         y = rng.normal(size=16)
         spec = dv.EstimatorSpec("ht", c2())
@@ -85,6 +87,19 @@ class TestRunScenarioMonteCarlo:
         r2 = dv.run_scenario(dv.SimScenario(design, y, spec, **kwargs))
         assert r1.mean_estimate == r2.mean_estimate
         assert r1.mean_bound_estimate == r2.mean_bound_estimate
+
+    def test_reading_the_support_leaves_the_report_unchanged(self):
+        # draws come from the sampler, so neither the support nor the cap moves a report
+        y = np.random.default_rng(4).normal(size=24)
+        reports = []
+        for cap, read in ((100, False), (100, True), (10**6, False), (10**6, True)):
+            design = dv.complete_design([6, 6], support_cap=cap)
+            if read:
+                assert (design.support is None) == (cap == 100)
+            scenario = dv.SimScenario(design, y, dv.EstimatorSpec("hj", c2()),
+                                      mode="mc", replicates=300, seed=9)
+            reports.append(dataclasses.asdict(dv.run_scenario(scenario)))
+        assert all(report == reports[0] for report in reports)
 
     def test_seed_required(self):
         design = dv.bernoulli_design(0.5, n=4)
@@ -96,7 +111,7 @@ class TestRunScenarioMonteCarlo:
     def test_ols_bound_conservative_under_bernoulli(self):
         rng = np.random.default_rng(7)
         n = 20
-        design = dv.bernoulli_design(0.5, n=n, mode="mc")
+        design = dv.bernoulli_design(0.5, n=n)
         x = rng.normal(size=(n, 1))
         y = rng.normal(size=2 * n) + 0.8 * np.tile(x[:, 0], 2)
         spec = dv.EstimatorSpec("ols", c2(), covariates=x)
@@ -113,7 +128,7 @@ class TestRunScenarioMonteCarlo:
 
     def test_memory_is_bounded_by_the_batch_budget(self):
         # kn = 200: one batch of all 2,000 draws would be 3.2 MB per temporary
-        design = dv.complete_design([50, 50], mode="mc")
+        design = dv.complete_design([50, 50])
         y = np.random.default_rng(2).normal(size=200)
         scenario = dv.SimScenario(design, y, dv.EstimatorSpec("hj", c2()), bound_method="as",
                                   mode="mc", replicates=2000, seed=5)

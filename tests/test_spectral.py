@@ -52,6 +52,11 @@ class TestEigenPsdCheck:
             with pytest.raises(dv.ValidationError, match="symmetric"):
                 dv.eigen_psd_check(m)
 
+    def test_small_spectra_are_judged_on_their_own_scale(self):
+        # -5e-9 beside a dominant 1e-6 is far beyond round-off: no floor of 1 hides it
+        assert not dv.eigen_psd_check(np.diag([1e-6, -5e-9])).psd
+        assert dv.eigen_psd_check(np.diag([1e-6, -5e-11])).psd  # inside the absolute floor
+
     def test_nonfinite_rejected(self):
         m = np.full((2, 2), np.nan)
         with pytest.raises(dv.ValidationError):
@@ -153,7 +158,7 @@ class TestBlockwiseEigen:
         # AS on complete [200,200] (kn = 800): 400 pair blocks; certification
         # reads eigenvalues only, so beyond the kn x kn difference and its
         # symmetrized copy only boolean patterns are held (one kn x kn float is 5.1 MB)
-        design = dv.complete_design([200, 200], mode="mc")
+        design = dv.complete_design([200, 200])
         dmat, mask = dv.first_order_design_matrix(design)
         bound = dv.aronow_samii_bound(dmat, mask)
         assert traced_peak(dv.certify, bound, dmat, mask) <= 3 * 8 * 800**2
