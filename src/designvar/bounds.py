@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import (DesignMatrix, ExactMatrix, ImpossibilityMask, IndexLayout,
-                      _pair_indicators, elementwise)
+from .designs import (DesignMatrix, ExactMatrix, FracFloats, ImpossibilityMask, IndexLayout,
+                      _diagonal_matrix, elementwise)
 from .errors import (
     LayoutMismatchError,
     NeymanPreconditionError,
@@ -35,11 +35,12 @@ class BoundMatrix:
 
     certified_bounding / certified_identified are tri-state strings
     ("yes", "no", "unchecked"); iterations is set by the projection
-    algorithm only.
+    algorithm only.  ``dtilde`` may be given as None when ``frac`` holds the
+    exact values: it is then read off them on first use.
     """
 
     layout: IndexLayout
-    dtilde: np.ndarray
+    dtilde: np.ndarray = FracFloats()
     method: str  # "neyman" | "aronow-samii" | "algorithm-m" | "user"
     frac: ExactMatrix | None = None
     certified_bounding: str = "unchecked"
@@ -48,7 +49,8 @@ class BoundMatrix:
     diff_min_eig: float | None = None
 
     def __post_init__(self):
-        self.dtilde = self.layout.check_matrix(self.dtilde, "bounding matrix")
+        if FracFloats.given(self, "dtilde"):
+            self.dtilde = self.layout.check_matrix(self.dtilde, "bounding matrix")
 
 
 def user_bound(matrix: np.ndarray, layout: IndexLayout) -> BoundMatrix:
@@ -63,8 +65,8 @@ def derive_mask(dmat: DesignMatrix) -> ImpossibilityMask:
     on the construction invariant that impossible positions hold exactly
     -1.0 (p_ab = 0 gives 0 / (pi_a pi_b) - 1, which involves no rounding).
     """
-    mask, _ = elementwise(lambda d: d == -1, dmat.frac or dmat.d)
-    return ImpossibilityMask(dmat.layout, mask)
+    mask, frac = elementwise(lambda d: d == -1, dmat.frac or dmat.d)
+    return ImpossibilityMask(dmat.layout, mask, frac=frac)
 
 
 def certify(
@@ -124,7 +126,7 @@ def _check_neyman_preconditions(
     d = dmat.frac or dmat.d
     d01 = d[np.ix_(unit, n + unit)]
     gap, exact_gap = elementwise(lambda x, y: abs(x - y), d, d01)
-    limit = 1e-12 if exact_gap is None else 0.0
+    gap, limit = (gap, 1e-12) if exact_gap is None else (exact_gap.to_float(), 0.0)
     worst = gap.reshape(k, n, k, n).max(axis=(1, 3))
     differ = np.argwhere(~(worst <= limit) & (arms[:, None] != arms[None, :]))
     if len(differ):
@@ -161,7 +163,8 @@ def neyman_bound(
     if mask is None:
         mask = derive_mask(dmat)
     d01 = _check_neyman_preconditions(dmat, c, mask)
-    _, same_arm = _pair_indicators(layout)
+    arm = np.arange(layout.kn) // layout.n
+    same_arm = ExactMatrix.of((0, 1), arm[:, None] == arm[None, :])
     # + 0 turns the -0.0 that float input leaves off the diagonal blocks into 0.0
     dt, frac = elementwise(
         lambda same, d, d01: same * (d - d01) + 0, same_arm, dmat.frac or dmat.d, d01
@@ -180,19 +183,18 @@ def aronow_samii_bound(
     dtilde = d + mask + diag(mask row sums).  The added part has each
     diagonal entry equal to its row's absolute off-diagonal sum, so it is
     PSD by Gershgorin discs for any identified design; the eigen
-    certification is still executed.
+    certification is still executed.  Over class tables (a built-in
+    family's d and mask) the formula runs on the tables, and the row sums
+    come from the tables and the classes' counts.
     """
     layout = dmat.layout
     if mask is None:
         mask = derive_mask(dmat)
     if mask.layout != layout:
         raise LayoutMismatchError("mask and design matrix use different layouts")
-    dt, frac = elementwise(
-        lambda d, m, r: d + m + r,
-        dmat.frac or dmat.d,
-        ExactMatrix.of((0, 1), mask.mask),
-        ExactMatrix.of(range(layout.kn + 1), np.diag(mask.mask.sum(axis=1))),
-    )
+    m = mask.frac if mask.frac is not None else ExactMatrix.of((0, 1), mask.mask)
+    dt, frac = elementwise(lambda d, m, r: d + m + r, dmat.frac or dmat.d, m,
+                           _diagonal_matrix(mask.row_sums(), m))
     bound = BoundMatrix(layout, dt, "aronow-samii", frac=frac)
     return certify(bound, dmat, mask, tol)
 

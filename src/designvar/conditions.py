@@ -41,6 +41,8 @@ def second_order_condition_norm(
     accumulates |dtilde_A| * |dtilde_B| * |tensor_AB|.  Requires the exact
     joint law, so it enumerates the design's support, and raises
     SupportOverflowError when the design has none (``Design.enumerated``).
+    The budgets below are checked on ``Design.support_size``, before it
+    enumerates.
 
     The tensor is summed in blocks of ``batch_rows`` rows, and each
     block's fourth-order expectations accumulate over batches of that many
@@ -51,13 +53,15 @@ def second_order_condition_norm(
     """
     layout = design.layout
     kn = layout.kn
+    # without an enumerable support, ``enumerated`` raises below
+    s_count = design.support_size
+    if s_count is not None and s_count <= design.support_cap:
+        for what, entries in (("kn^4", kn**4), ("S (kn)^2", s_count * kn**2)):
+            if entries > entry_budget:
+                raise BudgetExceededError(
+                    f"{what} = {entries} exceeds the accumulation budget {entry_budget}"
+                )
     support = design.enumerated("second_order_condition_norm")
-    s_count = len(support)
-    for what, entries in (("kn^4", kn**4), ("S (kn)^2", s_count * kn**2)):
-        if entries > entry_budget:
-            raise BudgetExceededError(
-                f"{what} = {entries} exceeds the accumulation budget {entry_budget}"
-            )
     dt = layout.check_matrix(np.asarray(dtilde, dtype=float), "bounding matrix")
 
     # the tensor depends on A and B only through the unordered pairs {a, b} and

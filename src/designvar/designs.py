@@ -15,11 +15,24 @@ An exact matrix (ExactMatrix) is an integer code array over a Codebook
 of distinct rationals, held as integer numerator/denominator arrays with
 their correctly rounded floats; its floats are a view, floats[codes],
 and Fractions are made only when entries are indexed.  That is what
-makes entries like -1/3 or exact -1 reproducible bit-for-bit.  Formulas
-over such matrices are written once, as array expressions, and run once
-through ``elementwise``: on exact rationals, one entry per distinct
-tuple of operand values, or on the floats when an operand has no exact
-values.  A formula must therefore be branch-free.
+makes entries like -1/3 or exact -1 reproducible bit-for-bit.  A
+codebook's order is unspecified, and it may hold values no entry takes.
+Formulas over such matrices are written once, as array expressions, and
+run once through ``elementwise``: on exact rationals, one entry per
+distinct tuple of operand values, or on the floats when an operand has
+no exact values.  A formula must therefore be branch-free.
+
+The complete, Bernoulli, paired, block and cluster builders keep p as a
+ClassMatrix: a ClassPattern gives each flat index a class, a unit and a
+block, and off the diagonal an entry is read from one of three small
+tables over class pairs, by whether the two indices share a unit, share
+only a block, or lie in different blocks.  ``elementwise`` runs d, the
+mask, the Aronow-Samii bound and the IPW matrix on those tables.  Dense
+codes and floats are one gather through the pattern, made only when
+read (``.codes``, an entry, ``to_float``, and the holders' float fields,
+``FracFloats``) and kept.  Tables that would hold more entries than the
+dense matrix (many distinct Bernoulli rows) are expanded at build time;
+custom designs keep a dense p.
 
 A design's one probability state is its joint matrix p_ab = E[R_a R_b];
 indicators are 0/1, so the inclusion probabilities pi are p's diagonal.
@@ -87,18 +100,18 @@ class Codebook:
         return tuple(map(Fraction, self.num.tolist(), self.den.tolist()))
 
 
-@dataclass(frozen=True, eq=False)
 class ExactMatrix:
     """Exact rational array: integer codes into a Codebook of distinct rationals.
 
     ``m[a][b]`` and ``m[a, b]`` are Fractions, each made from its codebook
     entry's integer parts when asked for; ``values`` is the whole codebook
     as Fractions, made once.  Slices are ExactMatrix views over the same
-    codebook, and iterating a matrix yields its rows.
+    codebook, and iterating a matrix yields its rows.  A codebook may hold
+    values no entry reaches, and its order is unspecified.
     """
 
-    codes: np.ndarray
-    book: Codebook
+    def __init__(self, codes: np.ndarray, book: Codebook):
+        self.codes, self.book = codes, book
 
     @classmethod
     def of(cls, num, codes=None, den=1) -> "ExactMatrix":
@@ -111,7 +124,7 @@ class ExactMatrix:
         pairs = zip((num // g).ravel().tolist(), (den // g).ravel().tolist())
         remap = np.array([first.setdefault(pair, len(first)) for pair in pairs], dtype=np.intp)
         codes = np.arange(len(remap)) if codes is None else np.asarray(codes, dtype=np.intp)
-        return cls(remap[codes], Codebook(*np.array(list(first), dtype=object).reshape(-1, 2).T))
+        return ExactMatrix(remap[codes], Codebook(*np.array(list(first), dtype=object).reshape(-1, 2).T))
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -119,6 +132,9 @@ class ExactMatrix:
 
     def to_float(self) -> np.ndarray:
         return self.book.floats[self.codes]
+
+    def diagonal(self) -> "ExactMatrix":
+        return ExactMatrix(np.diagonal(self.codes).copy(), self.book)
 
     def __getitem__(self, index):
         codes = self.codes[index]
@@ -128,6 +144,134 @@ class ExactMatrix:
 
     def __iter__(self):
         return (self[i] for i in range(len(self.codes)))
+
+
+# the three tables of a ClassMatrix: entry (a, b) off the diagonal reads the
+# first when a and b lie in different blocks, the second when they share a
+# block but not a unit, the third when they share a unit
+ACROSS, BLOCK, UNIT = range(3)
+
+
+@dataclass(frozen=True, eq=False)
+class ClassPattern:
+    """Where each entry of a kn x kn ClassMatrix is read from.
+
+    Flat index a has a class ``classes[a]`` (out of ``size``), a unit
+    ``units[a]`` and a block ``blocks[a]``; units nest in blocks.  A unit
+    here is whatever moves as one: a unit, or the cluster it belongs to.
+    The builders pick classes so that an entry depends only on the two
+    classes and on whether a and b share a unit or a block, which makes
+    p, and every formula over it, a function of those alone off the
+    diagonal.
+    """
+
+    classes: np.ndarray
+    units: np.ndarray
+    blocks: np.ndarray
+    size: int
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """kn x kn positions into the flattened (3, size, size) tables."""
+        c = self.size
+        index = (self.blocks[:, None] == self.blocks[None, :]).astype(np.intp)
+        index += self.units[:, None] == self.units[None, :]
+        index *= c * c
+        index += (self.classes * c)[:, None]
+        index += self.classes[None, :]
+        return index
+
+    def _members(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For each flat index a, every class in a's group (unit or block) with
+        its count there, as flat (a, class, count) arrays."""
+        keys, counts = np.unique(groups * self.size + self.classes, return_counts=True)
+        owner, classes = np.divmod(keys, self.size)
+        first = np.searchsorted(owner, groups)
+        width = np.searchsorted(owner, groups, side="right") - first
+        rows = np.repeat(np.arange(len(groups)), width)
+        pos = np.arange(len(rows)) - np.repeat(np.cumsum(width) - width, width)
+        pos += np.repeat(first, width)
+        return rows, classes[pos], counts[pos]
+
+    @cached_property
+    def _unit_members(self):
+        return self._members(self.units)
+
+    @cached_property
+    def _block_members(self):
+        return self._members(self.blocks)
+
+    def row_sums(self, carrier: np.ndarray) -> np.ndarray:
+        """Row sums of the integer matrix whose diagonal and tables, laid out
+        as a ClassMatrix carrier, are ``carrier``.
+
+        Row a sums its diagonal, the unit table over the rest of a's unit,
+        the block table over the rest of a's block and the across table
+        over every other block, so it takes the class counts of a's unit
+        and block, not a pass over the row.
+        """
+        c, total = self.classes, np.bincount(self.classes, minlength=self.size)
+        diagonal, tables = carrier[:len(c)], carrier[len(c):].reshape(3, self.size, self.size)
+        sums = diagonal - tables[UNIT, c, c] + (tables[ACROSS] @ total)[c]
+        for (rows, cols, counts), near, far in ((self._unit_members, UNIT, BLOCK),
+                                                (self._block_members, BLOCK, ACROSS)):
+            step = (tables[near] - tables[far])[c[rows], cols] * counts
+            sums += np.bincount(rows, step, minlength=len(c)).astype(np.int64)
+        return sums
+
+
+class ClassMatrix(ExactMatrix):
+    """A kn x kn ExactMatrix held as a ClassPattern over small code tables.
+
+    ``carrier`` holds the codes of the diagonal, one per flat index, then
+    those of the three (size x size) tables ACROSS, BLOCK and UNIT.  Off the
+    diagonal, entry (a, b) is the code of its table at (classes[a],
+    classes[b]).  ``elementwise`` runs formulas over ClassMatrix operands
+    on their carriers.  The dense codes are one gather through the
+    pattern, made on first read and kept; ``to_float`` gathers the floats
+    without them.
+    """
+
+    def __init__(self, pattern: ClassPattern, carrier: np.ndarray, book: Codebook):
+        self.pattern, self.carrier, self.book = pattern, carrier, book
+
+    @classmethod
+    def joint(cls, pattern: ClassPattern, tables: ExactMatrix) -> "ClassMatrix":
+        """A joint matrix from its (3, size, size) tables: its diagonal is each
+        class's own unit entry, p_aa = pi_a."""
+        diagonal = tables.codes[UNIT, pattern.classes, pattern.classes]
+        return cls(pattern, np.concatenate([diagonal, tables.codes.ravel()]), tables.book)
+
+    @property
+    def tables(self) -> np.ndarray:
+        size = self.pattern.size
+        return self.carrier[len(self.pattern.classes):].reshape(3, size, size)
+
+    def _expand(self, values: np.ndarray) -> np.ndarray:
+        kn = len(self.pattern.classes)
+        dense = values[kn:][self.pattern.index]
+        dense.flat[::kn + 1] = values[:kn]
+        return dense
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        return self._expand(self.carrier)
+
+    def to_float(self) -> np.ndarray:
+        return self._expand(self.book.floats[self.carrier])
+
+    def diagonal(self) -> ExactMatrix:
+        return ExactMatrix(self.carrier[:len(self.pattern.classes)], self.book)
+
+
+def _diagonal_matrix(values: np.ndarray, like: ExactMatrix) -> ExactMatrix:
+    """The nonnegative integers ``values`` on the diagonal, zero elsewhere, in
+    ``like``'s form (a ClassMatrix keeps its tables at zero)."""
+    book = ExactMatrix.of(range(int(values.max()) + 1)).book
+    if isinstance(like, ClassMatrix):
+        zeros = np.zeros(len(like.carrier) - len(values), dtype=np.intp)
+        return ClassMatrix(like.pattern, np.concatenate([values.astype(np.intp), zeros]), book)
+    return ExactMatrix(np.diag(values.astype(np.intp)), book)
 
 
 class _Rationals:
@@ -200,34 +344,44 @@ class _Rationals:
         raise TypeError("an exact formula must be a branch-free array expression")
 
 
-def elementwise(fn, *operands) -> tuple[np.ndarray, ExactMatrix | None]:
+def elementwise(fn, *operands) -> tuple[np.ndarray | None, ExactMatrix | None]:
     """``fn`` applied entrywise to broadcast operands, as (floats, exact values).
 
     ``fn`` runs once, as an array expression.  When every operand is an
     ExactMatrix it runs on exact rationals, one entry per distinct tuple
-    of operand codes, and the result is exact, its codebook in the order
-    of those tuples.  The distinct tuples, in ascending order, come from a
-    presence table when the tuple key space is no larger than the entry
+    of operand codes, and the result is exact: (None, ExactMatrix), whose
+    floats ``to_float`` reads.  Over ClassMatrix operands of one pattern
+    it runs on their carriers, so the result is a ClassMatrix of that
+    pattern and no kn x kn array is formed.  The distinct tuples come from
+    a presence table when the tuple key space is no larger than the entry
     count, and from a sort otherwise.  When an operand is not exact, ``fn``
-    runs on the float arrays and there are no exact values.  Callers
-    write their formula once through it instead of branching on
-    exactness, so a formula must be branch-free: ``+ - * /``, ``abs`` and
-    comparisons, mixed with integers.  They may still rearrange operand
-    codes (``_outer_pair`` sorts the codes of a symmetric pair so it is
-    evaluated once).
+    runs on the float arrays: (floats, None).  Callers write their formula
+    once through it instead of branching on exactness, so a formula must
+    be branch-free: ``+ - * /``, ``abs`` and comparisons, mixed with
+    integers.  They may still rearrange operand codes (``_outer_pair``
+    sorts the codes of a symmetric pair so it is evaluated once).
     """
     if not all(isinstance(op, ExactMatrix) for op in operands):
         floats = [op.to_float() if isinstance(op, ExactMatrix) else op for op in operands]
         return np.asarray(fn(*floats), dtype=float), None
-    shape = np.broadcast_shapes(*(op.codes.shape for op in operands))
-    space = math.prod(len(op.book) for op in operands)
+    patterns = {op.pattern if isinstance(op, ClassMatrix) else None for op in operands}
+    if len(patterns) == 1 and None not in patterns:
+        exact = _exact(fn, [op.carrier for op in operands], [op.book for op in operands])
+        return None, ClassMatrix(patterns.pop(), exact.codes, exact.book)
+    return None, _exact(fn, [op.codes for op in operands], [op.book for op in operands])
+
+
+def _exact(fn, codes: list[np.ndarray], books: list[Codebook]) -> ExactMatrix:
+    """``elementwise``'s exact kernel over broadcast code arrays."""
+    shape = np.broadcast_shapes(*(c.shape for c in codes))
+    space = math.prod(map(len, books))
     # one integer key per entry, mixed-radix over the operand codebooks
     key, radix = np.zeros(shape, dtype=np.int64), 1
-    for op in operands:
-        if radix * len(op.book) >= 2**62:  # renumber densely before it overflows
+    for c, book in zip(codes, books):
+        if radix * len(book) >= 2**62:  # renumber densely before it overflows
             key = np.unique(key, return_inverse=True)[1].reshape(shape)
             radix = int(key.max()) + 1
-        key, radix = key * len(op.book) + op.codes, radix * len(op.book)
+        key, radix = key * len(book) + c, radix * len(book)
     key = key.ravel()
     # a key space no larger than the entry count was never renumbered: rank its
     # keys through a presence table instead of a sort, and decode them to codes
@@ -236,16 +390,15 @@ def elementwise(fn, *operands) -> tuple[np.ndarray, ExactMatrix | None]:
         present[key] = True
         inverse = (np.cumsum(present) - 1)[key]
         rest, picks = np.flatnonzero(present), []
-        for op in reversed(operands):  # the last operand is the lowest digit
-            rest, pick = np.divmod(rest, len(op.book))
+        for book in reversed(books):  # the last operand is the lowest digit
+            rest, pick = np.divmod(rest, len(book))
             picks.insert(0, pick)
     else:
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        picks = [np.broadcast_to(op.codes, shape).ravel()[first] for op in operands]
-    args = [_Rationals(op.book.num[pick], op.book.den[pick]) for op, pick in zip(operands, picks)]
+        picks = [np.broadcast_to(c, shape).ravel()[first] for c in codes]
+    args = [_Rationals(book.num[pick], book.den[pick]) for book, pick in zip(books, picks)]
     result = _Rationals.lift(fn(*args))
-    exact = ExactMatrix.of(result.num, inverse.reshape(shape), result.den)
-    return exact.to_float(), exact
+    return ExactMatrix.of(result.num, inverse.reshape(shape), result.den)
 
 
 @dataclass(frozen=True)
@@ -362,22 +515,53 @@ class PiDiagonal:
             )
 
 
+class FracFloats:
+    """A holder's float matrix field that may be left out (None) when the
+    holder has exact values: it is then read off ``frac`` on first use and
+    kept, so a matrix nobody reads as floats is never expanded."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, holder, owner=None):
+        if holder is None:
+            raise AttributeError(self.name)  # the dataclass field has no default
+        floats = holder.__dict__[self.name]
+        if floats is None:
+            floats = holder.__dict__[self.name] = holder.frac.to_float()
+        return floats
+
+    def __set__(self, holder, value):
+        holder.__dict__[self.name] = value
+
+    @staticmethod
+    def given(holder, name: str) -> bool:
+        """Whether ``name`` was given as floats (or there are no exact values),
+        so that it is to be checked."""
+        return holder.frac is None or holder.__dict__[name] is not None
+
+
 @dataclass(eq=False)
 class JointProbMatrix:
-    """Joint assignment probabilities: entry (a, b) is E[R_a R_b]."""
+    """Joint assignment probabilities: entry (a, b) is E[R_a R_b].
+
+    Given floats are checked; exact values are symmetric and in [0, 1]
+    by construction, and their floats are read off them on first use.
+    """
 
     layout: IndexLayout
-    p: np.ndarray
+    p: np.ndarray = FracFloats()
     frac: ExactMatrix | None = None
     estimated: bool = False
     se: np.ndarray | None = None
 
     def __post_init__(self):
-        self.p = self.layout.check_matrix(self.p, "joint probability matrix")
-        if np.max(np.abs(self.p - self.p.T)) != 0.0:
-            raise ValidationError("joint probability matrix must be exactly symmetric")
-        if np.any(self.p < 0.0) or np.any(self.p > 1.0):
-            raise ValidationError("joint probabilities must lie in [0, 1]")
+        if FracFloats.given(self, "p"):
+            self.p = self.layout.check_matrix(self.p, "joint probability matrix")
+            if np.max(np.abs(self.p - self.p.T)) != 0.0:
+                raise ValidationError("joint probability matrix must be exactly symmetric")
+            if np.any(self.p < 0.0) or np.any(self.p > 1.0):
+                raise ValidationError("joint probabilities must lie in [0, 1]")
 
 
 @dataclass(eq=False)
@@ -386,12 +570,13 @@ class DesignMatrix:
     weighted assignment indicators, normalized elementwise."""
 
     layout: IndexLayout
-    d: np.ndarray
+    d: np.ndarray = FracFloats()
     frac: ExactMatrix | None = None
     estimated: bool = False
 
     def __post_init__(self):
-        self.d = self.layout.check_matrix(self.d, "design matrix")
+        if FracFloats.given(self, "d"):
+            self.d = self.layout.check_matrix(self.d, "design matrix")
 
 
 @dataclass(eq=False)
@@ -399,13 +584,22 @@ class ImpossibilityMask:
     """0/1 matrix marking pairs of assignments with joint probability zero."""
 
     layout: IndexLayout
-    mask: np.ndarray
+    mask: np.ndarray = FracFloats()
+    frac: ExactMatrix | None = None
 
     def __post_init__(self):
-        self.mask = np.asarray(self.mask)
-        if self.mask.shape != (self.layout.kn, self.layout.kn):
-            raise LayoutMismatchError("mask shape does not match layout")
-        self.mask = (self.mask != 0).astype(float)
+        if FracFloats.given(self, "mask"):
+            self.mask = np.asarray(self.mask)
+            if self.mask.shape != (self.layout.kn, self.layout.kn):
+                raise LayoutMismatchError("mask shape does not match layout")
+            self.mask = (self.mask != 0).astype(float)
+
+    def row_sums(self) -> np.ndarray:
+        """Masked entries per row, read off the class tables when there are some."""
+        if isinstance(self.frac, ClassMatrix):
+            values = self.frac.book.num.astype(np.int64)  # 0 and 1
+            return self.frac.pattern.row_sums(values[self.frac.carrier])
+        return self.mask.sum(axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,9 +644,10 @@ def _checked_support(support: Support, layout: IndexLayout) -> Support:
 class Design:
     """A randomization design.
 
-    ``p_frac`` is the exact joint matrix; ``moments`` holds the estimated
-    (p, p se) of a sampler-only custom design built with a seed, and is
-    None otherwise.  Inclusion probabilities are p's diagonal, so nothing
+    ``p_frac`` is the exact joint matrix: class tables (ClassMatrix) for the
+    built-in families, dense codes for custom designs.  ``moments`` holds
+    the estimated (p, p se) of a sampler-only custom design built with a
+    seed, and is None otherwise.  Inclusion probabilities are p's diagonal, so nothing
     computed from p needs the support.  Assignments are drawn from
     ``sampler`` when there is one.
 
@@ -550,46 +745,91 @@ def _as_fraction(x) -> Fraction:
     raise ValidationError(f"cannot interpret {x!r} as a probability")
 
 
-def _pair_indicators(layout: IndexLayout) -> tuple[ExactMatrix, ExactMatrix]:
-    """0/1 matrices marking flat index pairs (a, b) in the same unit / arm."""
-    flat = np.arange(layout.kn)
-    unit, arm = flat % layout.n, flat // layout.n
-    return (
-        ExactMatrix.of((0, 1), unit[:, None] == unit[None, :]),
-        ExactMatrix.of((0, 1), arm[:, None] == arm[None, :]),
+def _sorted_pair(codes: np.ndarray, book: Codebook) -> tuple[ExactMatrix, ExactMatrix]:
+    """``codes[:, None]`` and ``codes[None, :]`` with each pair sorted."""
+    a, b = codes[:, None], codes[None, :]
+    return ExactMatrix(np.minimum(a, b), book), ExactMatrix(np.maximum(a, b), book)
+
+
+def _outer_pair(p: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """p_aa and p_bb at each entry (a, b) of the joint matrix ``p``, in p's
+    form, with each pair's codes sorted, so a formula symmetric in the two
+    evaluates entries (a, b) and (b, a) once."""
+    if not isinstance(p, ClassMatrix):
+        return _sorted_pair(np.diagonal(p.codes), p.book)
+    diagonal, shape = p.carrier[:len(p.pattern.classes)], p.tables.shape
+    # a class's own unit entry is its pi
+    return tuple(
+        ClassMatrix(p.pattern, np.concatenate([diagonal, np.broadcast_to(t.codes, shape).ravel()]),
+                    p.book)
+        for t in _sorted_pair(p.tables[UNIT].diagonal(), p.book)
     )
 
 
-def _embed(codes: np.ndarray, pieces, books=(), *, reached_only: bool = False) -> ExactMatrix:
-    """``codes`` over the concatenated ``books``, with each (index, ExactMatrix)
-    piece written in.
+def _as_classes(p: ExactMatrix, layout: IndexLayout) -> ClassMatrix:
+    """``p`` as a ClassMatrix: a dense p takes one class per flat index and a
+    single block, so all three of its tables are p itself."""
+    if isinstance(p, ClassMatrix):
+        return p
+    flat = np.arange(layout.kn)
+    pattern = ClassPattern(flat, flat % layout.n, np.zeros(layout.kn, dtype=np.intp), layout.kn)
+    carrier = np.concatenate([np.diagonal(p.codes), np.tile(p.codes.ravel(), 3)])
+    return ClassMatrix(pattern, carrier, p.book)
 
-    With ``reached_only`` the codebook is first cut to the entries whose
-    float equals that of an entry some code reaches, in codebook order.
-    Every occurrence of a reached value survives the cut, so the reached
-    values keep the order the whole codebooks give them, and the entries
-    of a large codebook that no code reaches are never deduplicated.
+
+def _stored(p: ClassMatrix) -> ExactMatrix:
+    """``p`` kept as class tables when they hold fewer entries than the dense
+    matrix, else expanded once: many classes (distinct Bernoulli rows, a
+    large custom part) leave the tables nothing to save."""
+    if 3 * p.pattern.size**2 <= len(p.pattern.classes) ** 2:
+        return p
+    return ExactMatrix(p.codes, p.book)
+
+
+def _block_p(layout: IndexLayout, unit_sets: list[list[int]], subs: list[Design]) -> ExactMatrix:
+    """p of independent parts over disjoint unit sets, as class tables where
+    they are the smaller form (``_stored``).
+
+    Each distinct part design is a part type: its classes, and its unit
+    and block tables, are its own, and its units and blocks are numbered
+    apart in each block it fills.  Indices in different blocks are
+    independent, so the across table is the product of the two classes'
+    inclusion probabilities, evaluated once per unordered pair.
     """
-    books = list(books)
-    offset = sum(map(len, books))
-    for index, piece in pieces:
-        codes[index] = piece.codes + offset
-        books.append(piece.book)
-        offset += len(piece.book)
-    num, den = (np.concatenate([getattr(b, part) for b in books]) for part in ("num", "den"))
-    if reached_only:
-        floats = np.concatenate([b.floats for b in books])
-        reached = np.sort(floats[codes])
-        keep = reached[np.searchsorted(reached, floats).clip(max=len(reached) - 1)] == floats
-        codes, num, den = (np.cumsum(keep) - 1)[codes], num[keep], den[keep]
-    return ExactMatrix.of(num, codes, den)
-
-
-def _outer_pair(v: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """``v[:, None]`` and ``v[None, :]`` with each pair's codes sorted, so a
-    formula symmetric in the two evaluates entries (a, b) and (b, a) once."""
-    a, b = v.codes[:, None], v.codes[None, :]
-    return ExactMatrix(np.minimum(a, b), v.book), ExactMatrix(np.maximum(a, b), v.book)
+    types: dict[int, list[int]] = {}  # part design -> the blocks it fills
+    for i, sub in enumerate(subs):
+        types.setdefault(id(sub), []).append(i)
+    classes, units, blocks = (np.empty(layout.kn, dtype=np.intp) for _ in range(3))
+    parts, size, unit_base, block_base = [], 0, 0, 0
+    for filled in types.values():
+        sub = subs[filled[0]]
+        part = _as_classes(sub.p_frac, sub.layout)
+        pat, local = part.pattern, np.arange(sub.layout.kn)
+        members = np.array([unit_sets[i] for i in filled])  # blocks x part units
+        flat = (local // sub.layout.n * layout.n) + members[:, local % sub.layout.n]
+        copy = np.arange(len(filled))[:, None]
+        unit_span, block_span = pat.units.max() + 1, pat.blocks.max() + 1
+        classes[flat] = size + pat.classes
+        units[flat] = unit_base + copy * unit_span + pat.units
+        blocks[flat] = block_base + copy * block_span + pat.blocks
+        unit_base += len(filled) * unit_span
+        block_base += len(filled) * block_span
+        parts.append((size, part))
+        size += pat.size
+    # the parts' codebooks end to end, then the across products
+    offsets = np.cumsum([0] + [len(part.book) for _, part in parts])
+    num, den = (np.concatenate([getattr(part.book, x) for _, part in parts]) for x in ("num", "den"))
+    own = np.concatenate([off + part.tables[UNIT].diagonal() for off, (_, part) in zip(offsets, parts)])
+    pi = ExactMatrix.of(num[own], den=den[own])  # each class's own unit entry is its pi
+    _, across = elementwise(operator.mul, *_sorted_pair(pi.codes, pi.book))
+    tables = np.empty((3, size, size), dtype=np.intp)
+    tables[:] = across.codes + offsets[-1]
+    for off, (start, part) in zip(offsets, parts):
+        span = slice(start, start + part.pattern.size)
+        tables[BLOCK:, span, span] = part.tables[BLOCK:] + off
+    merged = ExactMatrix.of(np.concatenate([num, across.book.num]), tables,
+                            np.concatenate([den, across.book.den]))
+    return _stored(ClassMatrix.joint(ClassPattern(classes, units, blocks, size), merged))
 
 
 # ---------------------------------------------------------------------------
@@ -639,13 +879,14 @@ def bernoulli_design(
         return isinstance(x, (int, float, np.integer, np.floating, Fraction, str))
 
     k, n = (None if v is None else spec_int(v) for v in (k, n))
+    # the distinct rows, and each unit's row among them
     if _is_scalar(probs):
         if k not in (None, 2):
             raise InfeasibleSpecError("scalar probability implies k=2")
         if n is None:
             raise InfeasibleSpecError("scalar probability requires explicit n")
         p1 = _as_fraction(probs)
-        table = [(1 - p1, p1)] * n
+        rows, which = [(1 - p1, p1)], np.zeros(n, dtype=np.intp)
         k = 2
     else:
         arr = list(probs)
@@ -655,39 +896,42 @@ def bernoulli_design(
             # one length-k row shared across all units
             if n is None:
                 raise InfeasibleSpecError("shared arm probabilities require explicit n")
-            table = [tuple(_as_fraction(x) for x in arr)] * n
+            rows, which = [tuple(_as_fraction(x) for x in arr)], np.zeros(n, dtype=np.intp)
         else:
-            table = [tuple(_as_fraction(x) for x in row) for row in arr]
-            if n is not None and len(table) != n:
+            first: dict[tuple, int] = {}
+            which = np.array([first.setdefault(tuple(_as_fraction(x) for x in row), len(first))
+                              for row in arr], dtype=np.intp)
+            rows = list(first)
+            if n is not None and len(which) != n:
                 raise InfeasibleSpecError("probs row count disagrees with n")
-            n = len(table)
-        k = len(table[0]) if k is None else k
-        if any(len(row) != k for row in table):
+            n = len(which)
+        k = len(rows[0]) if k is None else k
+        if any(len(row) != k for row in rows):
             raise InfeasibleSpecError("every probability row must have length k")
     layout = IndexLayout(k, n)
     # float rows need not sum to exactly 1 in binary: normalize each distinct
     # row exactly, once, so the support is a probability measure whose marginals are pi
-    normalized = {}
-    for i, row in enumerate(table):
-        if row not in normalized:
-            total = sum(row)
-            if abs(float(total) - 1.0) > 1e-12:
-                raise InfeasibleSpecError(f"arm probabilities for unit {i} do not sum to 1")
-            if any(float(x) < 0 for x in row):
-                raise InfeasibleSpecError("arm probabilities must be nonnegative")
-            normalized[row] = tuple(x / total for x in row)
-    table = [normalized[row] for row in table]
+    normalized = []
+    for j, row in enumerate(rows):
+        total = sum(row)
+        if abs(float(total) - 1.0) > 1e-12:
+            unit = int(np.argmax(which == j))
+            raise InfeasibleSpecError(f"arm probabilities for unit {unit} do not sum to 1")
+        if any(float(x) < 0 for x in row):
+            raise InfeasibleSpecError("arm probabilities must be nonnegative")
+        normalized.append(tuple(x / total for x in row))
 
     # one one-unit part per distinct row, over its arms of positive probability
-    parts = {}
-    for row in table:
+    parts: dict[tuple, Design] = {}
+    for row in normalized:
         if row not in parts:
-            arms = [r for r in range(k) if row[r] > 0]
-            parts[row] = custom_design(IndexLayout(k, 1), [([r], row[r]) for r in arms])
-    design = block_design([([i], parts[row]) for i, row in enumerate(table)],
+            parts[row] = custom_design(IndexLayout(k, 1),
+                                       [([r], row[r]) for r in range(k) if row[r] > 0])
+    part = [parts[row] for row in normalized]
+    design = block_design([([i], part[j]) for i, j in enumerate(which.tolist())],
                           support_cap=support_cap)
 
-    probs_float = np.array([[float(x) for x in row] for row in table])
+    probs_float = np.array([[float(x) for x in row] for row in normalized])[which]
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
         u = rng.random(n)
@@ -706,13 +950,22 @@ def _multinomial(counts: Sequence[int]) -> int:
 
 
 def _arm_sequences(counts: Sequence[int]) -> np.ndarray:
-    """Every arm-per-unit row with counts[r] units in arm r, in lexicographic order."""
-    arms = np.empty((1, 0), dtype=int)
-    left = np.array([counts])  # units still to place in each arm, per prefix
-    for _ in range(sum(counts)):
-        prefix, arm = np.nonzero(left)  # prefixes in order, arms ascending within each
-        arms = np.column_stack([arms[prefix], arm])
-        left = left[prefix]
+    """Every arm-per-unit row with counts[r] units in arm r, in lexicographic order.
+
+    The rows that share a prefix form a run.  A run of L rows whose
+    remaining units number m, counts ``left``, puts its next unit in arm r
+    in a run of L * left[r] / m rows (a multinomial), arms in order, so each
+    column is one ``np.repeat`` over the runs, written into one S x n array.
+    """
+    n = sum(counts)
+    arms = np.empty((_multinomial(counts), n), dtype=int)
+    lengths, left = np.array([len(arms)], dtype=np.int64), np.array([counts], dtype=np.int64)
+    for unit in range(n):
+        split = lengths[:, None] * left // (n - unit)  # rows of each run per next arm
+        run, arm = np.nonzero(split)  # runs in order, arms ascending within each
+        lengths = split[run, arm]
+        arms[:, unit] = np.repeat(arm, lengths)
+        left = left[run]
         left[np.arange(len(arm)), arm] -= 1
     return arms
 
@@ -730,15 +983,21 @@ def complete_design(
     k = len(counts)
     layout = IndexLayout(k, n)
 
-    # arm size of each flat index; a unit is in one arm, with probability n_a / n,
-    # and two units in arms a, b with probability n_a (n_b - [same arm]) / (n (n - 1));
-    # n = 1 has no second unit, so its divisor only needs to be nonzero
-    sizes = ExactMatrix.of(counts, np.repeat(np.arange(k), n))
-    _, p_frac = elementwise(
+    # one block of exchangeable units, one class per arm: a unit is in one arm,
+    # with probability n_a / n, and two units in arms a, b with probability
+    # n_a (n_b - [same arm]) / (n (n - 1)); n = 1 has no second unit, so its
+    # divisor only needs to be nonzero.  The tables run over (kind, arm, arm).
+    flat = np.arange(layout.kn)
+    pattern = ClassPattern(flat // n, flat % n, np.zeros(layout.kn, dtype=np.intp), k)
+    sizes = ExactMatrix.of(counts)
+    _, tables = elementwise(
         lambda na, nb, same_unit, same_arm: same_unit * same_arm * na / n
         + (1 - same_unit) * na * (nb - same_arm) / (n * max(n - 1, 1)),
-        sizes[:, None], sizes[None, :], *_pair_indicators(layout),
+        sizes[:, None], sizes[None, :],
+        ExactMatrix.of((0, 1), (np.arange(3) == UNIT)[:, None, None]),
+        ExactMatrix.of((0, 1), np.eye(k, dtype=bool)),
     )
+    p_frac = ClassMatrix.joint(pattern, tables)
 
     size = _multinomial(counts)
 
@@ -798,16 +1057,7 @@ def block_design(
 
     p_frac = None
     if all(sub.p_frac is not None for _, sub in blocks):
-        # flat indices of each block, in its sub-design's own arm-major order
-        flats = [np.array([layout.flat(r, u) for r in range(k) for u in us]) for us in unit_sets]
-        subs = [sub for _, sub in blocks]
-        # independent across blocks: joints are products of the marginals, which
-        # are the parts' p diagonals (read directly: a part may have pi = 0)
-        marginals = (s.p_frac[np.diag_indices(s.layout.kn)] for s in subs)
-        pi = _embed(np.empty(layout.kn, dtype=np.intp), zip(flats, marginals), reached_only=True)
-        _, across = elementwise(operator.mul, *_outer_pair(pi))
-        within = [(np.ix_(idx, idx), sub.p_frac) for idx, sub in zip(flats, subs)]
-        p_frac = _embed(across.codes.copy(), within, [across.book])
+        p_frac = _block_p(layout, unit_sets, [sub for _, sub in blocks])
 
     sizes = [sub.support_size for _, sub in blocks]
     size = None if None in sizes else math.prod(sizes)
@@ -876,10 +1126,16 @@ def cluster_design(clusters: Sequence[Sequence[int]], cluster_level: Design) -> 
 
     p_frac = None
     if cluster_level.p_frac is not None:
-        # flat index of each (arm, unit) in the cluster-level design
+        # each (arm, unit) reads the tables at its (arm, cluster) of the cluster
+        # level, whose units are the clusters: the tables carry over unchanged
+        level = _as_classes(cluster_level.p_frac, cluster_level.layout)
         flat = np.arange(layout.kn)
-        to_cluster = cluster_level.layout.flat(flat // n, group[flat % n])
-        p_frac = cluster_level.p_frac[np.ix_(to_cluster, to_cluster)]
+        to_level = cluster_level.layout.flat(flat // n, group[flat % n])
+        pat, kn_level = level.pattern, cluster_level.layout.kn
+        pattern = ClassPattern(pat.classes[to_level], pat.units[to_level],
+                               pat.blocks[to_level], pat.size)
+        carrier = np.concatenate([level.carrier[:kn_level][to_level], level.carrier[kn_level:]])
+        p_frac = _stored(ClassMatrix(pattern, carrier, level.book))
 
     def enumerator() -> Support:
         # take keeps rows C-contiguous (arms[:, group] would not): float sums over
@@ -1009,6 +1265,10 @@ def spec_int(value) -> int:
 
 
 def _ints(value) -> list[int]:
+    """A JSON list of integers: checked as one row when every entry is a
+    plain int, as JSON gives them, and entry by entry otherwise."""
+    if isinstance(value, (list, tuple)) and {int}.issuperset(map(type, value)):
+        return list(value)
     return _listed(value, spec_int)
 
 
@@ -1087,30 +1347,34 @@ def _empirical_moments(design: Design, seed: int, reps: int) -> tuple[np.ndarray
     return p_hat, np.sqrt(np.clip(p_hat * (1 - p_hat), 0, None) / reps)
 
 
-def _moments(design: Design, index) -> tuple[np.ndarray, ExactMatrix | None, np.ndarray | None]:
-    """p at ``index`` as (floats, exact values, se): exact when the design
-    has an exact p (se None), else its Monte Carlo estimate (frac None)."""
+def _moments(design: Design, diagonal: bool) -> tuple[np.ndarray | None, ExactMatrix | None,
+                                                     np.ndarray | None]:
+    """p, or its diagonal, as (floats, exact values, se): exact when the design
+    has an exact p (floats None: read them off the exact values; se None),
+    else its Monte Carlo estimate (frac None)."""
     if design.p_frac is not None:
-        frac = design.p_frac[index]
-        return frac.to_float(), frac, None
+        return None, design.p_frac.diagonal() if diagonal else design.p_frac, None
     if design.moments is None:
         raise ValidationError(
             f"{design.family} design has neither exact nor estimated moments; estimate them "
             "with custom_design(d.layout, sampler=d.draw, seed=s, mc_replicates=r)"
         )
     p_hat, p_se = design.moments
-    return p_hat[index], None, p_se[index]
+    if diagonal:
+        return np.diagonal(p_hat).copy(), None, np.diagonal(p_se).copy()
+    return p_hat, None, p_se
 
 
 def inclusion_probabilities(design: Design) -> PiDiagonal:
     """Marginal assignment probabilities, p's diagonal: exact where p is."""
-    probs, frac, se = _moments(design, np.diag_indices(design.layout.kn))
+    probs, frac, se = _moments(design, diagonal=True)
+    probs = frac.to_float() if frac is not None else probs
     return PiDiagonal(design.layout, probs, frac=frac, estimated=se is not None, se=se)
 
 
 def joint_probabilities(design: Design) -> JointProbMatrix:
     """Joint assignment probabilities, exact where the family allows."""
-    p, frac, se = _moments(design, ...)
+    p, frac, se = _moments(design, diagonal=False)
     return JointProbMatrix(design.layout, p, frac=frac, estimated=se is not None, se=se)
 
 
@@ -1119,15 +1383,18 @@ def first_order_design_matrix(design: Design) -> tuple[DesignMatrix, Impossibili
 
     Entry (a, b) is p_ab / (pi_a pi_b) - 1.  Impossible joint assignments
     (p_ab = 0, detected exactly, never by float comparison) carry exactly
-    -1 and are reported in the companion mask.
+    -1 and are reported in the companion mask.  Both are exact where p is,
+    and over p's class tables where p has them.
     """
     pi = inclusion_probabilities(design)  # raises if non-identified
     p = joint_probabilities(design)
-    pis, joint = pi.frac or pi.probs, p.frac or p.p
-    pa, pb = _outer_pair(pis) if isinstance(pis, ExactMatrix) else (pis[:, None], pis[None, :])
+    if p.frac is not None:
+        joint, (pa, pb) = p.frac, _outer_pair(p.frac)
+    else:
+        joint, pa, pb = p.p, pi.probs[:, None], pi.probs[None, :]
     d, d_frac = elementwise(lambda pab, pa, pb: pab / (pa * pb) - 1, joint, pa, pb)
-    mask, _ = elementwise(lambda pab: pab == 0, joint)
+    mask, mask_frac = elementwise(lambda pab: pab == 0, joint)
     return (
         DesignMatrix(design.layout, d, frac=d_frac, estimated=p.estimated),
-        ImpossibilityMask(design.layout, mask),
+        ImpossibilityMask(design.layout, mask, frac=mask_frac),
     )

@@ -2,9 +2,12 @@
 
 Everything here is written directly from the defining formulas with its
 own linear algebra, deliberately not reusing the library's estimator or
-bound machinery, so agreement between the two is informative.  The one
-exception is ``neyman_identity_check``, which reads the library's Neyman
-bound as the side of the identity it checks.
+bound machinery, so agreement between the two is informative.  Two
+exceptions: ``neyman_identity_check`` reads the library's Neyman bound
+as the side of the identity it checks, and ``dense_p`` assembles a
+design's p as kn x kn codes with the library's dense exact kernel, as
+the builders did before they kept class tables, so that the tables are
+checked against the construction they replaced.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -19,6 +23,7 @@ import numpy as np
 
 import designvar as dv
 from designvar import Design
+from designvar.designs import ExactMatrix, elementwise
 
 
 def reference_support(spec: dict) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -46,8 +51,7 @@ def reference_support(spec: dict) -> list[tuple[tuple[int, ...], Fraction]]:
                 points.append((arms, prob))
         return points
     if kind == "complete":
-        labels = [r for r, c in enumerate(spec["counts"]) for _ in range(c)]
-        sequences = sorted(set(itertools.permutations(labels)))
+        sequences = multiset_permutations(spec["counts"])
         return [(arms, Fraction(1, len(sequences))) for arms in sequences]
     if kind in ("paired", "block"):
         if kind == "paired":
@@ -463,3 +467,129 @@ def grouped_reference(fn, operands) -> tuple[np.ndarray, list[tuple[int, int]]]:
     number = {value: i for i, value in enumerate(book)}
     codes = np.array([number[value] for value in results], dtype=np.intp)[inverse.ravel()]
     return codes.reshape(shape), [(v.numerator, v.denominator) for v in book]
+
+
+# ---------------------------------------------------------------------------
+# dense exact p: the kn x kn construction the builders used before they kept
+# class tables, as the reference for them
+
+
+def _pair_indicators(layout: dv.IndexLayout) -> tuple[ExactMatrix, ExactMatrix]:
+    """0/1 matrices marking flat index pairs (a, b) in the same unit / arm."""
+    flat = np.arange(layout.kn)
+    unit, arm = flat % layout.n, flat // layout.n
+    return (
+        ExactMatrix.of((0, 1), unit[:, None] == unit[None, :]),
+        ExactMatrix.of((0, 1), arm[:, None] == arm[None, :]),
+    )
+
+
+def _embed(codes: np.ndarray, pieces, books=(), *, reached_only: bool = False) -> ExactMatrix:
+    """``codes`` over the concatenated ``books``, with each (index, ExactMatrix)
+    piece written in; with ``reached_only`` the codebook is first cut to the
+    entries whose float equals that of an entry some code reaches."""
+    books = list(books)
+    offset = sum(map(len, books))
+    for index, piece in pieces:
+        codes[index] = piece.codes + offset
+        books.append(piece.book)
+        offset += len(piece.book)
+    num, den = (np.concatenate([getattr(b, part) for b in books]) for part in ("num", "den"))
+    if reached_only:
+        floats = np.concatenate([b.floats for b in books])
+        reached = np.sort(floats[codes])
+        keep = reached[np.searchsorted(reached, floats).clip(max=len(reached) - 1)] == floats
+        codes, num, den = (np.cumsum(keep) - 1)[codes], num[keep], den[keep]
+    return ExactMatrix.of(num, codes, den)
+
+
+def _dense_outer_pair(v: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    a, b = v.codes[:, None], v.codes[None, :]
+    return ExactMatrix(np.minimum(a, b), v.book), ExactMatrix(np.maximum(a, b), v.book)
+
+
+def dense_complete_p(counts) -> tuple[dv.IndexLayout, ExactMatrix]:
+    n, k = sum(counts), len(counts)
+    layout = dv.IndexLayout(k, n)
+    sizes = ExactMatrix.of(counts, np.repeat(np.arange(k), n))
+    _, p = elementwise(
+        lambda na, nb, same_unit, same_arm: same_unit * same_arm * na / n
+        + (1 - same_unit) * na * (nb - same_arm) / (n * max(n - 1, 1)),
+        sizes[:, None], sizes[None, :], *_pair_indicators(layout),
+    )
+    return layout, p
+
+
+def dense_block_p(layout: dv.IndexLayout, parts) -> ExactMatrix:
+    """p of independent parts, (units, part layout, part p) each: cross-block
+    joints are products of the marginals, written around the parts' own p."""
+    flats = [np.array([layout.flat(r, u) for r in range(layout.k) for u in units])
+             for units, _, _ in parts]
+    marginals = (p[np.diag_indices(sub.kn)] for _, sub, p in parts)
+    pi = _embed(np.empty(layout.kn, dtype=np.intp), zip(flats, marginals), reached_only=True)
+    _, across = elementwise(operator.mul, *_dense_outer_pair(pi))
+    within = [(np.ix_(idx, idx), p) for idx, (_, _, p) in zip(flats, parts)]
+    return _embed(across.codes.copy(), within, [across.book])
+
+
+def dense_p(spec: dict) -> tuple[dv.IndexLayout, ExactMatrix]:
+    """(layout, dense exact p) of a JSON design spec, built the dense way."""
+    kind = spec["type"]
+    inherited = {"k": spec["k"]} if "k" in spec else {}
+    if kind == "complete":
+        return dense_complete_p(spec["counts"])
+    if kind == "bernoulli":
+        probs = spec.get("probs", spec.get("p"))
+        if not isinstance(probs, list):
+            rows = [[1 - Fraction(probs), Fraction(probs)]] * spec["n"]
+        else:
+            rows = [probs] * spec["n"] if not isinstance(probs[0], list) else probs
+        rows = [[Fraction(x) for x in row] for row in rows]
+        k = len(rows[0])
+        parts = []
+        for unit, row in enumerate(rows):
+            row = [x / sum(row) for x in row]
+            one = dv.custom_design(dv.IndexLayout(k, 1), [([r], x) for r, x in enumerate(row) if x])
+            parts.append(([unit], one.layout, one.p_frac))
+        layout = dv.IndexLayout(k, len(rows))
+        return layout, dense_block_p(layout, parts)
+    if kind in ("paired", "block"):
+        if kind == "paired":
+            k = spec.get("k", 2)
+            subs = [(list(pair), {"type": "complete", "counts": [1] * k}) for pair in spec["pairs"]]
+        else:
+            subs = [(b["units"], {**inherited, "n": len(b["units"]), **b}) for b in spec["blocks"]]
+        parts = [(units, *dense_p(sub)) for units, sub in subs]
+        layout = dv.IndexLayout(parts[0][1].k, sum(len(units) for units, _, _ in parts))
+        return layout, dense_block_p(layout, parts)
+    if kind == "cluster":
+        clusters = spec["clusters"]
+        level_layout, level_p = dense_p({**inherited, "n": len(clusters), **spec["cluster_design"]})
+        n = sum(map(len, clusters))
+        layout = dv.IndexLayout(level_layout.k, n)
+        group = np.empty(n, dtype=int)
+        for g, cl in enumerate(clusters):
+            group[cl] = g
+        flat = np.arange(layout.kn)
+        to_cluster = level_layout.flat(flat // n, group[flat % n])
+        return layout, level_p[np.ix_(to_cluster, to_cluster)]
+    if kind == "custom":
+        design = dv.build_design(spec)
+        return design.layout, design.p_frac
+    raise ValueError(kind)
+
+
+def multiset_permutations(counts) -> list[tuple[int, ...]]:
+    """Every arrangement of counts[r] copies of each arm r, in lexicographic
+    order, from itertools (n! permutations: small n only)."""
+    labels = [r for r, c in enumerate(counts) for _ in range(c)]
+    return sorted(set(itertools.permutations(labels)))
+
+
+def assert_same_exact(got: ExactMatrix, want: ExactMatrix) -> None:
+    """Equal Fractions entry by entry (compared as reduced integer pairs, so
+    codebook order does not enter) and bit-identical floats."""
+    assert got.codes.shape == want.codes.shape
+    for part in ("num", "den"):
+        assert np.array_equal(getattr(got.book, part)[got.codes], getattr(want.book, part)[want.codes])
+    assert got.to_float().tobytes() == want.to_float().tobytes()

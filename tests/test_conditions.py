@@ -83,6 +83,14 @@ class TestSecondOrderNorm:
         with pytest.raises(dv.BudgetExceededError, match="532224"):
             dv.second_order_condition_norm(design, bound.dtilde, entry_budget=400_000)
 
+    def test_budget_is_checked_before_enumerating(self):
+        # complete [10,10]: S (kn)^2 = 184,756 * 1,600 is over the default budget,
+        # which is known from the support's size without building its 184,756 rows
+        design = dv.complete_design([10, 10])
+        with pytest.raises(dv.BudgetExceededError, match="295609600"):
+            dv.second_order_condition_norm(design, np.zeros((20, 20)))
+        assert design._support is None
+
     def test_bounded_along_growing_designs(self):
         # the per-n normalized norm grows slower than n (it saturates)
         values = []

@@ -1,4 +1,4 @@
-import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import designvar as dv
-from designvar import serialization as ser
-from designvar.designs import _embed, _outer_pair, elementwise
-from conftest import D_COMPLETE, D_PAIRED, SPECS_N30, SUPPORT_SIZES_N30
+from designvar import designs, serialization as ser
+from designvar.designs import _arm_sequences
+from conftest import D_COMPLETE, D_PAIRED, SPECS_N30, SUPPORT_SIZES_N30, traced_peak
 from oracles import (
+    assert_same_exact,
     assignments,
+    dense_p,
     empirical_moments,
     enumeration_design_matrix,
+    multiset_permutations,
     random_small_design,
     reference_support,
 )
@@ -29,6 +32,45 @@ class TestBuilders:
         assert complete42.support_size == 6
         support = complete42.support
         assert all(prob == Fraction(1, 6) for _, prob in zip(support.arms, support.probs))
+
+    @pytest.mark.parametrize("counts", [[1, 1], [2, 2], [3, 1], [0, 3], [2, 0, 2], [2, 1, 3],
+                                        [1, 1, 1, 1], [3, 3, 2]])
+    def test_arm_sequences_are_the_multiset_permutations_in_order(self, counts):
+        arms = _arm_sequences(counts)
+        assert arms.dtype == np.dtype(int) and arms.flags.c_contiguous
+        assert arms.tolist() == [list(row) for row in multiset_permutations(counts)]
+
+    def test_arm_sequences_fill_one_array(self):
+        # complete [8,8]: 12,870 rows of 16 arms; the per-column copies of
+        # growing prefixes took over 3 times the result
+        arms = _arm_sequences([8, 8])
+        assert traced_peak(_arm_sequences, [8, 8]) <= 2 * arms.nbytes
+
+    @pytest.mark.parametrize("arms, cause", [
+        ([True, 0], "expected an integer, got True"),
+        ([0, 1.5], "expected an integer, got 1.5"),
+        ([0, "x"], "expected an integer, got 'x'"),
+        ([[0], 1], "expected an integer, got [0]"),
+        (3, "expected a list, got int"),
+        ("01", "expected a list, got str"),
+    ])
+    def test_custom_arms_rows_are_rejected_as_before(self, arms, cause):
+        spec = {"type": "custom", "k": 2, "n": 2, "support": [{"arms": arms, "prob": 1}]}
+        message = f'custom support entry field "arms" is malformed: {arms!r}'
+        with pytest.raises(dv.ValidationError, match=f"^{re.escape(message)}$") as raised:
+            dv.build_design(spec)
+        assert str(raised.value.__cause__) == cause
+
+    def test_custom_arms_rows_are_read_whole(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(designs, "spec_int", lambda v: calls.append(v) or int(v))
+        points = [{"arms": [i % 2, 1 - i % 2, 1], "prob": "1/4"} for i in range(4)]
+        design = dv.build_design({"type": "custom", "k": 2, "n": 3, "support": points})
+        assert calls == [2, 3]  # k and n; each row of arms is one check
+        assert design.support.arms.tolist() == [p["arms"] for p in points]
+        # a row with an integral float takes the entry-by-entry path
+        spec = {"type": "custom", "k": 2, "n": 2, "support": [{"arms": [0, 1.0], "prob": 1}]}
+        assert dv.build_design(spec).support.arms.tolist() == [[0, 1]]
 
     def test_bernoulli_over_the_cap_builds_without_a_support(self):
         d = dv.bernoulli_design(0.5, n=30, support_cap=2**20)
@@ -285,6 +327,41 @@ class TestInclusionProbabilities:
             dv.inclusion_probabilities(d)
 
 
+class TestClassTables:
+    STRUCTURED = {
+        "complete": {"type": "complete", "counts": [12, 12, 11]},
+        "paired": {"type": "paired", "k": 2, "pairs": [[2 * i, 2 * i + 1] for i in range(25)]},
+        "bernoulli": {"type": "bernoulli", "n": 50, "p": "1/3"},
+        "cluster": {"type": "cluster", "k": 2, "clusters": [[g, g + 10] for g in range(10)],
+                    "cluster_design": {"type": "complete", "counts": [5, 5]}},
+        "block": SPECS_N30["block"],
+    }
+
+    @pytest.mark.parametrize("family", STRUCTURED)
+    def test_structured_families_stay_tables_until_read(self, family):
+        design = dv.build_design(self.STRUCTURED[family])
+        assert isinstance(design.p_frac, designs.ClassMatrix)
+        assert design.p_frac.pattern.size <= 6  # arms, times part types for the block
+        p = dv.joint_probabilities(design)
+        dmat, mask = dv.first_order_design_matrix(design)
+        bound = dv.aronow_samii_bound(dmat, mask)
+        # certification reads d, the bound and the mask as floats: one gather each
+        assert all(vars(m)[name] is not None for m, name in
+                   ((dmat, "d"), (bound, "dtilde"), (mask, "mask")))
+        ipw = dv.ipw_bound_matrix(bound, p)
+        assert vars(p)["p"] is None and vars(ipw)["matrix"] is None
+        assert "codes" not in vars(ipw.frac)  # no dense codes until an entry is read
+        assert float(ipw.frac[0, 0]) == ipw.matrix[0, 0]
+        assert "codes" in vars(ipw.frac)
+
+    def test_distinct_rows_are_stored_dense(self):
+        # a class per row: three tables of (2n)^2 entries would outweigh the matrix
+        rows = [[1 - x, x] for x in np.random.default_rng(1).random(20).tolist()]
+        design = dv.bernoulli_design(rows)
+        assert not isinstance(design.p_frac, designs.ClassMatrix)
+        assert_same_exact(design.p_frac, dense_p({"type": "bernoulli", "probs": rows})[1])
+
+
 class TestJointProbabilities:
     def test_paired_partners_never_share_arms(self, paired4):
         p = dv.joint_probabilities(paired4)
@@ -474,29 +551,20 @@ class TestCompositionAgainstEnumeration:
 
     @pytest.mark.parametrize("parts", [
         # 1/4 is a cross-unit joint, not a marginal, of the first part and a
-        # marginal of the second: it keeps its place in the codebook
-        [([0, 1], lambda: dv.bernoulli_design(Fraction(1, 2), n=2)),
-         ([2, 3, 4, 5], lambda: dv.complete_design([1, 3]))],
+        # marginal of the second
+        [([0, 1], {"type": "bernoulli", "n": 2, "p": "1/2"}),
+         ([2, 3, 4, 5], {"type": "complete", "counts": [1, 3]})],
         # distinct float rows: a part codebook of 1,891 values, 60 of them marginals
-        [(list(range(30)), lambda: dv.bernoulli_design(
-            [[1 - x, x] for x in np.random.default_rng(0).random(30).tolist()])),
-         ([30, 31], lambda: dv.complete_design([1, 1]))],
+        [(list(range(30)), {"type": "bernoulli", "probs": [
+            [1 - x, x] for x in np.random.default_rng(0).random(30).tolist()]}),
+         ([30, 31], {"type": "complete", "counts": [1, 1]})],
     ])
     def test_block_codes_match_whole_codebook_marginals(self, parts):
-        parts = [(units, build()) for units, build in parts]
-        block = dv.block_design(parts)
-        # reference: the marginals embedded over their parts' whole p codebooks
-        layout = block.layout
-        flats = [np.array([layout.flat(r, u) for r in range(layout.k) for u in units])
-                 for units, _ in parts]
-        marginals = [sub.p_frac[np.diag_indices(sub.layout.kn)] for _, sub in parts]
-        pi = _embed(np.empty(layout.kn, dtype=np.intp), zip(flats, marginals))
-        _, across = elementwise(operator.mul, *_outer_pair(pi))
-        within = [(np.ix_(idx, idx), sub.p_frac) for idx, (_, sub) in zip(flats, parts)]
-        p = _embed(across.codes.copy(), within, [across.book])
-        assert_array_equal(block.p_frac.codes, p.codes)
-        assert block.p_frac.book.num.tolist() == p.book.num.tolist()
-        assert block.p_frac.book.den.tolist() == p.book.den.tolist()
+        # codebook order is unspecified: every entry's value and float is
+        # compared with the dense construction's over the parts' whole codebooks
+        spec = {"type": "block", "blocks": [{"units": units, **sub} for units, sub in parts]}
+        block = dv.build_design(spec)
+        assert_same_exact(block.p_frac, dense_p(spec)[1])
 
     def test_cluster_moments_match_enumerated_support(self):
         level = dv.complete_design([1, 1])

@@ -22,7 +22,8 @@ from hypothesis.extra.numpy import arrays
 import designvar as dv
 from designvar import bound_estimation, bounds, designs, serialization as ser
 from designvar.designs import ExactMatrix, elementwise
-from oracles import exact_moments, grouped_reference, random_small_design
+from oracles import (assert_same_exact, dense_p, exact_moments, grouped_reference,
+                     random_small_design)
 
 
 def reference_values(design):
@@ -235,7 +236,9 @@ def test_elementwise_matches_per_entry_fractions(data):
             with pytest.raises(ZeroDivisionError):
                 elementwise(fn, *exact)
             continue
-        got_floats, got = elementwise(fn, *exact)
+        no_floats, got = elementwise(fn, *exact)
+        assert no_floats is None  # an exact result's floats are read off it
+        got_floats = got.to_float()
         assert np.array_equal(got.codes, codes)
         assert list(zip(got.book.num.tolist(), got.book.den.tolist())) == [
             (v.numerator, v.denominator) for v in book]
@@ -275,7 +278,8 @@ def test_elementwise_grouping_on_both_sides_of_the_key_space_threshold(table, da
             with pytest.raises(ZeroDivisionError):
                 designs.elementwise(fn, *operands)
             continue
-        floats, got = designs.elementwise(fn, *operands)
+        _, got = designs.elementwise(fn, *operands)
+        floats = got.to_float()
         assert np.array_equal(got.codes, codes)
         assert list(zip(got.book.num.tolist(), got.book.den.tolist())) == book
         for a, b in np.ndindex(got.codes.shape):  # a size-1 axis broadcasts
@@ -303,3 +307,103 @@ def test_scalar_index_makes_one_fraction():
     assert "fractions" not in vars(book)  # the codebook's Fractions are still unmade
     assert dmat.frac.values[dmat.frac.codes[0, 1]] == Fraction(-3, 8)
     assert "fractions" in vars(book)
+
+
+def _composition(data, total, parts):
+    """``total`` split into ``parts`` positive sizes."""
+    cuts = sorted(data.draw(st.lists(st.integers(1, total - 1), min_size=parts - 1,
+                                     max_size=parts - 1, unique=True)))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def _shuffled_groups(data, sizes):
+    units = data.draw(st.permutations(range(sum(sizes))))
+    starts = np.cumsum([0] + sizes)
+    return [list(units[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+def _row(data, k):
+    if k == 2 and data.draw(st.booleans()):  # a float row keeps its binary value
+        x = data.draw(st.floats(0.05, 0.95))
+        return [1 - x, x]
+    weights = [data.draw(st.integers(1, 5)) for _ in range(k)]
+    return [f"{w}/{sum(weights)}" for w in weights]
+
+
+def _spec(data, k, n, kinds):
+    """A design spec of ``k`` arms and ``n`` units, of one of ``kinds``."""
+    kinds = [kind for kind in kinds if (kind != "complete" or n >= k)
+             and (kind != "paired" or n % k == 0) and (kind not in ("block", "cluster") or n >= 2)]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "complete":
+        return {"type": "complete", "counts": _composition(data, n, k)}
+    if kind == "paired":
+        return {"type": "paired", "k": k, "pairs": _shuffled_groups(data, [k] * (n // k))}
+    if kind == "bernoulli":
+        form = data.draw(st.sampled_from(["shared", "rows"] + (["scalar"] if k == 2 else [])))
+        if form == "scalar":
+            return {"type": "bernoulli", "n": n, "p": _row(data, 2)[1]}
+        if form == "shared":
+            return {"type": "bernoulli", "n": n, "probs": _row(data, k)}
+        pool = [_row(data, k) for _ in range(2)]  # repeated rows share their classes
+        return {"type": "bernoulli", "probs": [pool[data.draw(st.integers(0, 1))] for _ in range(n)]}
+    if kind == "custom":
+        # every (arm, unit) is reached by one of the first k points
+        points = [[(r + i) % k for i in range(n)] for r in range(k)]
+        points += data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
+                                     max_size=2))
+        weights = [data.draw(st.integers(1, 4)) for _ in points]
+        return {"type": "custom", "k": k, "n": n, "support": [
+            {"arms": arms, "prob": f"{w}/{sum(weights)}"} for arms, w in zip(points, weights)]}
+    if kind == "block":
+        sizes = _composition(data, n, data.draw(st.integers(2, min(n, 3))))
+        inner = ["complete", "bernoulli", "paired", "custom", "block"]
+        return {"type": "block", "k": k, "blocks": [
+            {"units": units, **_spec(data, k, len(units), inner[:-1])}
+            for units in _shuffled_groups(data, sizes)]}
+    m = data.draw(st.integers(1, min(n, 4)))
+    return {"type": "cluster", "k": k, "clusters": _shuffled_groups(data, _composition(data, n, m)),
+            "cluster_design": _spec(data, k, m, ["complete", "bernoulli", "custom", "paired"])}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_class_tables_match_the_dense_construction(data):
+    """pi, p, d, the mask, the Aronow-Samii bound and the IPW matrix of every
+    built-in family equal, entry by entry, those computed from the dense p
+    the builders used to assemble: equal Fractions and bit-identical floats."""
+    k = data.draw(st.integers(2, 3))
+    kind = data.draw(st.sampled_from(["complete", "paired", "bernoulli", "block", "cluster"]))
+    if kind == "paired":
+        n = k * data.draw(st.integers(1, 3))
+    else:
+        n = data.draw(st.integers({"complete": k, "bernoulli": 1}.get(kind, 2), 7))
+    spec = _spec(data, k, n, [kind])
+    design = dv.build_design(spec)
+    layout, p_ref = dense_p(spec)
+    assert design.layout == layout
+    classes = isinstance(design.p_frac, designs.ClassMatrix)  # else tables would be larger
+    reference = dv.Design(layout, "reference", sampler=design.sampler, p_frac=p_ref)
+    assert_same_exact(design.p_frac, p_ref)
+    got_pi, want_pi = dv.inclusion_probabilities(design), dv.inclusion_probabilities(reference)
+    assert_same_exact(got_pi.frac, want_pi.frac)
+    assert got_pi.probs.tobytes() == want_pi.probs.tobytes()
+    got_p, want_p = dv.joint_probabilities(design), dv.joint_probabilities(reference)
+    assert got_p.p.tobytes() == want_p.p.tobytes()
+    (dmat, mask), (want_dmat, want_mask) = (dv.first_order_design_matrix(d)
+                                            for d in (design, reference))
+    assert isinstance(dmat.frac, designs.ClassMatrix) == classes
+    assert_same_exact(dmat.frac, want_dmat.frac)
+    assert_same_exact(mask.frac, want_mask.frac)
+    assert mask.mask.tobytes() == want_mask.mask.tobytes()
+    bound, want_bound = dv.aronow_samii_bound(dmat, mask), dv.aronow_samii_bound(want_dmat, want_mask)
+    assert isinstance(bound.frac, designs.ClassMatrix) == classes
+    assert_same_exact(bound.frac, want_bound.frac)
+    assert (bound.certified_bounding, bound.certified_identified) == (
+        want_bound.certified_bounding, want_bound.certified_identified)
+    ipw, want_ipw = dv.ipw_bound_matrix(bound, got_p), dv.ipw_bound_matrix(want_bound, want_p)
+    assert isinstance(ipw.frac, designs.ClassMatrix) == classes
+    assert_same_exact(ipw.frac, want_ipw.frac)
+    for got, want in ((dmat.d, want_dmat.d), (bound.dtilde, want_bound.dtilde),
+                      (ipw.matrix, want_ipw.matrix)):
+        assert got.tobytes() == want.tobytes()
