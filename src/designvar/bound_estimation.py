@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundMatrix
-from .designs import (Assignment, ExactMatrix, FracFloats, IndexLayout, JointProbMatrix,
-                      PiDiagonal, elementwise)
+from .designs import Assignment, ExactMatrix, IndexLayout, JointProbMatrix, PiDiagonal, elementwise
 from .errors import LayoutMismatchError, NotIdentifiedBoundError
 from .estimators import EstimatorSpec, ObservedData, _evaluate_one, ht_linearization
 
@@ -29,12 +28,11 @@ class IpwBoundMatrix:
     """Bounding matrix divided elementwise by joint probabilities."""
 
     layout: IndexLayout
-    matrix: np.ndarray = FracFloats()
+    matrix: np.ndarray
     frac: ExactMatrix | None = None
 
     def __post_init__(self):
-        if FracFloats.given(self, "matrix"):
-            self.matrix = self.layout.check_matrix(self.matrix, "weighted bound matrix")
+        self.matrix = self.layout.check_matrix(self.matrix, "weighted bound matrix")
 
 
 @dataclass(eq=False)
@@ -60,10 +58,7 @@ def ipw_bound_matrix(bound: BoundMatrix, p: JointProbMatrix) -> IpwBoundMatrix:
             "bound is certified non-identified; cannot inverse-probability weight it"
         )
     dt, joint = bound.frac or bound.dtilde, p.frac or p.p
-    unidentified, exact = elementwise(lambda t, pab: (t != 0) * (pab == 0), dt, joint)
-    if exact is not None:
-        # every entry's value is in the codebook: without a 1 there, none is flagged
-        unidentified = exact.to_float() if exact.book.floats.any() else ()
+    unidentified, _ = elementwise(lambda t, pab: (t != 0) * (pab == 0), dt, joint)
     if np.any(unidentified):
         a, b = np.argwhere(unidentified)[0]
         raise NotIdentifiedBoundError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import (DesignMatrix, ExactMatrix, FracFloats, ImpossibilityMask, IndexLayout,
+from .designs import (DesignMatrix, ExactMatrix, ImpossibilityMask, IndexLayout,
                       _diagonal_matrix, elementwise)
 from .errors import (
     LayoutMismatchError,
@@ -35,12 +35,11 @@ class BoundMatrix:
 
     certified_bounding / certified_identified are tri-state strings
     ("yes", "no", "unchecked"); iterations is set by the projection
-    algorithm only.  ``dtilde`` may be given as None when ``frac`` holds the
-    exact values: it is then read off them on first use.
+    algorithm only.
     """
 
     layout: IndexLayout
-    dtilde: np.ndarray = FracFloats()
+    dtilde: np.ndarray
     method: str  # "neyman" | "aronow-samii" | "algorithm-m" | "user"
     frac: ExactMatrix | None = None
     certified_bounding: str = "unchecked"
@@ -49,8 +48,7 @@ class BoundMatrix:
     diff_min_eig: float | None = None
 
     def __post_init__(self):
-        if FracFloats.given(self, "dtilde"):
-            self.dtilde = self.layout.check_matrix(self.dtilde, "bounding matrix")
+        self.dtilde = self.layout.check_matrix(self.dtilde, "bounding matrix")
 
 
 def user_bound(matrix: np.ndarray, layout: IndexLayout) -> BoundMatrix:
@@ -126,7 +124,7 @@ def _check_neyman_preconditions(
     d = dmat.frac or dmat.d
     d01 = d[np.ix_(unit, n + unit)]
     gap, exact_gap = elementwise(lambda x, y: abs(x - y), d, d01)
-    gap, limit = (gap, 1e-12) if exact_gap is None else (exact_gap.to_float(), 0.0)
+    limit = 1e-12 if exact_gap is None else 0.0
     worst = gap.reshape(k, n, k, n).max(axis=(1, 3))
     differ = np.argwhere(~(worst <= limit) & (arms[:, None] != arms[None, :]))
     if len(differ):
@@ -184,8 +182,7 @@ def aronow_samii_bound(
     diagonal entry equal to its row's absolute off-diagonal sum, so it is
     PSD by Gershgorin discs for any identified design; the eigen
     certification is still executed.  Over class tables (a built-in
-    family's d and mask) the formula runs on the tables, and the row sums
-    come from the tables and the classes' counts.
+    family's d and mask) the formula runs on the tables.
     """
     layout = dmat.layout
     if mask is None:
@@ -194,7 +191,7 @@ def aronow_samii_bound(
         raise LayoutMismatchError("mask and design matrix use different layouts")
     m = mask.frac if mask.frac is not None else ExactMatrix.of((0, 1), mask.mask)
     dt, frac = elementwise(lambda d, m, r: d + m + r, dmat.frac or dmat.d, m,
-                           _diagonal_matrix(mask.row_sums(), m))
+                           _diagonal_matrix(mask.mask.sum(axis=1).astype(np.int64), m))
     bound = BoundMatrix(layout, dt, "aronow-samii", frac=frac)
     return certify(bound, dmat, mask, tol)
 

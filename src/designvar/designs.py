@@ -27,12 +27,12 @@ ClassMatrix: a ClassPattern gives each flat index a class, a unit and a
 block, and off the diagonal an entry is read from one of three small
 tables over class pairs, by whether the two indices share a unit, share
 only a block, or lie in different blocks.  ``elementwise`` runs d, the
-mask, the Aronow-Samii bound and the IPW matrix on those tables.  Dense
-codes and floats are one gather through the pattern, made only when
-read (``.codes``, an entry, ``to_float``, and the holders' float fields,
-``FracFloats``) and kept.  Tables that would hold more entries than the
-dense matrix (many distinct Bernoulli rows) are expanded at build time;
-custom designs keep a dense p.
+mask, the Aronow-Samii bound and the IPW matrix on those tables.  Their
+floats (the holders' ``p``, ``d``, ``mask``, ``dtilde`` and ``matrix``)
+are one gather through the pattern each; dense codes are gathered only
+when ``.codes`` or an entry is read, and then kept.  Tables that would
+hold more entries than the dense matrix (many distinct Bernoulli rows)
+are expanded at build time; custom designs keep a dense p.
 
 A design's one probability state is its joint matrix p_ab = E[R_a R_b];
 indicators are 0/1, so the inclusion probabilities pi are p's diagonal.
@@ -181,44 +181,6 @@ class ClassPattern:
         index += self.classes[None, :]
         return index
 
-    def _members(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For each flat index a, every class in a's group (unit or block) with
-        its count there, as flat (a, class, count) arrays."""
-        keys, counts = np.unique(groups * self.size + self.classes, return_counts=True)
-        owner, classes = np.divmod(keys, self.size)
-        first = np.searchsorted(owner, groups)
-        width = np.searchsorted(owner, groups, side="right") - first
-        rows = np.repeat(np.arange(len(groups)), width)
-        pos = np.arange(len(rows)) - np.repeat(np.cumsum(width) - width, width)
-        pos += np.repeat(first, width)
-        return rows, classes[pos], counts[pos]
-
-    @cached_property
-    def _unit_members(self):
-        return self._members(self.units)
-
-    @cached_property
-    def _block_members(self):
-        return self._members(self.blocks)
-
-    def row_sums(self, carrier: np.ndarray) -> np.ndarray:
-        """Row sums of the integer matrix whose diagonal and tables, laid out
-        as a ClassMatrix carrier, are ``carrier``.
-
-        Row a sums its diagonal, the unit table over the rest of a's unit,
-        the block table over the rest of a's block and the across table
-        over every other block, so it takes the class counts of a's unit
-        and block, not a pass over the row.
-        """
-        c, total = self.classes, np.bincount(self.classes, minlength=self.size)
-        diagonal, tables = carrier[:len(c)], carrier[len(c):].reshape(3, self.size, self.size)
-        sums = diagonal - tables[UNIT, c, c] + (tables[ACROSS] @ total)[c]
-        for (rows, cols, counts), near, far in ((self._unit_members, UNIT, BLOCK),
-                                                (self._block_members, BLOCK, ACROSS)):
-            step = (tables[near] - tables[far])[c[rows], cols] * counts
-            sums += np.bincount(rows, step, minlength=len(c)).astype(np.int64)
-        return sums
-
 
 class ClassMatrix(ExactMatrix):
     """A kn x kn ExactMatrix held as a ClassPattern over small code tables.
@@ -344,22 +306,23 @@ class _Rationals:
         raise TypeError("an exact formula must be a branch-free array expression")
 
 
-def elementwise(fn, *operands) -> tuple[np.ndarray | None, ExactMatrix | None]:
+def elementwise(fn, *operands) -> tuple[np.ndarray, ExactMatrix | None]:
     """``fn`` applied entrywise to broadcast operands, as (floats, exact values).
 
     ``fn`` runs once, as an array expression.  When every operand is an
     ExactMatrix it runs on exact rationals, one entry per distinct tuple
-    of operand codes, and the result is exact: (None, ExactMatrix), whose
-    floats ``to_float`` reads.  Over ClassMatrix operands of one pattern
-    it runs on their carriers, so the result is a ClassMatrix of that
-    pattern and no kn x kn array is formed.  The distinct tuples come from
-    a presence table when the tuple key space is no larger than the entry
-    count, and from a sort otherwise.  When an operand is not exact, ``fn``
-    runs on the float arrays: (floats, None).  Callers write their formula
-    once through it instead of branching on exactness, so a formula must
-    be branch-free: ``+ - * /``, ``abs`` and comparisons, mixed with
-    integers.  They may still rearrange operand codes (``_outer_pair``
-    sorts the codes of a symmetric pair so it is evaluated once).
+    of operand codes, and the result is exact.  Over ClassMatrix operands
+    of one pattern it runs on their carriers, so the exact result is a
+    ClassMatrix of that pattern, whose floats are one gather and whose
+    dense codes are not formed.  The distinct tuples come from a presence
+    table when the tuple key space is no larger than the entry count, and
+    from a sort otherwise.  When an operand is not exact, ``fn`` runs on
+    the float arrays and there are no exact values.  Callers write their
+    formula once through it instead of branching on exactness, so a
+    formula must be branch-free: ``+ - * /``, ``abs`` and comparisons,
+    mixed with integers.  They may still rearrange operand codes
+    (``_outer_pair`` sorts the codes of a symmetric pair so it is
+    evaluated once).
     """
     if not all(isinstance(op, ExactMatrix) for op in operands):
         floats = [op.to_float() if isinstance(op, ExactMatrix) else op for op in operands]
@@ -367,8 +330,10 @@ def elementwise(fn, *operands) -> tuple[np.ndarray | None, ExactMatrix | None]:
     patterns = {op.pattern if isinstance(op, ClassMatrix) else None for op in operands}
     if len(patterns) == 1 and None not in patterns:
         exact = _exact(fn, [op.carrier for op in operands], [op.book for op in operands])
-        return None, ClassMatrix(patterns.pop(), exact.codes, exact.book)
-    return None, _exact(fn, [op.codes for op in operands], [op.book for op in operands])
+        exact = ClassMatrix(patterns.pop(), exact.codes, exact.book)
+    else:
+        exact = _exact(fn, [op.codes for op in operands], [op.book for op in operands])
+    return exact.to_float(), exact
 
 
 def _exact(fn, codes: list[np.ndarray], books: list[Codebook]) -> ExactMatrix:
@@ -515,53 +480,22 @@ class PiDiagonal:
             )
 
 
-class FracFloats:
-    """A holder's float matrix field that may be left out (None) when the
-    holder has exact values: it is then read off ``frac`` on first use and
-    kept, so a matrix nobody reads as floats is never expanded."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, holder, owner=None):
-        if holder is None:
-            raise AttributeError(self.name)  # the dataclass field has no default
-        floats = holder.__dict__[self.name]
-        if floats is None:
-            floats = holder.__dict__[self.name] = holder.frac.to_float()
-        return floats
-
-    def __set__(self, holder, value):
-        holder.__dict__[self.name] = value
-
-    @staticmethod
-    def given(holder, name: str) -> bool:
-        """Whether ``name`` was given as floats (or there are no exact values),
-        so that it is to be checked."""
-        return holder.frac is None or holder.__dict__[name] is not None
-
-
 @dataclass(eq=False)
 class JointProbMatrix:
-    """Joint assignment probabilities: entry (a, b) is E[R_a R_b].
-
-    Given floats are checked; exact values are symmetric and in [0, 1]
-    by construction, and their floats are read off them on first use.
-    """
+    """Joint assignment probabilities: entry (a, b) is E[R_a R_b]."""
 
     layout: IndexLayout
-    p: np.ndarray = FracFloats()
+    p: np.ndarray
     frac: ExactMatrix | None = None
     estimated: bool = False
     se: np.ndarray | None = None
 
     def __post_init__(self):
-        if FracFloats.given(self, "p"):
-            self.p = self.layout.check_matrix(self.p, "joint probability matrix")
-            if np.max(np.abs(self.p - self.p.T)) != 0.0:
-                raise ValidationError("joint probability matrix must be exactly symmetric")
-            if np.any(self.p < 0.0) or np.any(self.p > 1.0):
-                raise ValidationError("joint probabilities must lie in [0, 1]")
+        self.p = self.layout.check_matrix(self.p, "joint probability matrix")
+        if np.max(np.abs(self.p - self.p.T)) != 0.0:
+            raise ValidationError("joint probability matrix must be exactly symmetric")
+        if np.any(self.p < 0.0) or np.any(self.p > 1.0):
+            raise ValidationError("joint probabilities must lie in [0, 1]")
 
 
 @dataclass(eq=False)
@@ -570,36 +504,28 @@ class DesignMatrix:
     weighted assignment indicators, normalized elementwise."""
 
     layout: IndexLayout
-    d: np.ndarray = FracFloats()
+    d: np.ndarray
     frac: ExactMatrix | None = None
     estimated: bool = False
 
     def __post_init__(self):
-        if FracFloats.given(self, "d"):
-            self.d = self.layout.check_matrix(self.d, "design matrix")
+        self.d = self.layout.check_matrix(self.d, "design matrix")
 
 
 @dataclass(eq=False)
 class ImpossibilityMask:
-    """0/1 matrix marking pairs of assignments with joint probability zero."""
+    """0/1 matrix marking pairs of assignments with joint probability zero;
+    ``frac``, when there is one, holds the same 0/1 values exactly."""
 
     layout: IndexLayout
-    mask: np.ndarray = FracFloats()
+    mask: np.ndarray
     frac: ExactMatrix | None = None
 
     def __post_init__(self):
-        if FracFloats.given(self, "mask"):
-            self.mask = np.asarray(self.mask)
-            if self.mask.shape != (self.layout.kn, self.layout.kn):
-                raise LayoutMismatchError("mask shape does not match layout")
-            self.mask = (self.mask != 0).astype(float)
-
-    def row_sums(self) -> np.ndarray:
-        """Masked entries per row, read off the class tables when there are some."""
-        if isinstance(self.frac, ClassMatrix):
-            values = self.frac.book.num.astype(np.int64)  # 0 and 1
-            return self.frac.pattern.row_sums(values[self.frac.carrier])
-        return self.mask.sum(axis=1).astype(np.int64)
+        self.mask = np.asarray(self.mask)
+        if self.mask.shape != (self.layout.kn, self.layout.kn):
+            raise LayoutMismatchError("mask shape does not match layout")
+        self.mask = (self.mask != 0).astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1347,13 +1273,13 @@ def _empirical_moments(design: Design, seed: int, reps: int) -> tuple[np.ndarray
     return p_hat, np.sqrt(np.clip(p_hat * (1 - p_hat), 0, None) / reps)
 
 
-def _moments(design: Design, diagonal: bool) -> tuple[np.ndarray | None, ExactMatrix | None,
+def _moments(design: Design, diagonal: bool) -> tuple[np.ndarray, ExactMatrix | None,
                                                      np.ndarray | None]:
     """p, or its diagonal, as (floats, exact values, se): exact when the design
-    has an exact p (floats None: read them off the exact values; se None),
-    else its Monte Carlo estimate (frac None)."""
+    has an exact p (se None), else its Monte Carlo estimate (frac None)."""
     if design.p_frac is not None:
-        return None, design.p_frac.diagonal() if diagonal else design.p_frac, None
+        frac = design.p_frac.diagonal() if diagonal else design.p_frac
+        return frac.to_float(), frac, None
     if design.moments is None:
         raise ValidationError(
             f"{design.family} design has neither exact nor estimated moments; estimate them "
@@ -1368,7 +1294,6 @@ def _moments(design: Design, diagonal: bool) -> tuple[np.ndarray | None, ExactMa
 def inclusion_probabilities(design: Design) -> PiDiagonal:
     """Marginal assignment probabilities, p's diagonal: exact where p is."""
     probs, frac, se = _moments(design, diagonal=True)
-    probs = frac.to_float() if frac is not None else probs
     return PiDiagonal(design.layout, probs, frac=frac, estimated=se is not None, se=se)
 
 

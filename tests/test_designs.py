@@ -345,11 +345,9 @@ class TestClassTables:
         p = dv.joint_probabilities(design)
         dmat, mask = dv.first_order_design_matrix(design)
         bound = dv.aronow_samii_bound(dmat, mask)
-        # certification reads d, the bound and the mask as floats: one gather each
-        assert all(vars(m)[name] is not None for m, name in
-                   ((dmat, "d"), (bound, "dtilde"), (mask, "mask")))
         ipw = dv.ipw_bound_matrix(bound, p)
-        assert vars(p)["p"] is None and vars(ipw)["matrix"] is None
+        assert all(isinstance(m, designs.ClassMatrix)
+                   for m in (p.frac, dmat.frac, mask.frac, bound.frac, ipw.frac))
         assert "codes" not in vars(ipw.frac)  # no dense codes until an entry is read
         assert float(ipw.frac[0, 0]) == ipw.matrix[0, 0]
         assert "codes" in vars(ipw.frac)

@@ -236,9 +236,7 @@ def test_elementwise_matches_per_entry_fractions(data):
             with pytest.raises(ZeroDivisionError):
                 elementwise(fn, *exact)
             continue
-        no_floats, got = elementwise(fn, *exact)
-        assert no_floats is None  # an exact result's floats are read off it
-        got_floats = got.to_float()
+        got_floats, got = elementwise(fn, *exact)
         assert np.array_equal(got.codes, codes)
         assert list(zip(got.book.num.tolist(), got.book.den.tolist())) == [
             (v.numerator, v.denominator) for v in book]
@@ -278,8 +276,7 @@ def test_elementwise_grouping_on_both_sides_of_the_key_space_threshold(table, da
             with pytest.raises(ZeroDivisionError):
                 designs.elementwise(fn, *operands)
             continue
-        _, got = designs.elementwise(fn, *operands)
-        floats = got.to_float()
+        floats, got = designs.elementwise(fn, *operands)
         assert np.array_equal(got.codes, codes)
         assert list(zip(got.book.num.tolist(), got.book.den.tolist())) == book
         for a, b in np.ndindex(got.codes.shape):  # a size-1 axis broadcasts
