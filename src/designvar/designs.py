@@ -15,7 +15,11 @@ An exact matrix (ExactMatrix) is an integer code array over a Codebook
 of distinct rationals, held as integer numerator/denominator arrays with
 their correctly rounded floats; its floats are a view, floats[codes],
 and Fractions are made only when entries are indexed.  That is what
-makes entries like -1/3 or exact -1 reproducible bit-for-bit.  A
+makes entries like -1/3 or exact -1 reproducible bit-for-bit.  The parts
+are int64 when all are below 2**53 and Python ints in object arrays
+otherwise, and a codebook records a bound on their bit lengths; a
+formula's operations carry that bound and run in int64 while their
+results stay within 62 bits (``_Rationals``).  A
 codebook's order is unspecified, and it may hold values no entry takes.
 Formulas over such matrices are written once, as array expressions, and
 run once through ``elementwise``: on exact rationals, one entry per
@@ -82,15 +86,25 @@ def batch_rows(width: int) -> int:
 class Codebook:
     """Distinct exact rationals as reduced integer parts, with their floats.
 
-    ``num`` and ``den`` are object arrays of Python ints, ``den`` positive,
-    and ``floats`` holds ``num / den``: integer true division is correctly
-    rounded, so each float is the one ``float(Fraction)`` gives.
+    ``num`` and ``den`` (positive) are int64 arrays when every part is below
+    2**53: both then convert to float64 exactly, so float64 ``num / den`` is
+    correctly rounded.  Otherwise they are object arrays of Python ints,
+    whose true division is correctly rounded too.  Either way each float is
+    the one ``float(Fraction)`` gives.  ``bits`` bounds the parts' bit
+    lengths, (numerator, denominator): |num| < 2**bits[0], den < 2**bits[1].
     ``fractions`` makes the same values as Fractions on first use.
     """
 
     def __init__(self, num: np.ndarray, den: np.ndarray):
-        self.num, self.den = num, den
-        self.floats = (num / den).astype(float)
+        if num.dtype == object or len(num) < 64:  # quicker in Python than numpy reductions
+            nums, dens = num.tolist(), den.tolist()
+            top = max(max(nums, default=0), -min(nums, default=0)), max(dens, default=0)
+        else:
+            top = max(int(num.max()), -int(num.min())), int(den.max())
+        self.bits = (top[0].bit_length(), top[1].bit_length())
+        dtype = np.int64 if max(self.bits) <= 53 else object
+        self.num, self.den = num.astype(dtype, copy=False), den.astype(dtype, copy=False)
+        self.floats = (self.num / self.den).astype(float)
 
     def __len__(self) -> int:
         return len(self.num)
@@ -98,6 +112,67 @@ class Codebook:
     @cached_property
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(map(Fraction, self.num.tolist(), self.den.tolist()))
+
+    @classmethod
+    def joined(cls, books: Sequence["Codebook"]) -> "Codebook":
+        """The books' values end to end, with their floats and bounds."""
+        if len(books) == 1:
+            return books[0]
+        book = cls.__new__(cls)
+        book.num, book.den, book.floats = (np.concatenate([getattr(b, part) for b in books])
+                                           for part in ("num", "den", "floats"))
+        book.bits = tuple(map(max, zip(*(b.bits for b in books))))
+        return book
+
+    def extended(self, other: "Codebook") -> tuple["Codebook", np.ndarray]:
+        """This codebook with the values of ``other`` it lacks appended, and
+        the code of each of ``other``'s values in the result.  Equal values
+        have equal floats, so of this codebook only the entries whose float
+        ``other`` holds are hashed."""
+        hit = np.flatnonzero(np.isin(self.floats, other.floats))
+        known = dict(zip(zip(self.num[hit].tolist(), self.den[hit].tolist()), hit.tolist()))
+        codes, picks = [], []
+        for i, pair in enumerate(zip(other.num.tolist(), other.den.tolist())):
+            if pair not in known:
+                known[pair] = len(self) + len(picks)
+                picks.append(i)
+            codes.append(known[pair])
+        added = Codebook(other.num[picks], other.den[picks])
+        return Codebook.joined([self, added]), np.array(codes, dtype=np.intp)
+
+
+def _int_parts(x) -> np.ndarray:
+    """Integers as an int64 array when all fit in one, else as Python ints in
+    an object array (which keeps numpy from reading a list that mixes ints
+    in [2**63, 2**64) with negative ones as floats)."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "bi":
+        return x.astype(np.int64, copy=False)
+    x = np.asarray(x, dtype=object)
+    try:
+        return x.astype(np.int64)
+    except OverflowError:
+        return x
+
+
+def _distinct(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, num, den): each (num, den) pair's number among the distinct
+    pairs, which are numbered, and returned, in the order they first appear.
+    Object or short arrays go through a dict, long int64 ones through a sort."""
+    if num.dtype == object or len(num) < 256:
+        first: dict[tuple[int, int], int] = {}
+        codes = [first.setdefault(pair, len(first)) for pair in zip(num.tolist(), den.tolist())]
+        book = np.array(list(first), dtype=num.dtype).reshape(-1, 2)
+        return np.array(codes, dtype=np.intp), book[:, 0], book[:, 1]
+    order = np.lexsort((den, num))  # stable: each run of equal pairs starts at its first
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = (np.diff(num[order]) != 0) | (np.diff(den[order]) != 0)
+    run = np.empty_like(order)
+    run[order] = np.cumsum(start) - 1
+    firsts = order[start]
+    seen = np.argsort(firsts)  # the runs in first-seen order
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(len(seen))
+    return rank[run], num[firsts[seen]], den[firsts[seen]]
 
 
 class ExactMatrix:
@@ -116,15 +191,16 @@ class ExactMatrix:
     @classmethod
     def of(cls, num, codes=None, den=1) -> "ExactMatrix":
         """Codes into the rationals ``num / den`` (``den`` positive; one value
-        per code when ``codes`` is omitted), reduced and deduplicated: the
-        codebook keeps distinct values in first-seen order."""
-        num, den = np.asarray(num, dtype=object), np.asarray(den, dtype=object)
+        per code when ``codes`` is omitted), reduced and deduplicated in int64
+        when every part fits in one, else on Python ints: the codebook keeps
+        distinct values in first-seen order."""
+        num, den = _int_parts(num), _int_parts(den)
+        if num.dtype != den.dtype:
+            num, den = num.astype(object), den.astype(object)
         g = np.gcd(num, den)  # broadcast: num // g and den // g have the full shape
-        first: dict[tuple[int, int], int] = {}
-        pairs = zip((num // g).ravel().tolist(), (den // g).ravel().tolist())
-        remap = np.array([first.setdefault(pair, len(first)) for pair in pairs], dtype=np.intp)
+        remap, num, den = _distinct((num // g).ravel(), (den // g).ravel())
         codes = np.arange(len(remap)) if codes is None else np.asarray(codes, dtype=np.intp)
-        return ExactMatrix(remap[codes], Codebook(*np.array(list(first), dtype=object).reshape(-1, 2).T))
+        return ExactMatrix(remap[codes], Codebook(num, den))
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -139,7 +215,7 @@ class ExactMatrix:
     def __getitem__(self, index):
         codes = self.codes[index]
         if np.ndim(codes) == 0:
-            return Fraction(self.book.num[codes], self.book.den[codes])
+            return Fraction(self.book.num.item(codes), self.book.den.item(codes))
         return ExactMatrix(codes, self.book)
 
     def __iter__(self):
@@ -237,8 +313,16 @@ def _diagonal_matrix(values: np.ndarray, like: ExactMatrix) -> ExactMatrix:
 
 
 class _Rationals:
-    """Exact rational arrays for formulas: Python-int numerators and positive
-    denominators in object arrays, reduced only by ``ExactMatrix.of``.
+    """Exact rational arrays for formulas: numerators and positive
+    denominators, reduced only by ``ExactMatrix.of``, with ``bits``, a bound
+    on their bit lengths as in ``Codebook.bits``.
+
+    Each operation bounds its result from its operands' bounds: for
+    a/b + c/d the numerator takes max(a + d, c + b) + 1 bits and the
+    denominator b + d, a product a + c and b + d, a quotient a + d and
+    b + c, a comparison's cross products max(a + d, c + b).  When that
+    bound is at most 62 bits the operation runs in int64, which cannot
+    overflow then; beyond it, it runs on Python ints in object arrays.
 
     Supports ``+ - * /``, unary ``-``, ``abs`` and ``== !=`` (which give 0/1
     rationals), mixed with integers, bools and integer arrays.  Using one
@@ -247,60 +331,69 @@ class _Rationals:
 
     __array_ufunc__ = None  # numpy operands defer to the reflected methods here
 
-    def __init__(self, num, den):
-        self.num, self.den = np.asarray(num, dtype=object), np.asarray(den, dtype=object)
+    def __init__(self, num, den, bits: tuple[int, int]):
+        self.num, self.den, self.bits = num, den, bits
 
     @staticmethod
     def lift(x) -> "_Rationals":
         if isinstance(x, _Rationals):
             return x
         if isinstance(x, (int, np.integer, np.bool_)):
-            return _Rationals(int(x), 1)
+            return _Rationals(int(x), 1, (abs(int(x)).bit_length(), 1))
         if isinstance(x, np.ndarray) and x.dtype.kind in "biu":
-            return _Rationals(x.astype(object), 1)
+            x = _int_parts(x)
+            top = max(int(x.max(initial=0)), -int(x.min(initial=0)))
+            return _Rationals(x, 1, (top.bit_length(), 1))
         raise TypeError(f"exact formulas combine only with integers and bools, not {x!r}")
 
-    def _pair(self, other):
+    def _parts(self, other, bound):
+        """(bits, parts): ``bound`` of the two operands' bit bounds, and their
+        four parts, as int64 arrays (or Python ints, which then fit in int64)
+        when every bound is at most 62 bits, else as object arrays."""
         other = _Rationals.lift(other)
-        return self.num, self.den, other.num, other.den
+        bits = bound(*self.bits, *other.bits)
+        parts = self.num, self.den, other.num, other.den
+        if max(bits) > 62:
+            return bits, [np.asarray(x, dtype=object) for x in parts]
+        return bits, [x.astype(np.int64) if getattr(x, "dtype", None) == object else x
+                      for x in parts]
 
     def __add__(self, other):
-        a, b, c, d = self._pair(other)
-        return _Rationals(a * d + c * b, b * d)
+        bits, (a, b, c, d) = self._parts(other, lambda a, b, c, d: (max(a + d, c + b) + 1, b + d))
+        return _Rationals(a * d + c * b, b * d, bits)
 
     def __sub__(self, other):
-        a, b, c, d = self._pair(other)
-        return _Rationals(a * d - c * b, b * d)
+        return self + -_Rationals.lift(other)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        a, b, c, d = self._pair(other)
-        return _Rationals(a * c, b * d)
+        bits, (a, b, c, d) = self._parts(other, lambda a, b, c, d: (a + c, b + d))
+        return _Rationals(a * c, b * d, bits)
 
     def __truediv__(self, other):
-        a, b, c, d = self._pair(other)
+        bits, (a, b, c, d) = self._parts(other, lambda a, b, c, d: (a + d, b + c))
         if np.any(c == 0):
             raise ZeroDivisionError("exact division by zero")
-        sign = np.where(c < 0, -1, 1).astype(object)
-        return _Rationals(a * d * sign, b * c * sign)
+        sign = np.where(c < 0, -1, 1)
+        return _Rationals(a * d * sign, b * c * sign, bits)
 
     __radd__, __rmul__ = __add__, __mul__
 
     def __neg__(self):
-        return _Rationals(-self.num, self.den)
+        return _Rationals(-self.num, self.den, self.bits)
 
     def __abs__(self):
-        return _Rationals(abs(self.num), self.den)
+        return _Rationals(abs(self.num), self.den, self.bits)
 
     def __eq__(self, other):
-        a, b, c, d = self._pair(other)
-        return _Rationals(a * d == c * b, 1)
+        _, (a, b, c, d) = self._parts(other, lambda a, b, c, d: (a + d, c + b))
+        return _Rationals(np.equal(a * d, c * b).astype(np.int64), 1, (1, 1))
 
     def __ne__(self, other):
-        a, b, c, d = self._pair(other)
-        return _Rationals(a * d != c * b, 1)
+        _, (a, b, c, d) = self._parts(other, lambda a, b, c, d: (a + d, c + b))
+        return _Rationals(np.not_equal(a * d, c * b).astype(np.int64), 1, (1, 1))
 
     def __bool__(self):
         raise TypeError("an exact formula must be a branch-free array expression")
@@ -361,7 +454,8 @@ def _exact(fn, codes: list[np.ndarray], books: list[Codebook]) -> ExactMatrix:
     else:
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         picks = [np.broadcast_to(c, shape).ravel()[first] for c in codes]
-    args = [_Rationals(book.num[pick], book.den[pick]) for book, pick in zip(books, picks)]
+    args = [_Rationals(book.num[pick], book.den[pick], book.bits)
+            for book, pick in zip(books, picks)]
     result = _Rationals.lift(fn(*args))
     return ExactMatrix.of(result.num, inverse.reshape(shape), result.den)
 
@@ -555,7 +649,7 @@ def _checked_support(support: Support, layout: IndexLayout) -> Support:
     # exact sum and sign, once per distinct probability
     counts = np.bincount(probs.codes, minlength=len(probs.book))
     used = counts > 0
-    num, den = probs.book.num[used], probs.book.den[used]
+    num, den = (part[used].astype(object) for part in (probs.book.num, probs.book.den))
     common = math.lcm(*den.tolist())
     total = sum((num * (common // den) * counts[used].astype(object)).tolist()) / common
     if abs(total - 1.0) > 1e-12:
@@ -742,20 +836,21 @@ def _block_p(layout: IndexLayout, unit_sets: list[list[int]], subs: list[Design]
         block_base += len(filled) * block_span
         parts.append((size, part))
         size += pat.size
-    # the parts' codebooks end to end, then the across products
+    # the across products' codebook, then the parts' values it lacks
     offsets = np.cumsum([0] + [len(part.book) for _, part in parts])
-    num, den = (np.concatenate([getattr(part.book, x) for _, part in parts]) for x in ("num", "den"))
+    own_book = Codebook.joined([part.book for _, part in parts])
     own = np.concatenate([off + part.tables[UNIT].diagonal() for off, (_, part) in zip(offsets, parts)])
-    pi = ExactMatrix.of(num[own], den=den[own])  # each class's own unit entry is its pi
+    # each class's own unit entry is its pi
+    pi = ExactMatrix.of(own_book.num[own], den=own_book.den[own])
     _, across = elementwise(operator.mul, *_sorted_pair(pi.codes, pi.book))
+    book, moved = across.book.extended(own_book)
     tables = np.empty((3, size, size), dtype=np.intp)
-    tables[:] = across.codes + offsets[-1]
+    tables[:] = across.codes
     for off, (start, part) in zip(offsets, parts):
         span = slice(start, start + part.pattern.size)
-        tables[BLOCK:, span, span] = part.tables[BLOCK:] + off
-    merged = ExactMatrix.of(np.concatenate([num, across.book.num]), tables,
-                            np.concatenate([den, across.book.den]))
-    return _stored(ClassMatrix.joint(ClassPattern(classes, units, blocks, size), merged))
+        tables[BLOCK:, span, span] = moved[part.tables[BLOCK:] + off]
+    return _stored(ClassMatrix.joint(ClassPattern(classes, units, blocks, size),
+                                     ExactMatrix(tables, book)))
 
 
 # ---------------------------------------------------------------------------
@@ -916,12 +1011,12 @@ def complete_design(
     flat = np.arange(layout.kn)
     pattern = ClassPattern(flat // n, flat % n, np.zeros(layout.kn, dtype=np.intp), k)
     sizes = ExactMatrix.of(counts)
+    same_unit = ExactMatrix.of((0, 1), (np.arange(3) == UNIT)[:, None, None])
     _, tables = elementwise(
         lambda na, nb, same_unit, same_arm: same_unit * same_arm * na / n
         + (1 - same_unit) * na * (nb - same_arm) / (n * max(n - 1, 1)),
-        sizes[:, None], sizes[None, :],
-        ExactMatrix.of((0, 1), (np.arange(3) == UNIT)[:, None, None]),
-        ExactMatrix.of((0, 1), np.eye(k, dtype=bool)),
+        sizes[:, None], sizes[None, :], same_unit,
+        ExactMatrix(np.eye(k, dtype=np.intp), same_unit.book),  # 0/1 over the same book
     )
     p_frac = ClassMatrix.joint(pattern, tables)
 
@@ -992,10 +1087,11 @@ def block_design(
         return _product_support([(np.array(units), sub._enumerate())
                                  for units, (_, sub) in zip(unit_sets, blocks)], n)
 
+    order = np.array([u for units in unit_sets for u in units])  # the blocks' units end to end
+
     def sampler(rng: np.random.Generator) -> np.ndarray:
         arms = np.empty(n, dtype=int)
-        for units, sub in blocks:
-            arms[np.asarray(units, dtype=int)] = sub.draw(rng)
+        arms[order] = np.concatenate([sub.draw(rng) for _, sub in blocks])
         return arms
 
     return Design(
@@ -1131,15 +1227,15 @@ def custom_design(
     design._enumerate()  # a given support is checked at build time
     # p sums prob * outer(indicators) over the support: an integer matmul over
     # the common denominator, in int64 while the (positive) weights sum below 2**62
-    book = sup.probs.book
-    denom = math.lcm(*book.den.tolist())
-    weights = (book.num * (denom // book.den)).tolist()
+    num, den = (part.astype(object) for part in (sup.probs.book.num, sup.probs.book.den))
+    denom = math.lcm(*den.tolist())
+    weights = (num * (denom // den)).tolist()
     total = sum(w * int(c) for w, c in zip(weights, np.bincount(sup.probs.codes)))
     weights = np.array(weights, dtype=np.int64 if total < 2**62 else object)[sup.probs.codes]
     ind = arms_to_indicators(sup.arms, layout).astype(np.int64)
     counts = (ind.T * weights) @ ind
     uniq, inverse = np.unique(counts, return_inverse=True)
-    design.p_frac = ExactMatrix.of(uniq.astype(object), inverse.reshape(counts.shape), denom)
+    design.p_frac = ExactMatrix.of(uniq, inverse.reshape(counts.shape), denom)
     return design
 
 

@@ -4,13 +4,16 @@ The reference values come from oracles.exact_moments, which sums the
 support directly, so every exact entry the library reports is checked
 for equality (not closeness) and its float for being the rounded value.
 The exact kernel, ``elementwise``, is checked against a per-entry
-Fraction evaluation of every formula the library passes to it.
+Fraction evaluation of every formula the library passes to it, and on
+parts around 2**53, 2**62 and 2**63, where it switches between int64 and
+Python ints.
 """
 
 import ast
 import functools
 import inspect
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -283,6 +286,105 @@ def test_elementwise_grouping_on_both_sides_of_the_key_space_threshold(table, da
             want = Fraction(fn(*(op[a % op.codes.shape[0], b % op.codes.shape[1]]
                                  for op in operands)))
             assert got[a, b] == want and floats[a, b] == float(want)
+
+
+# ---------------------------------------------------------------------------
+# int64 and Python-int parts: a codebook keeps int64 parts below 2**53, and a
+# formula runs in int64 while its bit bound is at most 62
+
+
+def _of_reference(values):
+    """``ExactMatrix.of`` written out on Fractions: codes numbered in first-seen
+    order, the codebook as Fractions, and each entry's float."""
+    book = list(dict.fromkeys(values))
+    return [book.index(v) for v in values], book, np.array([float(v) for v in values])
+
+
+def _assert_of_matches(values, got):
+    codes, book, floats = _of_reference(values)
+    assert got.codes.tolist() == codes
+    assert list(got.values) == book
+    assert [got[i] for i in range(len(values))] == values
+    assert got.to_float().tobytes() == floats.tobytes()
+
+
+# parts just below and at 2**53, 2**62 and 2**63; 2**54 + 1 over this denominator
+# divides to 1.7534649021191415 in float64 but rounds to ...417
+EDGE_RATIONALS = [
+    Fraction(2**54 + 1, 10273600850356782), Fraction(2**53 - 1, 3), Fraction(2**53 + 1, 3),
+    Fraction(-(2**53 - 1), 2**52 + 1), Fraction(-(2**53 + 1), 2**52 + 1), Fraction(1, 2**53 - 1),
+    Fraction(1, 2**53 + 1), Fraction(2**62 - 1, 5), Fraction(2**63 - 1, 2**62 + 1),
+    Fraction(-(2**63), 7), Fraction(2**63 + 1, 3), Fraction(2**64 + 1, 3), Fraction(0),
+]
+
+
+def test_codebook_parts_are_int64_exactly_below_2_53():
+    exact = ExactMatrix.of([v.numerator for v in EDGE_RATIONALS],
+                           den=[v.denominator for v in EDGE_RATIONALS])
+    _assert_of_matches(EDGE_RATIONALS, exact)
+    assert exact.to_float()[0] == 1.7534649021191417
+    for value in EDGE_RATIONALS:
+        book = ExactMatrix.of([value.numerator], den=[value.denominator]).book
+        assert book.floats.tobytes() == np.array([float(value)]).tobytes(), value
+        small = max(abs(value.numerator), value.denominator) < 2**53
+        assert book.num.dtype == book.den.dtype == (np.int64 if small else object), value
+        assert book.bits == (abs(value.numerator).bit_length(), value.denominator.bit_length())
+
+
+def test_of_reads_integer_arrays_and_mixed_lists_exactly():
+    # numpy reads this list as floats, and an int64 array up to 2**63 - 1 as it is
+    values = [Fraction(2**63, 3), Fraction(-1, 2)]
+    _assert_of_matches(values, ExactMatrix.of([2**63, -1], den=[3, 2]))
+    parts = np.array([2**63 - 1, -(2**63), 6, 9], dtype=np.int64)
+    values = [Fraction(int(x), 6) for x in parts]
+    _assert_of_matches(values, ExactMatrix.of(parts, den=6))
+    # a long int64 array is deduplicated by sorting, in first-seen order
+    parts = np.random.default_rng(0).integers(-40, 40, size=600)
+    _assert_of_matches([Fraction(int(x), 12) for x in parts], ExactMatrix.of(parts, den=12))
+
+
+def _edge(*values):
+    return ExactMatrix.of([v.numerator for v in values], den=[v.denominator for v in values])
+
+
+# (formula, left values, right values): each right below 2**62 or 2**63 where the
+# bit bound stays at 62 or less (int64), and crossing them where it does not
+CROSSINGS = [
+    (operator.mul, [Fraction(2**31 - 1)], [Fraction(2**31 - 1), Fraction(-(2**31 - 1))]),
+    (operator.mul, [Fraction(3 * 2**30 + 1)], [Fraction(3 * 2**30 + 1), Fraction(-(3 * 2**30 + 3))]),
+    (operator.mul, [Fraction(2**27 + 1, 2**20 + 1)], [Fraction(2**27 + 1, 2**20 + 3)]),
+    (operator.mul, [Fraction(2**54 + 1, 10273600850356782)], [Fraction(1), Fraction(-1)]),
+    (operator.add, [Fraction(2**60 - 1)], [Fraction(2**60 - 3), Fraction(1, 3)]),
+    (operator.add, [Fraction(2**62 + 1)], [Fraction(2**62 + 3), Fraction(-(2**62 + 5))]),
+    (operator.sub, [Fraction(-(2**62 + 1))], [Fraction(2**62 + 3), Fraction(5, 2**40 + 1)]),
+    (operator.add, [Fraction(2**31 - 1, 2**31 - 3)], [Fraction(2**31 - 5, 2**31 - 7)]),
+    (operator.truediv, [Fraction(2**31 + 11, 2**31 - 1)], [Fraction(-(2**32 + 1), 2**31 + 1)]),
+    (operator.eq, [Fraction(2**62 + 1, 3)], [Fraction(2**62 + 1, 3), Fraction(2**62 + 2, 3)]),
+    (operator.ne, [Fraction(3 * 2**30 + 1, 3 * 2**30 - 1)], [Fraction(3 * 2**30 + 1, 3 * 2**30 - 1)]),
+    (lambda pab, pa: pab / (pa * pa) - 1, [Fraction(2**21 + 1, 2**21 + 3)],
+     [Fraction(2**21 - 1, 2**21 + 5), Fraction(3 * 2**20 + 1, 2**22 + 1)]),
+    (lambda t, pab: t / (pab + (pab == 0)), [Fraction(2**40 + 1, 2**21 + 1)],
+     [Fraction(0), Fraction(2**21 + 1, 2**40 + 3)]),
+]
+
+
+@pytest.mark.parametrize("fn, left, right", CROSSINGS)
+def test_formulas_crossing_2_62_and_2_63(fn, left, right):
+    operands = [(left, np.zeros((1, 1), dtype=int)),
+                (right, np.arange(len(right)).reshape(1, -1))]
+    codes, book, floats = _reference(fn, operands)
+    got_floats, got = elementwise(fn, _edge(*left)[None, :1], _edge(*right)[None, :])
+    assert np.array_equal(got.codes, codes)
+    assert list(got.values) == book
+    assert got_floats.tobytes() == floats.tobytes()
+
+
+@pytest.mark.parametrize("bits, dtype", [(31, np.int64), (32, object)])
+def test_a_product_runs_in_int64_while_its_bound_is_at_most_62(bits, dtype):
+    x = designs._Rationals(np.array([2**bits - 1]), np.array([1]), (bits, 1))
+    product = x * x
+    assert product.bits == (2 * bits, 2) and product.num.dtype == dtype
+    assert product.num.tolist() == [(2**bits - 1) ** 2]
 
 
 def test_complete_design_with_one_unit():
