@@ -75,6 +75,9 @@ from .errors import (
 
 DEFAULT_SUPPORT_CAP = 10**6
 BATCH_BYTES = 2**18  # bytes per float temporary of every batched loop
+# int64 arrays shorter than this are deduplicated and bounded on Python lists,
+# longer ones by numpy, whose fixed cost per call a list only beats this short
+_SHORT_ARRAY = 64
 
 
 def batch_rows(width: int) -> int:
@@ -96,7 +99,7 @@ class Codebook:
     """
 
     def __init__(self, num: np.ndarray, den: np.ndarray):
-        if num.dtype == object or len(num) < 64:  # quicker in Python than numpy reductions
+        if num.dtype == object or len(num) < _SHORT_ARRAY:
             nums, dens = num.tolist(), den.tolist()
             top = max(max(nums, default=0), -min(nums, default=0)), max(dens, default=0)
         else:
@@ -158,7 +161,7 @@ def _distinct(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     """(codes, num, den): each (num, den) pair's number among the distinct
     pairs, which are numbered, and returned, in the order they first appear.
     Object or short arrays go through a dict, long int64 ones through a sort."""
-    if num.dtype == object or len(num) < 256:
+    if num.dtype == object or len(num) < _SHORT_ARRAY:
         first: dict[tuple[int, int], int] = {}
         codes = [first.setdefault(pair, len(first)) for pair in zip(num.tolist(), den.tolist())]
         book = np.array(list(first), dtype=num.dtype).reshape(-1, 2)
@@ -343,6 +346,8 @@ class _Rationals:
         if isinstance(x, np.ndarray) and x.dtype.kind in "biu":
             x = _int_parts(x)
             top = max(int(x.max(initial=0)), -int(x.min(initial=0)))
+            if top.bit_length() > 62:  # so negating an int64 part cannot wrap
+                x = x.astype(object)
             return _Rationals(x, 1, (top.bit_length(), 1))
         raise TypeError(f"exact formulas combine only with integers and bools, not {x!r}")
 
@@ -1011,12 +1016,12 @@ def complete_design(
     flat = np.arange(layout.kn)
     pattern = ClassPattern(flat // n, flat % n, np.zeros(layout.kn, dtype=np.intp), k)
     sizes = ExactMatrix.of(counts)
-    same_unit = ExactMatrix.of((0, 1), (np.arange(3) == UNIT)[:, None, None])
     _, tables = elementwise(
         lambda na, nb, same_unit, same_arm: same_unit * same_arm * na / n
         + (1 - same_unit) * na * (nb - same_arm) / (n * max(n - 1, 1)),
-        sizes[:, None], sizes[None, :], same_unit,
-        ExactMatrix(np.eye(k, dtype=np.intp), same_unit.book),  # 0/1 over the same book
+        sizes[:, None], sizes[None, :],
+        ExactMatrix.of((0, 1), (np.arange(3) == UNIT)[:, None, None]),
+        ExactMatrix.of((0, 1), np.eye(k, dtype=bool)),
     )
     p_frac = ClassMatrix.joint(pattern, tables)
 

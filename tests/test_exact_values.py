@@ -365,6 +365,8 @@ CROSSINGS = [
      [Fraction(2**21 - 1, 2**21 + 5), Fraction(3 * 2**20 + 1, 2**22 + 1)]),
     (lambda t, pab: t / (pab + (pab == 0)), [Fraction(2**40 + 1, 2**21 + 1)],
      [Fraction(0), Fraction(2**21 + 1, 2**40 + 3)]),
+    # an integer array holding -2**63, whose negation int64 cannot hold
+    (lambda x, y: x - y - np.array(-2**63), [Fraction(1, 3)], [Fraction(2**61), Fraction(-5, 7)]),
 ]
 
 
