@@ -92,50 +92,6 @@ def certify(
     return bound
 
 
-def _check_neyman_preconditions(
-    dmat: DesignMatrix, c: np.ndarray, mask: ImpossibilityMask
-) -> ExactMatrix | np.ndarray:
-    """Raise unless the block-diagonal bound applies; return d_01 tiled.
-
-    The result holds block (0, 1) of d at every arm pair: entry (a, b) is
-    d[unit a, n + unit b], exact when d is.
-    """
-    layout = dmat.layout
-    k, n = layout.k, layout.n
-    if abs(float(c.sum())) > 1e-12:
-        raise NeymanPreconditionError(
-            f"contrast entries must sum to zero (got {c.sum()})"
-        )
-    if np.any(c == 0.0):
-        raise NeymanPreconditionError(
-            "every contrast entry must be nonzero for the block-diagonal bound"
-        )
-    arms = np.arange(k)
-    diagonal = mask.mask.reshape(k, n, k, n)[arms, :, arms, :]  # (k, n, n): block (r, r)
-    bad = np.flatnonzero((diagonal == 1.0).any(axis=(1, 2))).tolist()
-    if bad:
-        raise NeymanPreconditionError(
-            "the block-diagonal bound does not apply: diagonal block(s) "
-            f"{bad} contain -1 entries (impossible same-arm joint assignments)"
-        )
-    # every block set against block (0, 1): exact values must agree exactly,
-    # floats (read from files) within 1e-12
-    unit = np.tile(np.arange(n), k)
-    d = dmat.frac or dmat.d
-    d01 = d[np.ix_(unit, n + unit)]
-    gap, exact_gap = elementwise(lambda x, y: abs(x - y), d, d01)
-    limit = 1e-12 if exact_gap is None else 0.0
-    worst = gap.reshape(k, n, k, n).max(axis=(1, 3))
-    differ = np.argwhere(~(worst <= limit) & (arms[:, None] != arms[None, :]))
-    if len(differ):
-        r, s = differ[0]
-        raise NeymanPreconditionError(
-            f"off-diagonal blocks ({r},{s}) and (0,1) differ; the "
-            "block-diagonal bound needs them all equal"
-        )
-    return d01
-
-
 def neyman_bound(
     dmat: DesignMatrix,
     c: np.ndarray,
@@ -154,19 +110,48 @@ def neyman_bound(
     effect vector.
     """
     layout = dmat.layout
-    k = layout.k
+    k, n = layout.k, layout.n
     c = np.asarray(c, dtype=float)
     if c.shape != (k,):
         raise LayoutMismatchError(f"contrast must have length k={k}")
     if mask is None:
         mask = derive_mask(dmat)
-    d01 = _check_neyman_preconditions(dmat, c, mask)
-    arm = np.arange(layout.kn) // layout.n
-    same_arm = ExactMatrix.of((0, 1), arm[:, None] == arm[None, :])
-    # + 0 turns the -0.0 that float input leaves off the diagonal blocks into 0.0
-    dt, frac = elementwise(
-        lambda same, d, d01: same * (d - d01) + 0, same_arm, dmat.frac or dmat.d, d01
-    )
+    if not np.all(np.isfinite(c)):
+        raise NeymanPreconditionError(f"contrast entries must be finite (got {c})")
+    if abs(float(c.sum())) > 1e-12:
+        raise NeymanPreconditionError(
+            f"contrast entries must sum to zero (got {c.sum()})"
+        )
+    if np.any(c == 0.0):
+        raise NeymanPreconditionError(
+            "every contrast entry must be nonzero for the block-diagonal bound"
+        )
+    arms = np.arange(k)
+    diagonal = mask.mask.reshape(k, n, k, n)[arms, :, arms, :]  # (k, n, n): block (r, r)
+    bad = np.flatnonzero((diagonal == 1.0).any(axis=(1, 2))).tolist()
+    if bad:
+        raise NeymanPreconditionError(
+            "the block-diagonal bound does not apply: diagonal block(s) "
+            f"{bad} contain -1 entries (impossible same-arm joint assignments)"
+        )
+    # d - d01, with block (0, 1) of d at every arm pair (exact when d is): the
+    # diagonal blocks are the bound's, the off-diagonal ones the gap to block
+    # (0, 1), which exact values must close exactly and floats (read from
+    # files) within 1e-12; + 0 turns -0.0 into 0.0
+    unit = np.tile(np.arange(n), k)
+    d = dmat.frac or dmat.d
+    dt, frac = elementwise(lambda d, d01: d - d01 + 0, d, d[np.ix_(unit, n + unit)])
+    blocks = dt.reshape(k, n, k, n).swapaxes(1, 2)  # a view: (r, s) is block (r, s)
+    off = arms[:, None] != arms[None, :]
+    worst = np.abs(blocks).max(axis=(2, 3))
+    differ = np.argwhere(~(worst <= (1e-12 if frac is None else 0.0)) & off)
+    if len(differ):
+        r, s = differ[0]
+        raise NeymanPreconditionError(
+            f"off-diagonal blocks ({r},{s}) and (0,1) differ; the "
+            "block-diagonal bound needs them all equal"
+        )
+    blocks[off] = 0.0  # the float residue; exact values are zero there already
     bound = BoundMatrix(layout, dt, "neyman", frac=frac)
     return certify(bound, dmat, mask, tol)
 

@@ -19,8 +19,9 @@ makes entries like -1/3 or exact -1 reproducible bit-for-bit.  The parts
 are int64 when all are below 2**53 and Python ints in object arrays
 otherwise, and a codebook records a bound on their bit lengths; a
 formula's operations carry that bound and run in int64 while their
-results stay within 62 bits (``_Rationals``).  A
-codebook's order is unspecified, and it may hold values no entry takes.
+results stay within 62 bits (``_Rationals``).  A codebook is made only
+by ``ExactMatrix.of``, which reduces and deduplicates its values; its
+order is unspecified, and it may hold values no entry takes.
 Formulas over such matrices are written once, as array expressions, and
 run once through ``elementwise``: on exact rationals, one entry per
 distinct tuple of operand values, or on the floats when an operand has
@@ -89,6 +90,7 @@ def batch_rows(width: int) -> int:
 class Codebook:
     """Distinct exact rationals as reduced integer parts, with their floats.
 
+    Made only by ``ExactMatrix.of``, which reduces and deduplicates them.
     ``num`` and ``den`` (positive) are int64 arrays when every part is below
     2**53: both then convert to float64 exactly, so float64 ``num / den`` is
     correctly rounded.  Otherwise they are object arrays of Python ints,
@@ -115,33 +117,6 @@ class Codebook:
     @cached_property
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(map(Fraction, self.num.tolist(), self.den.tolist()))
-
-    @classmethod
-    def joined(cls, books: Sequence["Codebook"]) -> "Codebook":
-        """The books' values end to end, with their floats and bounds."""
-        if len(books) == 1:
-            return books[0]
-        book = cls.__new__(cls)
-        book.num, book.den, book.floats = (np.concatenate([getattr(b, part) for b in books])
-                                           for part in ("num", "den", "floats"))
-        book.bits = tuple(map(max, zip(*(b.bits for b in books))))
-        return book
-
-    def extended(self, other: "Codebook") -> tuple["Codebook", np.ndarray]:
-        """This codebook with the values of ``other`` it lacks appended, and
-        the code of each of ``other``'s values in the result.  Equal values
-        have equal floats, so of this codebook only the entries whose float
-        ``other`` holds are hashed."""
-        hit = np.flatnonzero(np.isin(self.floats, other.floats))
-        known = dict(zip(zip(self.num[hit].tolist(), self.den[hit].tolist()), hit.tolist()))
-        codes, picks = [], []
-        for i, pair in enumerate(zip(other.num.tolist(), other.den.tolist())):
-            if pair not in known:
-                known[pair] = len(self) + len(picks)
-                picks.append(i)
-            codes.append(known[pair])
-        added = Codebook(other.num[picks], other.den[picks])
-        return Codebook.joined([self, added]), np.array(codes, dtype=np.intp)
 
 
 def _int_parts(x) -> np.ndarray:
@@ -758,12 +733,13 @@ class Design:
 
 
 def _as_fraction(x) -> Fraction:
-    """``x`` as an exact rational; a float keeps its exact binary value."""
+    """``x`` as an exact rational; a float keeps its exact binary value, and
+    a bool is not a number here."""
     if isinstance(x, Fraction):
         return x
     value = x.item() if isinstance(x, np.generic) else x
     try:
-        if isinstance(value, (str, int, float)):
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
             return Fraction(value)
     except (ValueError, OverflowError, ZeroDivisionError):
         pass
@@ -841,21 +817,24 @@ def _block_p(layout: IndexLayout, unit_sets: list[list[int]], subs: list[Design]
         block_base += len(filled) * block_span
         parts.append((size, part))
         size += pat.size
-    # the across products' codebook, then the parts' values it lacks
+    # one operand book, the parts' values and 1: each table entry is the product
+    # of a pair of its codes, the across ones sorted pairs of the classes' pi
+    # (a class's own unit entry), the parts' own entries (value, 1)
     offsets = np.cumsum([0] + [len(part.book) for _, part in parts])
-    own_book = Codebook.joined([part.book for _, part in parts])
-    own = np.concatenate([off + part.tables[UNIT].diagonal() for off, (_, part) in zip(offsets, parts)])
-    # each class's own unit entry is its pi
-    pi = ExactMatrix.of(own_book.num[own], den=own_book.den[own])
-    _, across = elementwise(operator.mul, *_sorted_pair(pi.codes, pi.book))
-    book, moved = across.book.extended(own_book)
-    tables = np.empty((3, size, size), dtype=np.intp)
-    tables[:] = across.codes
+    operand = ExactMatrix.of(np.concatenate([part.book.num for _, part in parts] + [[1]]),
+                             den=np.concatenate([part.book.den for _, part in parts] + [[1]]))
+    code = operand.codes
+    pi = np.concatenate([code[off + part.tables[UNIT].diagonal()]
+                         for off, (_, part) in zip(offsets, parts)])
+    first, second = (np.repeat(pair.codes[None], 3, axis=0)
+                     for pair in _sorted_pair(pi, operand.book))
     for off, (start, part) in zip(offsets, parts):
         span = slice(start, start + part.pattern.size)
-        tables[BLOCK:, span, span] = moved[part.tables[BLOCK:] + off]
-    return _stored(ClassMatrix.joint(ClassPattern(classes, units, blocks, size),
-                                     ExactMatrix(tables, book)))
+        first[BLOCK:, span, span] = code[off + part.tables[BLOCK:]]
+        second[BLOCK:, span, span] = code[-1]
+    _, tables = elementwise(operator.mul, ExactMatrix(first, operand.book),
+                            ExactMatrix(second, operand.book))
+    return _stored(ClassMatrix.joint(ClassPattern(classes, units, blocks, size), tables))
 
 
 # ---------------------------------------------------------------------------
@@ -1067,7 +1046,7 @@ def block_design(
     for units, sub in blocks:
         if sub.layout.k != k:
             raise InfeasibleSpecError("all blocks must share the same arm count")
-        units = [int(u) for u in units]
+        units = _ints(units)
         if len(units) != sub.layout.n:
             raise InfeasibleSpecError(
                 f"block lists {len(units)} units but its design has n={sub.layout.n}"
@@ -1142,6 +1121,7 @@ def cluster_design(clusters: Sequence[Sequence[int]], cluster_level: Design) -> 
             f"cluster-level design has n={cluster_level.layout.n}, expected {m} clusters"
         )
     k = cluster_level.layout.k
+    clusters = [_ints(cl) for cl in clusters]
     flat_units = sorted(u for cl in clusters for u in cl)
     n = len(flat_units)
     if flat_units != list(range(n)):
@@ -1149,7 +1129,7 @@ def cluster_design(clusters: Sequence[Sequence[int]], cluster_level: Design) -> 
     layout = IndexLayout(k, n)
     group = np.empty(n, dtype=int)
     for g, cl in enumerate(clusters):
-        group[np.asarray(cl, dtype=int)] = g
+        group[cl] = g
 
     p_frac = None
     if cluster_level.p_frac is not None:
@@ -1213,8 +1193,15 @@ def custom_design(
             raise SupportOverflowError(
                 f"custom support has {len(support)} points, above the cap {support_cap}"
             )
+        rows = []
+        for arms, _ in support:
+            try:
+                rows.append(_ints(arms))
+            except (TypeError, ValidationError) as exc:
+                raise ValidationError(
+                    f'custom support entry field "arms" is malformed: {arms!r}') from exc
         try:
-            arms = np.array([arms for arms, _ in support], dtype=int)
+            arms = np.array(rows, dtype=int)
         except ValueError as exc:
             raise LayoutMismatchError(
                 f"custom support assignments must each give one integer arm per unit: {exc}"
@@ -1292,8 +1279,11 @@ def spec_int(value) -> int:
 
 
 def _ints(value) -> list[int]:
-    """A JSON list of integers: checked as one row when every entry is a
-    plain int, as JSON gives them, and entry by entry otherwise."""
+    """A list of integers, from a JSON list, a tuple or an array: checked as
+    one row when every entry is a plain int, as JSON gives them, and entry
+    by entry otherwise."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (list, tuple)) and {int}.issuperset(map(type, value)):
         return list(value)
     return _listed(value, spec_int)
@@ -1351,7 +1341,7 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
     if family == "custom":
         layout = IndexLayout(spec_field(spec, "k", "custom spec", cast=spec_int),
                              spec_field(spec, "n", "custom spec", cast=spec_int))
-        parsed = [(spec_field(entry, "arms", "custom support entry", cast=_ints),
+        parsed = [(spec_field(entry, "arms", "custom support entry"),
                    spec_field(entry, "prob", "custom support entry", cast=_as_fraction))
                   for entry in spec_field(spec, "support", what, cast=_listed)]
         return custom_design(layout, parsed, support_cap=support_cap)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -66,6 +67,39 @@ class TestNeymanBound:
         dmat, mask = dv.first_order_design_matrix(design)
         with pytest.raises(dv.NeymanPreconditionError, match="nonzero"):
             dv.neyman_bound(dmat, np.array([-1.0, 1.0, 0.0]), mask)
+
+    @pytest.mark.parametrize("c", [[np.nan, 1.0], [np.inf, -np.inf]])
+    def test_non_finite_contrast_rejected(self, complete42_matrices, c):
+        # a NaN sum passed the zero-sum gate, and inf - inf warned on the way
+        dmat, mask = complete42_matrices
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dv.NeymanPreconditionError, match="finite"):
+                dv.neyman_bound(dmat, np.array(c), mask)
+
+    @pytest.mark.parametrize("nudge", [5e-13, -5e-13])
+    def test_float_input_within_tolerance_gives_exact_zeros(self, nudge):
+        # d read from a file has no exact values: block (1, 0) may differ from
+        # block (0, 1) by rounding, and that residue must not reach dtilde
+        dmat, mask = dv.first_order_design_matrix(dv.complete_design([2, 2]))
+        exact = dv.neyman_bound(dmat, c2(), mask)
+        d = dmat.d.copy()
+        d[4:, :4] += nudge
+        bound = dv.neyman_bound(dv.DesignMatrix(dmat.layout, d), c2(), mask)
+        assert bound.frac is None
+        off = np.kron(1 - np.eye(2), np.ones((4, 4))) == 1
+        assert np.all(bound.dtilde[off] == 0.0)
+        assert not np.any(np.signbit(bound.dtilde[off]))  # no negative zero
+        assert bound.dtilde.tobytes() == exact.dtilde.tobytes()
+        assert (bound.certified_bounding, bound.certified_identified) == ("yes", "yes")
+
+    def test_float_input_beyond_tolerance_rejected(self):
+        dmat, mask = dv.first_order_design_matrix(dv.complete_design([2, 2]))
+        d = dmat.d.copy()
+        d[4:, :4] += 2e-12
+        with pytest.raises(dv.NeymanPreconditionError,
+                           match=re.escape("off-diagonal blocks (1,0) and (0,1) differ")):
+            dv.neyman_bound(dv.DesignMatrix(dmat.layout, d), c2(), mask)
 
 
 class TestNeymanIdentity:

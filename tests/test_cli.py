@@ -120,6 +120,9 @@ class TestDesignCommand:
              '"arms"'),
             ({**COMPLETE_SPEC, "support_cap": 10.5}, '"support_cap"'),
             ({"type": "bernoulli", "n": False, "p": 0.5}, '"n"'),
+            ({"type": "bernoulli", "n": 2, "p": True}, '"p"'),
+            ({"type": "custom", "k": 2, "n": 1, "support": [{"arms": [0], "prob": True}]},
+             '"prob"'),
         ],
         ids=["custom-without-k", "entry-without-prob", "support-cap-abc",
              "bernoulli-n-text", "complete-counts-text", "complete-counts-number",
@@ -129,7 +132,7 @@ class TestDesignCommand:
              "complete-counts-fractional", "paired-k-fractional", "paired-pairs-fractional",
              "block-units-fractional", "cluster-clusters-fractional", "custom-k-bool",
              "custom-n-fractional", "custom-arms-fractional", "support-cap-fractional",
-             "bernoulli-n-bool"],
+             "bernoulli-n-bool", "bernoulli-p-bool", "custom-prob-bool"],
     )
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, spec, named):
         path = write_json(tmp_path / "spec.json", spec)
@@ -172,6 +175,17 @@ class TestBoundCommand:
         ])
         assert code == 2
         assert "diagonal block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("contrast", ["nan,1", "inf,-inf"])
+    def test_neyman_non_finite_contrast_exits_2(self, tmp_path, capsys, contrast):
+        cdir = tmp_path / "complete"
+        main(["design", write_json(tmp_path / "spec.json", COMPLETE_SPEC), "--out", str(cdir)])
+        code = main([
+            "bound", "--d", str(cdir / "d.csv"), "--mask", str(cdir / "mask.csv"),
+            "--method", "neyman", f"--contrast={contrast}", "--out", str(tmp_path / "nb"),
+        ])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_verify_invariant_bound(self, paired_dir, tmp_path):
         cand = tmp_path / "invar.csv"

@@ -104,6 +104,10 @@ class TestBuilders:
             ([([0, 1], "1/2"), ([1], "1/2")], dv.LayoutMismatchError, "arm per unit"),
             ([([0, 2], "1/2"), ([1, 0], "1/2")], dv.ValidationError, r"lie in \[0, k\)"),
             ([], dv.ValidationError, "enumerated support"),
+            ([([0.5, 1], "1/2"), ([1, 0.9], "1/2")], dv.ValidationError,
+             re.escape('"arms" is malformed: [0.5, 1]')),
+            ([([True, 0], "1/2"), ([0, 1], "1/2")], dv.ValidationError,
+             re.escape('"arms" is malformed: [True, 0]')),
         ],
     )
     def test_custom_support_is_validated(self, support, error, message):
@@ -120,9 +124,14 @@ class TestBuilders:
             lambda: dv.bernoulli_design(0.5, n=3.5),
             lambda: dv.bernoulli_design(["1/2", "1/2"], n=2.5),
             lambda: dv.bernoulli_design([["1/2", "1/2"]], k=2.5),
+            lambda: dv.block_design([([0, 1.7], dv.complete_design([1, 1]))]),
+            lambda: dv.block_design([([False, True], dv.complete_design([1, 1]))]),
+            lambda: dv.cluster_design([[False, True], [2]], dv.complete_design([1, 1])),
+            lambda: dv.cluster_design([[0, 1.5], [2]], dv.complete_design([1, 1])),
         ],
         ids=["complete-float", "complete-bool", "paired-k", "paired-k-str",
-             "bernoulli-n", "bernoulli-row-n", "bernoulli-k"],
+             "bernoulli-n", "bernoulli-row-n", "bernoulli-k", "block-units-float",
+             "block-units-bool", "cluster-units-bool", "cluster-units-float"],
     )
     def test_non_integral_sizes_rejected(self, build):
         with pytest.raises(dv.ValidationError, match="expected an integer"):
