@@ -67,6 +67,15 @@ def derive_mask(dmat: DesignMatrix) -> ImpossibilityMask:
     return ImpossibilityMask(dmat.layout, mask, frac=frac)
 
 
+def _mask_for(dmat: DesignMatrix, mask: ImpossibilityMask | None) -> ImpossibilityMask:
+    """The caller's mask, on the design matrix's layout, or one derived from d."""
+    if mask is None:
+        return derive_mask(dmat)
+    if mask.layout != dmat.layout:
+        raise LayoutMismatchError("mask and design matrix use different layouts")
+    return mask
+
+
 def certify(
     bound: BoundMatrix,
     dmat: DesignMatrix,
@@ -80,8 +89,7 @@ def certify(
     """
     if bound.layout != dmat.layout:
         raise LayoutMismatchError("bound and design matrix use different layouts")
-    if mask is None:
-        mask = derive_mask(dmat)
+    mask = _mask_for(dmat, mask)
     report = eigen_psd_check(bound.dtilde - dmat.d, tol)
     bound.certified_bounding = "yes" if report.psd else "no"
     bound.diff_min_eig = report.min_eig
@@ -111,11 +119,8 @@ def neyman_bound(
     """
     layout = dmat.layout
     k, n = layout.k, layout.n
-    c = np.asarray(c, dtype=float)
-    if c.shape != (k,):
-        raise LayoutMismatchError(f"contrast must have length k={k}")
-    if mask is None:
-        mask = derive_mask(dmat)
+    c = layout.check_contrast(c)
+    mask = _mask_for(dmat, mask)
     if not np.all(np.isfinite(c)):
         raise NeymanPreconditionError(f"contrast entries must be finite (got {c})")
     if abs(float(c.sum())) > 1e-12:
@@ -170,10 +175,7 @@ def aronow_samii_bound(
     family's d and mask) the formula runs on the tables.
     """
     layout = dmat.layout
-    if mask is None:
-        mask = derive_mask(dmat)
-    if mask.layout != layout:
-        raise LayoutMismatchError("mask and design matrix use different layouts")
+    mask = _mask_for(dmat, mask)
     m = mask.frac if mask.frac is not None else ExactMatrix.of((0, 1), mask.mask)
     dt, frac = elementwise(lambda d, m, r: d + m + r, dmat.frac or dmat.d, m,
                            _diagonal_matrix(mask.mask.sum(axis=1).astype(np.int64), m))
@@ -206,10 +208,7 @@ def algorithm_m_bound(
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     layout = dmat.layout
-    if mask is None:
-        mask = derive_mask(dmat)
-    if mask.layout != layout:
-        raise LayoutMismatchError("mask and design matrix use different layouts")
+    mask = _mask_for(dmat, mask)
     m = mask.mask
     if init is None:
         t = m.copy()
@@ -265,6 +264,8 @@ def build_bound(
     max_iter: int = 10000,
 ) -> BoundMatrix:
     """Construct a bound by method name ("neyman", "as", "algm")."""
+    if not isinstance(method, str):
+        raise ValidationError(f"bound method must be a string, got {method!r}")
     canonical = BOUND_METHOD_ALIASES.get(method.lower())
     if canonical is None:
         raise ValidationError(f"unknown bound method {method!r}")

@@ -30,6 +30,8 @@ from .designs import (
     DesignMatrix,
     ImpossibilityMask,
     IndexLayout,
+    PiDiagonal,
+    _listed,
     build_design,
     first_order_design_matrix,
     inclusion_probabilities,
@@ -41,7 +43,6 @@ from .errors import NumericalError, ValidationError
 
 if TYPE_CHECKING:
     from .estimators import EstimatorSpec
-    from .simulate import SimScenario
 
 
 def _parse_contrast(text: str) -> np.ndarray:
@@ -125,35 +126,53 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _estimator_from_args(kind, contrast, covariates, weights, pi) -> EstimatorSpec:
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _weights(value, pi: PiDiagonal | None) -> np.ndarray:
+    """A wls weighting diagonal: "identity", "invpi", a CSV path or a list
+    of numbers.  Only a string names a file; the two keywords read the
+    design's pi, so without a design (a sweep) they raise TypeError."""
+    if not isinstance(value, str):
+        return _floats(_listed(value))
+    if value not in ("identity", "invpi"):
+        return ser.read_vector_csv(value)
+    if pi is None:
+        raise TypeError(f"{value!r} weights need a design")
+    return np.ones(pi.layout.kn) if value == "identity" else 1.0 / pi.probs
+
+
+def _estimator(est, what: str, pi: PiDiagonal | None) -> EstimatorSpec:
+    """The estimator object of a scenario, whose design has inclusion
+    probabilities ``pi``, or of a sweep (``pi`` None).  A wls estimator of
+    a scenario without weights has identity weights."""
     from .estimators import EstimatorSpec
 
-    kw = {}
-    if covariates is not None:
-        kw["covariates"] = covariates
-    if kind == "wls":
-        if weights in (None, "identity"):
-            kw["weights"] = np.ones(pi.layout.kn)
-        elif weights == "invpi":
-            kw["weights"] = 1.0 / pi.probs
-        else:
-            kw["weights"] = ser.read_vector_csv(weights)
-    return EstimatorSpec(kind, contrast, **kw)
+    kind = spec_field(est, "kind", what)
+    identity = _weights("identity", pi) if kind == "wls" and pi is not None else None
+    return EstimatorSpec(
+        kind,
+        spec_field(est, "contrast", what, cast=_floats),
+        spec_field(est, "covariates", what, None, _floats),
+        spec_field(est, "weights", what, identity, lambda value: _weights(value, pi)),
+    )
 
 
 def cmd_estimate(args) -> int:
     from .bound_estimation import ipw_bound_matrix, plugin_bound_estimate
     from .bounds import build_bound
-    from .estimators import point_estimate
+    from .estimators import EstimatorSpec, point_estimate
 
     design = build_design(ser.read_json(args.design))
     layout = design.layout
     data = ser.read_observed(args.data, layout)
     pi = inclusion_probabilities(design)
     covariates = ser.read_covariates(args.covariates, layout.n) if args.covariates else None
-    spec = _estimator_from_args(
-        args.estimator, _parse_contrast(args.contrast), covariates, args.weights, pi
-    )
+    weights = None
+    if args.estimator == "wls":
+        weights = _weights("identity" if args.weights is None else args.weights, pi)
+    spec = EstimatorSpec(args.estimator, _parse_contrast(args.contrast), covariates, weights)
     estimate = point_estimate(spec, data, pi)
     dmat, mask = first_order_design_matrix(design)
     bound = build_bound(args.bound, dmat, mask, contrast=spec.contrast)
@@ -197,62 +216,19 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _scenario_from_json(doc: dict) -> SimScenario | dict:
-    from .simulate import SimScenario, _tiled_outcomes
-
-    what = "scenario"
-    if spec_field(doc, "sweep", what, None) is not None:
-        return doc["sweep"]
-    design = build_design(spec_field(doc, "design", what))
-    pi = inclusion_probabilities(design)
-    y_doc = spec_field(doc, "y", what)
-    if isinstance(y_doc, dict):
-        base = spec_field(y_doc, "base", 'scenario "y"', cast=_floats)
-        copies = spec_field(y_doc, "copies", 'scenario "y"', cast=spec_int)
-        y = _tiled_outcomes(base, copies)
-    else:
-        y = spec_field(doc, "y", what, cast=_floats)
-    est = spec_field(doc, "estimator", what)
-    spec = _estimator_from_args(
-        spec_field(est, "kind", "scenario estimator"),
-        spec_field(est, "contrast", "scenario estimator", cast=_floats),
-        spec_field(est, "covariates", "scenario estimator", None, _floats),
-        est.get("weights"),
-        pi,
-    )
-    return SimScenario(
-        design=design,
-        y=y,
-        estimator=spec,
-        bound_method=doc.get("bound", "as"),
-        mode=doc.get("mode", "exact"),
-        replicates=spec_field(doc, "replicates", what, 0, spec_int),
-        seed=spec_field(doc, "seed", what, None, spec_int),
-    )
-
-
 def cmd_simulate(args) -> int:
-    from .estimators import EstimatorSpec
-    from .simulate import SimScenario, consistency_sweep, run_scenario
+    from .simulate import SimScenario, _tiled_outcomes, consistency_sweep, run_scenario
 
     doc = ser.read_json(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenario = _scenario_from_json(doc)
-    if not isinstance(scenario, SimScenario):
-        est = spec_field(scenario, "estimator", "sweep")
-        spec = EstimatorSpec(
-            spec_field(est, "kind", "sweep estimator"),
-            spec_field(est, "contrast", "sweep estimator", cast=_floats),
-        )
+    what = "scenario"
+    sweep = spec_field(doc, "sweep", what, None)
+    if sweep is not None:
         rows = consistency_sweep(
-            spec,
-            spec_field(scenario, "base_y", "sweep", cast=_floats),
-            spec_field(scenario, "n_list", "sweep", cast=lambda ns: [spec_int(n) for n in ns]),
+            _estimator(spec_field(sweep, "estimator", "sweep"), "sweep estimator", None),
+            spec_field(sweep, "base_y", "sweep", cast=_floats),
+            spec_field(sweep, "n_list", "sweep", cast=lambda ns: [spec_int(n) for n in ns]),
         )
         with open(out / "trend.csv", "w") as fh:
             cols = list(rows[0].keys())
@@ -261,6 +237,24 @@ def cmd_simulate(args) -> int:
                 fh.write(",".join(repr(float(row[c])) for c in cols) + "\n")
         print(f"wrote trend.csv to {out}")
         return 0
+    design = build_design(spec_field(doc, "design", what))
+    pi = inclusion_probabilities(design)
+    y_doc = spec_field(doc, "y", what)
+    if isinstance(y_doc, dict):
+        base = spec_field(y_doc, "base", 'scenario "y"', cast=_floats)
+        y = _tiled_outcomes(base, spec_field(y_doc, "copies", 'scenario "y"', cast=spec_int))
+    else:
+        y = spec_field(doc, "y", what, cast=_floats)
+    scenario = SimScenario(
+        design=design,
+        y=y,
+        estimator=_estimator(spec_field(doc, "estimator", what), "scenario estimator", pi),
+        # a missing bound is AS; null is no bound
+        bound_method=spec_field(doc, "bound", what, None) if "bound" in doc else "as",
+        mode=spec_field(doc, "mode", what, "exact"),
+        replicates=spec_field(doc, "replicates", what, 0, spec_int),
+        seed=spec_field(doc, "seed", what, None, spec_int),
+    )
     report = run_scenario(scenario)
     ser.write_json(out / "report.json", asdict(report))
     print(json.dumps({"bias": report.bias, "empirical_variance": report.empirical_variance}))

@@ -473,6 +473,12 @@ class IndexLayout:
             )
         return v
 
+    def check_contrast(self, c: np.ndarray) -> np.ndarray:
+        c = np.asarray(c, dtype=float)
+        if c.shape != (self.k,):
+            raise LayoutMismatchError(f"contrast must have length k={self.k}; got shape {c.shape}")
+        return c
+
     def check_arms(self, arms: np.ndarray, rows: tuple[int, ...] = ()) -> np.ndarray:
         """Arms of one assignment (length n), or of ``rows`` of them, in [0, k)."""
         arms = np.asarray(arms, dtype=int)
@@ -1026,6 +1032,14 @@ def complete_design(
     )
 
 
+def _covered_units(unit_lists: list[list[int]], message: str) -> int:
+    """n, if the unit lists are disjoint and cover 0..n-1; else InfeasibleSpecError."""
+    flat = sorted(u for units in unit_lists for u in units)
+    if flat != list(range(len(flat))):
+        raise InfeasibleSpecError(message)
+    return len(flat)
+
+
 def block_design(
     blocks: Sequence[tuple[Sequence[int], Design]],
     *,
@@ -1052,12 +1066,7 @@ def block_design(
                 f"block lists {len(units)} units but its design has n={sub.layout.n}"
             )
         unit_sets.append(units)
-    flat_units = sorted(u for us in unit_sets for u in us)
-    n = len(flat_units)
-    if flat_units != list(range(n)):
-        raise InfeasibleSpecError(
-            "block unit sets must be disjoint and cover units 0..n-1"
-        )
+    n = _covered_units(unit_sets, "block unit sets must be disjoint and cover units 0..n-1")
     layout = IndexLayout(k, n)
 
     p_frac = None
@@ -1122,10 +1131,7 @@ def cluster_design(clusters: Sequence[Sequence[int]], cluster_level: Design) -> 
         )
     k = cluster_level.layout.k
     clusters = [_ints(cl) for cl in clusters]
-    flat_units = sorted(u for cl in clusters for u in cl)
-    n = len(flat_units)
-    if flat_units != list(range(n)):
-        raise InfeasibleSpecError("clusters must be disjoint and cover units 0..n-1")
+    n = _covered_units(clusters, "clusters must be disjoint and cover units 0..n-1")
     layout = IndexLayout(k, n)
     group = np.empty(n, dtype=int)
     for g, cl in enumerate(clusters):
@@ -1266,9 +1272,9 @@ def _listed(value, item=lambda v: v) -> list:
 
 def spec_int(value) -> int:
     """An integer field or argument: 2 and 2.0 give 2; a bool, a
-    non-integral number or a non-number raises ValidationError rather than
-    being truncated."""
-    if isinstance(value, (bool, np.bool_)) or (
+    non-integral number or a non-number (a numeric string among them)
+    raises ValidationError rather than being truncated or parsed."""
+    if isinstance(value, (bool, np.bool_, str, bytes)) or (
         isinstance(value, (float, np.floating)) and not float(value).is_integer()
     ):
         raise ValidationError(f"expected an integer, got {value!r}")

@@ -122,10 +122,7 @@ class EstimatorSpec:
             raise ValidationError(f"{kind} does not take a weighting diagonal")
 
     def padded_contrast(self, layout: IndexLayout) -> np.ndarray:
-        if self.contrast.shape != (layout.k,):
-            raise LayoutMismatchError(
-                f"contrast has length {self.contrast.size}, expected k={layout.k}"
-            )
+        layout.check_contrast(self.contrast)
         l = 0 if self.covariates is None else self.covariates.shape[1]
         if self.kind in ("ols", "wls") and l:
             return np.concatenate([self.contrast, np.zeros(l)])
@@ -342,9 +339,9 @@ def taylor_variance(z: LinearizationVector, dmat: DesignMatrix) -> float:
 def ht_linearization(y: np.ndarray, c: np.ndarray, layout: IndexLayout) -> LinearizationVector:
     """z for the Horvitz-Thompson estimator, free of any probabilities."""
     y = layout.check_vector(y, "potential outcomes")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (layout.k,):
-        raise LayoutMismatchError(f"contrast must have length k={layout.k}")
+    c = layout.check_contrast(c)
+    if not np.all(np.isfinite(c)):
+        raise ValidationError("contrast must be finite")
     z = y * np.repeat(c, layout.n) / layout.n
     return LinearizationVector(layout, z, "ht", "population")
 
@@ -357,31 +354,26 @@ def ht_exact_variance(y: np.ndarray, c: np.ndarray, dmat: DesignMatrix) -> float
 def linearized_estimator(spec: EstimatorSpec, y: np.ndarray, pi: PiDiagonal):
     """Closure evaluating the first-order linearization at indicator vectors.
 
-    For the WLS family this is the coefficient-anchored expansion
-    c'b + c'w R (y - xx b) around R = pi; Horvitz-Thompson is linear in R
-    already, so its closure is the estimator itself.  The closure takes
-    one indicator vector (returning a float) or an S x kn batch (returning
-    S values).
+    The affine form anchor + (R resid)' q: for the WLS family the
+    coefficient-anchored expansion c'b + c'w R (y - xx b) around R = pi;
+    Horvitz-Thompson is linear in R already, so with anchor 0, residual y
+    and the engine's weights c / (n pi) its closure is the estimator itself.
+    The closure takes one indicator vector (returning a float) or an S x kn
+    batch (returning S values).
     """
     layout = pi.layout
     y = layout.check_vector(y, "potential outcomes")
     if spec.kind == "ht":
-
-        def batch(r: np.ndarray) -> np.ndarray:
-            return _evaluate_draws(spec, pi, y, r)[0]
-
+        anchor, resid = 0.0, y
+        q = np.repeat(spec.padded_contrast(layout), layout.n) / (layout.n * pi.probs)
     else:
         xx, m, b, v = _population_fit(spec, pi, y)
-        resid = y - xx @ b
+        anchor, resid = float(spec.padded_contrast(layout) @ b), y - xx @ b
         q = m * (xx @ v)
-        anchor = float(spec.padded_contrast(layout) @ b)
-
-        def batch(r: np.ndarray) -> np.ndarray:
-            return anchor + (r * resid) @ q
 
     def linearized(r: np.ndarray):
         r = np.asarray(r, dtype=float)
-        values = batch(np.atleast_2d(r))
+        values = anchor + (np.atleast_2d(r) * resid) @ q
         return values if r.ndim == 2 else float(values[0])
 
     return linearized

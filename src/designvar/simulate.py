@@ -66,6 +66,7 @@ class SimScenario:
 
     def __post_init__(self):
         self.y = self.design.layout.check_vector(self.y, "potential outcomes")
+        self.design.layout.check_contrast(self.estimator.contrast)
         if self.mode not in ("exact", "mc"):
             raise ValidationError(f"unknown scenario mode {self.mode!r}")
         if self.mode == "exact":
@@ -281,8 +282,8 @@ def consistency_sweep(
                 "and only base_y is tiled"
             )
     base_y = np.atleast_2d(np.asarray(base_y, dtype=float))
-    if base_y.shape[0] != 2:
-        raise ValidationError("the sweep uses two-arm designs; base_y needs 2 rows")
+    if base_y.shape[0] != 2 or not base_y.size:
+        raise ValidationError("the sweep uses two-arm designs; base_y needs 2 non-empty rows")
     n_base = base_y.shape[1]
     rows = []
     for n in n_list:

@@ -73,6 +73,14 @@ class TestHtBoundEstimate:
         assignment = next(assignments(paired4))[0]
         assert dv.ht_bound_estimate(np.zeros(8), c2(), assignment, ipw).value == 0.0
 
+    def test_non_finite_contrast_rejected(self, paired4, paired4_matrices):
+        dmat, mask = paired4_matrices
+        ipw = dv.ipw_bound_matrix(dv.aronow_samii_bound(dmat, mask),
+                                  dv.joint_probabilities(paired4))
+        assignment = next(assignments(paired4))[0]
+        with pytest.raises(dv.ValidationError, match="contrast must be finite"):
+            dv.ht_bound_estimate(np.ones(8), np.array([np.nan, 1.0]), assignment, ipw)
+
     def test_complete_neyman_nonnegative_and_unbiased(self, complete42, complete42_matrices):
         dmat, mask = complete42_matrices
         rng = np.random.default_rng(1)

@@ -321,6 +321,30 @@ class TestCertify:
         assert bound.certified_identified == "yes"
         assert bound.certified_bounding == "no"
 
+    def test_mask_of_another_layout_rejected(self, paired4_matrices):
+        dmat, _ = paired4_matrices
+        other = dv.ImpossibilityMask(dv.IndexLayout(2, 3), np.zeros((6, 6)))
+        bound = dv.user_bound(DT_INVAR_PAIRED, dmat.layout)
+        with pytest.raises(dv.LayoutMismatchError, match="different layouts"):
+            dv.certify(bound, dmat, other)
+
+
+@pytest.mark.parametrize("method", ["neyman", "as", "algm"])
+@pytest.mark.parametrize("layout", [(2, 3), (4, 2)], ids=["other-size", "same-size"])
+def test_mask_of_another_layout_rejected(complete42_matrices, method, layout):
+    dmat, _ = complete42_matrices
+    k, n = layout
+    other = dv.ImpossibilityMask(dv.IndexLayout(k, n), np.zeros((k * n, k * n)))
+    with pytest.raises(dv.LayoutMismatchError, match="different layouts"):
+        dv.build_bound(method, dmat, other, contrast=c2())
+
+
+@pytest.mark.parametrize("method", [3, None, ["as"]])
+def test_build_bound_rejects_a_non_string_method(complete42_matrices, method):
+    dmat, mask = complete42_matrices
+    with pytest.raises(dv.ValidationError, match="bound method must be a string"):
+        dv.build_bound(method, dmat, mask)
+
 
 class TestInvariantBounding:
     def test_invar_reference(self, paired4_matrices):

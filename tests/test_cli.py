@@ -123,6 +123,9 @@ class TestDesignCommand:
             ({"type": "bernoulli", "n": 2, "p": True}, '"p"'),
             ({"type": "custom", "k": 2, "n": 1, "support": [{"arms": [0], "prob": True}]},
              '"prob"'),
+            # numeric strings are not integers
+            ({"type": "complete", "counts": ["2", " 2 "]}, '"counts"'),
+            ({"type": "bernoulli", "n": "4", "p": 0.5}, '"n"'),
         ],
         ids=["custom-without-k", "entry-without-prob", "support-cap-abc",
              "bernoulli-n-text", "complete-counts-text", "complete-counts-number",
@@ -132,7 +135,8 @@ class TestDesignCommand:
              "complete-counts-fractional", "paired-k-fractional", "paired-pairs-fractional",
              "block-units-fractional", "cluster-clusters-fractional", "custom-k-bool",
              "custom-n-fractional", "custom-arms-fractional", "support-cap-fractional",
-             "bernoulli-n-bool", "bernoulli-p-bool", "custom-prob-bool"],
+             "bernoulli-n-bool", "bernoulli-p-bool", "custom-prob-bool",
+             "complete-counts-strings", "bernoulli-n-string"],
     )
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, spec, named):
         path = write_json(tmp_path / "spec.json", spec)
@@ -577,15 +581,77 @@ class TestSimulateCommand:
               "estimator": {"kind": "ht", "contrast": [-1, 1]}}, '"copies"'),
             ({"sweep": {"estimator": {"kind": "cm", "contrast": [-1, 1]},
                         "base_y": [[0.0, 1.0], [1.0, 2.0]], "n_list": [4, 6.5]}}, '"n_list"'),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "ht", "contrast": [-1, 1, 0]}}, "contrast"),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "cm", "contrast": [1]}}, "contrast"),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "ht", "contrast": [-1, 1]}, "bound": 3}, "bound method"),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "ht", "contrast": [-1, 1]}, "mode": 3}, "mode"),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "wls", "contrast": [-1, 1], "weights": 0}}, '"weights"'),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "wls", "contrast": [-1, 1], "weights": {}}}, '"weights"'),
+            ({"design": PAIRED_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "wls", "contrast": [-1, 1], "weights": [1.0]}}, "weights"),
+            ({"sweep": {"estimator": {"kind": "ols", "contrast": [-1, 1],
+                                      "covariates": [[1.0], [2.0]]},
+                        "base_y": [[0.0, 1.0], [1.0, 2.0]], "n_list": [4]}}, "covariates"),
+            ({"sweep": {"estimator": {"kind": "wls", "contrast": [-1, 1], "weights": [1.0] * 8},
+                        "base_y": [[0.0, 1.0], [1.0, 2.0]], "n_list": [4]}}, "weights"),
+            ({"sweep": {"estimator": {"kind": "wls", "contrast": [-1, 1], "weights": "invpi"},
+                        "base_y": [[0.0, 1.0], [1.0, 2.0]], "n_list": [4]}}, '"weights"'),
+            ({"sweep": {"estimator": {"kind": "cm", "contrast": [-1, 1]},
+                        "base_y": [[], []], "n_list": [4]}}, "base_y"),
         ],
         ids=["without-y", "top-level-list", "estimator-without-kind", "replicates-many",
              "seed-text", "sweep-without-estimator", "seed-negative", "kind-number",
-             "replicates-fractional", "seed-bool", "copies-fractional", "n-list-fractional"],
+             "replicates-fractional", "seed-bool", "copies-fractional", "n-list-fractional",
+             "contrast-length-3", "contrast-length-1", "bound-number", "mode-number",
+             "weights-zero", "weights-object", "weights-short-list", "sweep-covariates",
+             "sweep-weights-list", "sweep-weights-invpi", "sweep-base-y-empty-rows"],
     )
     def test_malformed_scenario_field_exits_2(self, tmp_path, capsys, doc, named):
         path = write_json(tmp_path / "s.json", doc)
         assert main(["simulate", path, "--out", str(tmp_path / "sim")]) == 2
         assert named in capsys.readouterr().err
+
+    def test_weights_true_exits_2_without_opening_a_file(self, tmp_path, capsys, monkeypatch):
+        # a non-string weights value never reaches open(): true would open fd 1
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"open{args}")
+
+        scenario = {"design": PAIRED_SPEC, "y": [0.0] * 8,
+                    "estimator": {"kind": "wls", "contrast": [-1, 1], "weights": True}}
+        path = write_json(tmp_path / "s.json", scenario)
+        monkeypatch.setattr(ser, "read_vector_csv", refuse)
+        assert main(["simulate", path, "--out", str(tmp_path / "sim")]) == 2
+        assert '"weights"' in capsys.readouterr().err
+
+    def test_weights_list_equal_to_invpi_gives_the_invpi_report(self, tmp_path):
+        design = {"type": "complete", "counts": [2, 3]}
+        inv = 1.0 / dv.inclusion_probabilities(dv.build_design(design)).probs
+        reports = []
+        for weights in ("invpi", inv.tolist()):
+            scenario = {"design": design, "y": [0.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 4.0, 2.5, 0.5],
+                        "estimator": {"kind": "wls", "contrast": [-1, 1], "weights": weights},
+                        "bound": "algm"}
+            out = tmp_path / f"sim{len(reports)}"
+            assert main(["simulate", write_json(tmp_path / "s.json", scenario),
+                         "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_null_bound_writes_no_bound(self, tmp_path):
+        scenario = {"design": PAIRED_SPEC, "y": [0.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 4.0],
+                    "estimator": {"kind": "cm", "contrast": [-1, 1]}, "bound": None}
+        out = tmp_path / "sim"
+        assert main(["simulate", write_json(tmp_path / "s.json", scenario), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["bound_value"] is None
+        assert report["mean_bound_estimate"] is None
+        assert report["coverage_95"] is None
 
     def test_empty_sweep_exits_2(self, tmp_path):
         scenario = {

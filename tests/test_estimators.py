@@ -257,6 +257,27 @@ def test_ht_variance_equals_enumeration(seed):
     assert abs(mean - estimand) <= 1e-12 * max(1.0, abs(estimand))
 
 
+class TestHtContrast:
+    @pytest.mark.parametrize("c", [[np.nan, 1.0], [np.inf, -1.0]])
+    def test_non_finite_contrast_rejected(self, complete42_matrices, c):
+        dmat, _ = complete42_matrices
+        y = np.arange(8.0)
+        with pytest.raises(dv.ValidationError, match="contrast must be finite"):
+            dv.ht_linearization(y, np.array(c), dmat.layout)
+        with pytest.raises(dv.ValidationError, match="contrast must be finite"):
+            dv.ht_exact_variance(y, np.array(c), dmat)
+
+    @pytest.mark.parametrize("c", [[1.0], [-1.0, 1.0, 0.0]])
+    def test_contrast_of_another_length_rejected(self, complete42, complete42_matrices, c):
+        dmat, _ = complete42_matrices
+        pi = dv.inclusion_probabilities(complete42)
+        with pytest.raises(dv.LayoutMismatchError, match="length k=2"):
+            dv.ht_linearization(np.zeros(8), np.array(c), dmat.layout)
+        for kind in ("ht", "cm"):
+            with pytest.raises(dv.LayoutMismatchError, match="length k=2"):
+                dv.linearized_estimator(dv.EstimatorSpec(kind, np.array(c)), np.zeros(8), pi)
+
+
 class TestTaylorGap:
     def test_ht_gap_is_exactly_zero(self):
         design = dv.bernoulli_design(0.5, n=3)

@@ -65,6 +65,11 @@ class TestRunScenarioExact:
         with pytest.raises(dv.ValidationError):
             dv.SimScenario(design, np.zeros(60), dv.EstimatorSpec("ht", c2()))
 
+    @pytest.mark.parametrize("c", [[1.0], [-1.0, 1.0, 0.0]])
+    def test_contrast_of_another_length_rejected(self, paired4, c):
+        with pytest.raises(dv.LayoutMismatchError, match="contrast must have length k=2"):
+            dv.SimScenario(paired4, np.zeros(8), dv.EstimatorSpec("ht", np.array(c)))
+
     def test_memory_is_bounded_by_the_batch_budget(self):
         # complete [8,8]: the indicators of its 12,870 support points are 3.3 MB
         design = dv.complete_design([8, 8])
@@ -190,6 +195,10 @@ class TestConsistencySweep:
     def test_empty_n_list_is_a_validation_error(self):
         with pytest.raises(dv.ValidationError):
             dv.consistency_sweep(dv.EstimatorSpec("cm", c2()), np.zeros((2, 2)), [])
+
+    def test_empty_base_rows_are_a_validation_error(self):
+        with pytest.raises(dv.ValidationError, match="base_y needs 2 non-empty rows"):
+            dv.consistency_sweep(dv.EstimatorSpec("cm", c2()), [[], []], [4])
 
     @pytest.mark.parametrize("kind, field, size", [("ols", "covariates", (8, 1)),
                                                    ("wls", "weights", 16)])
