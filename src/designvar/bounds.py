@@ -186,19 +186,17 @@ def aronow_samii_bound(
 def algorithm_m_bound(
     dmat: DesignMatrix,
     mask: ImpossibilityMask | None = None,
-    init: np.ndarray | None = None,
     tol: float = DEFAULT_PSD_TOL,
     max_iter: int = 10000,
 ) -> BoundMatrix:
     """Alternating projection: PSD-project, then re-force masked entries.
 
-    Starts from the mask itself (or a caller-supplied matrix, e.g. the
-    block-diagonal bound's additive part when that bound applies) and
-    iterates until the working matrix is PSD within tolerance while
-    keeping exact ones at every masked position.  The converged additive
-    part t gives dtilde = d + t, which is identified by construction.
+    Starts from the mask itself and iterates until the working matrix is
+    PSD within tolerance while keeping exact ones at every masked
+    position.  The converged additive part t gives dtilde = d + t, which
+    is identified by construction.
 
-    Both steps keep the connected components of the start's nonzero
+    Both steps keep the connected components of the mask's nonzero
     pattern, so the iterate is held as stacked (count, size, size)
     blocks, one stack per component size, and each step is one batched
     eigendecomposition per stack.  Convergence is judged on the smallest
@@ -210,19 +208,12 @@ def algorithm_m_bound(
     layout = dmat.layout
     mask = _mask_for(dmat, mask)
     m = mask.mask
-    if init is None:
-        t = m.copy()
-    else:
-        t = layout.check_matrix(init, "initial matrix")
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("init must hold only finite entries")
-        t = m + (1.0 - m) * t  # masked entries must start at one
     # projecting a block-diagonal matrix and re-masking keep it block-diagonal,
-    # so every iterate lives in the blocks of the start's nonzero pattern
+    # so every iterate lives in the blocks of the mask's nonzero pattern
     blocks = [(idx[:, :, None], idx[:, None, :])
-              for idx in connected_components((t != 0) | (t.T != 0))]
+              for idx in connected_components((m != 0) | (m.T != 0))]
     ms = [m[b] for b in blocks]
-    ts = [t[b] for b in blocks]
+    ts = ms
     for iteration in range(1, max_iter + 1):
         ts = [(tb + tb.swapaxes(1, 2)) / 2.0 for tb in ts]
         spectra = [np.linalg.eigh(tb) for tb in ts]
@@ -260,7 +251,6 @@ def build_bound(
     mask: ImpossibilityMask | None = None,
     contrast: np.ndarray | None = None,
     tol: float = DEFAULT_PSD_TOL,
-    init: np.ndarray | None = None,
     max_iter: int = 10000,
 ) -> BoundMatrix:
     """Construct a bound by method name ("neyman", "as", "algm")."""
@@ -275,7 +265,7 @@ def build_bound(
         return neyman_bound(dmat, contrast, mask, tol)
     if canonical == "aronow-samii":
         return aronow_samii_bound(dmat, mask, tol)
-    return algorithm_m_bound(dmat, mask, init=init, tol=tol, max_iter=max_iter)
+    return algorithm_m_bound(dmat, mask, tol=tol, max_iter=max_iter)
 
 
 def is_invariant_bounding(

@@ -104,19 +104,8 @@ def cmd_bound(args) -> int:
         certify(bound, dmat, mask, tol=args.tol)
     else:
         contrast = _parse_contrast(args.contrast) if args.contrast else None
-        init = None
-        if args.init == "neyman":
-            neyman = build_bound("neyman", dmat, mask, contrast=contrast, tol=args.tol)
-            init = neyman.dtilde - dmat.d
-        bound = build_bound(
-            args.method,
-            dmat,
-            mask,
-            contrast=contrast,
-            tol=args.tol,
-            init=init,
-            max_iter=args.max_iter,
-        )
+        bound = build_bound(args.method, dmat, mask, contrast=contrast, tol=args.tol,
+                            max_iter=args.max_iter)
         ser.write_matrix_csv(out / "dtilde.csv", bound.dtilde)
     ser.write_json(out / "certification.json", ser.bound_sidecar(bound, args.tol))
     print(
@@ -144,9 +133,10 @@ def _weights(value, pi: PiDiagonal | None) -> np.ndarray:
 
 
 def _estimator(est, what: str, pi: PiDiagonal | None) -> EstimatorSpec:
-    """The estimator object of a scenario, whose design has inclusion
-    probabilities ``pi``, or of a sweep (``pi`` None).  A wls estimator of
-    a scenario without weights has identity weights."""
+    """The estimator object of a scenario or of ``estimate``'s options,
+    whose design has inclusion probabilities ``pi``, or of a sweep (``pi``
+    None).  A wls estimator with a design and without weights has identity
+    weights."""
     from .estimators import EstimatorSpec
 
     kind = spec_field(est, "kind", what)
@@ -162,17 +152,18 @@ def _estimator(est, what: str, pi: PiDiagonal | None) -> EstimatorSpec:
 def cmd_estimate(args) -> int:
     from .bound_estimation import ipw_bound_matrix, plugin_bound_estimate
     from .bounds import build_bound
-    from .estimators import EstimatorSpec, point_estimate
+    from .estimators import point_estimate
 
     design = build_design(ser.read_json(args.design))
     layout = design.layout
     data = ser.read_observed(args.data, layout)
     pi = inclusion_probabilities(design)
-    covariates = ser.read_covariates(args.covariates, layout.n) if args.covariates else None
-    weights = None
-    if args.estimator == "wls":
-        weights = _weights("identity" if args.weights is None else args.weights, pi)
-    spec = EstimatorSpec(args.estimator, _parse_contrast(args.contrast), covariates, weights)
+    spec = _estimator({
+        "kind": args.estimator,
+        "contrast": _parse_contrast(args.contrast),
+        "covariates": ser.read_covariates(args.covariates, layout.n) if args.covariates else None,
+        "weights": args.weights,
+    }, "estimate options", pi)
     estimate = point_estimate(spec, data, pi)
     dmat, mask = first_order_design_matrix(design)
     bound = build_bound(args.bound, dmat, mask, contrast=spec.contrast)
@@ -281,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=["neyman", "as", "algm", "verify"])
     p.add_argument("--candidate", help="candidate bound CSV (verify only)")
     p.add_argument("--contrast", help="comma-separated contrast (neyman)")
-    p.add_argument("--init", choices=["mask", "neyman"], default="mask",
-                   help="initialization for the projection algorithm")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
     p.add_argument("--k", type=int, default=None,

@@ -602,10 +602,7 @@ class ImpossibilityMask:
     frac: ExactMatrix | None = None
 
     def __post_init__(self):
-        self.mask = np.asarray(self.mask)
-        if self.mask.shape != (self.layout.kn, self.layout.kn):
-            raise LayoutMismatchError("mask shape does not match layout")
-        self.mask = (self.mask != 0).astype(float)
+        self.mask = (self.layout.check_matrix(self.mask, "mask") != 0).astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -626,21 +623,33 @@ class Support:
         return probs / probs.sum()
 
 
+def _integer_weights(probs: ExactMatrix) -> tuple[np.ndarray, int, int]:
+    """Support probabilities as integer weights over their common denominator.
+
+    Returns (weights, denominator, total): ``weights`` holds one Python int
+    per codebook entry, 0 for the entries no point reaches, and ``total``
+    sums the weights over the points, so the probabilities sum to
+    total / denominator.  Runs once per distinct probability.
+    """
+    counts = np.bincount(probs.codes, minlength=len(probs.book))
+    used = counts > 0
+    num = np.where(used, probs.book.num, 0).astype(object)
+    den = np.where(used, probs.book.den, 1).astype(object)
+    denom = math.lcm(*den.tolist())
+    weights = num * (denom // den)
+    return weights, denom, sum((weights * counts.astype(object)).tolist())
+
+
 def _checked_support(support: Support, layout: IndexLayout) -> Support:
     """``support`` once its probabilities are positive and sum to 1 and its
     rows give each unit an arm of the layout."""
     arms, probs = support.arms, support.probs
     if not len(arms):
         raise ValidationError("an enumerated support needs at least one point")
-    # exact sum and sign, once per distinct probability
-    counts = np.bincount(probs.codes, minlength=len(probs.book))
-    used = counts > 0
-    num, den = (part[used].astype(object) for part in (probs.book.num, probs.book.den))
-    common = math.lcm(*den.tolist())
-    total = sum((num * (common // den) * counts[used].astype(object)).tolist()) / common
-    if abs(total - 1.0) > 1e-12:
-        raise ValidationError(f"support probabilities sum to {total}, not 1")
-    if np.any(probs.book.floats[used] <= 0.0):
+    _, denom, total = _integer_weights(probs)  # the exact sum
+    if abs(total / denom - 1.0) > 1e-12:
+        raise ValidationError(f"support probabilities sum to {total / denom}, not 1")
+    if np.any(probs.to_float() <= 0.0):
         raise ValidationError("support probabilities must be positive")
     layout.check_arms(arms, rows=probs.codes.shape)
     return support
@@ -1225,11 +1234,8 @@ def custom_design(
     design._enumerate()  # a given support is checked at build time
     # p sums prob * outer(indicators) over the support: an integer matmul over
     # the common denominator, in int64 while the (positive) weights sum below 2**62
-    num, den = (part.astype(object) for part in (sup.probs.book.num, sup.probs.book.den))
-    denom = math.lcm(*den.tolist())
-    weights = (num * (denom // den)).tolist()
-    total = sum(w * int(c) for w, c in zip(weights, np.bincount(sup.probs.codes)))
-    weights = np.array(weights, dtype=np.int64 if total < 2**62 else object)[sup.probs.codes]
+    weights, denom, total = _integer_weights(sup.probs)
+    weights = weights.astype(np.int64 if total < 2**62 else object)[sup.probs.codes]
     ind = arms_to_indicators(sup.arms, layout).astype(np.int64)
     counts = (ind.T * weights) @ ind
     uniq, inverse = np.unique(counts, return_inverse=True)
@@ -1246,7 +1252,8 @@ def spec_field(doc, key: str, what: str, default=_REQUIRED, cast=None):
     A missing (or null) field gives ``default``.  A non-object ``doc``, a
     missing field without a default and a value ``cast`` rejects (with
     TypeError, ValueError or ValidationError) each raise ValidationError
-    naming ``what`` and the field.
+    naming ``what`` and the field; a rejected value's message ends with
+    the reason, such as a CSV reader's file and row.
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -1260,7 +1267,7 @@ def spec_field(doc, key: str, what: str, default=_REQUIRED, cast=None):
     try:
         return cast(value)
     except (TypeError, ValueError, ValidationError) as exc:
-        raise ValidationError(f'{what} field "{key}" is malformed: {value!r}') from exc
+        raise ValidationError(f'{what} field "{key}" is malformed: {value!r} ({exc})') from exc
 
 
 def _listed(value, item=lambda v: v) -> list:

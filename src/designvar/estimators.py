@@ -176,17 +176,11 @@ def observe(assignment: Assignment, y: np.ndarray) -> ObservedData:
 
 @dataclass(eq=False)
 class LinearizationVector:
-    """First-order linearization vector z for an estimator.
-
-    provenance records whether it was built from full potential outcomes
-    and exact probabilities ("population") or from one realized assignment
-    ("plug-in"); only population vectors enter variance quadratics.
-    """
+    """Population linearization vector z of an estimator, built from full
+    potential outcomes; variance quadratics take it."""
 
     layout: IndexLayout
     z: np.ndarray
-    kind: str
-    provenance: str
 
     def __post_init__(self):
         self.z = self.layout.check_vector(self.z, "linearization vector")
@@ -223,11 +217,22 @@ def _realized_fit(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, r: np.ndar
 
 
 def _population_fit(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray):
-    """(X, m, b, v) of the fit at r = pi; raises if its denominator is singular."""
+    """The estimator's first-order expansion around R = pi as the affine
+    triple (anchor, residual, slope): its value at an indicator vector R is
+    anchor + (R residual)' slope.
+
+    WLS family: anchor c'b, residual y - xx b and slope m xx v, from the
+    fit at r = pi (coefficient b, bread vector v); raises if that fit's
+    denominator is singular.  Horvitz-Thompson is linear in R already:
+    anchor 0, residual y and the engine's weights c / (n pi).
+    """
+    layout = pi.layout
+    if spec.kind == "ht":
+        return 0.0, y, np.repeat(spec.padded_contrast(layout), layout.n) / (layout.n * pi.probs)
     xx, m, b, v, feasible = _realized_fit(spec, pi, y, pi.probs[None, :])
     if not feasible[0]:
         raise EstimationInfeasibleError("singular population denominator")
-    return xx, m, b[0], v[0]
+    return float(spec.padded_contrast(layout) @ b[0]), y - xx @ b[0], m * (xx @ v[0])
 
 
 def _evaluate_draws(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, r: np.ndarray,
@@ -302,8 +307,9 @@ def linearization_vector(
     """Population linearization vector for the spec'd estimator.
 
     Horvitz-Thompson: z = y scaled by its arm's contrast weight over n.
-    WLS family: z = pi * (y - xx b) * (m xx (xx' m pi xx)^{-1} c) with
-    b the population weighted-least-squares coefficient.
+    WLS family: z = pi * residual * slope, from ``_population_fit``: pi *
+    (y - xx b) * (m xx (xx' m pi xx)^{-1} c) with b the population
+    weighted-least-squares coefficient.
     """
     layout = pi.layout
     y = layout.check_vector(y, "potential outcomes")
@@ -311,9 +317,8 @@ def linearization_vector(
         raise ValidationError("potential outcomes must be finite")
     if spec.kind == "ht":
         return ht_linearization(y, spec.contrast, layout)
-    xx, m, b, v = _population_fit(spec, pi, y)
-    z = pi.probs * (y - xx @ b) * (m * (xx @ v))
-    return LinearizationVector(layout, z, spec.kind, "population")
+    _, resid, slope = _population_fit(spec, pi, y)
+    return LinearizationVector(layout, pi.probs * resid * slope)
 
 
 def taylor_variance(z: LinearizationVector, dmat: DesignMatrix) -> float:
@@ -323,11 +328,6 @@ def taylor_variance(z: LinearizationVector, dmat: DesignMatrix) -> float:
     a PSD quadratic and are clamped to zero, at every scale of z; anything
     more negative is returned as-is so broken inputs stay visible.
     """
-    if z.provenance != "population":
-        raise ValidationError(
-            "variance quadratics need a population linearization vector, "
-            f"got provenance {z.provenance!r}"
-        )
     if z.layout != dmat.layout:
         raise LayoutMismatchError("linearization vector and design matrix disagree")
     val = float(z.z @ dmat.d @ z.z)
@@ -343,7 +343,7 @@ def ht_linearization(y: np.ndarray, c: np.ndarray, layout: IndexLayout) -> Linea
     if not np.all(np.isfinite(c)):
         raise ValidationError("contrast must be finite")
     z = y * np.repeat(c, layout.n) / layout.n
-    return LinearizationVector(layout, z, "ht", "population")
+    return LinearizationVector(layout, z)
 
 
 def ht_exact_variance(y: np.ndarray, c: np.ndarray, dmat: DesignMatrix) -> float:
@@ -354,26 +354,18 @@ def ht_exact_variance(y: np.ndarray, c: np.ndarray, dmat: DesignMatrix) -> float
 def linearized_estimator(spec: EstimatorSpec, y: np.ndarray, pi: PiDiagonal):
     """Closure evaluating the first-order linearization at indicator vectors.
 
-    The affine form anchor + (R resid)' q: for the WLS family the
-    coefficient-anchored expansion c'b + c'w R (y - xx b) around R = pi;
-    Horvitz-Thompson is linear in R already, so with anchor 0, residual y
-    and the engine's weights c / (n pi) its closure is the estimator itself.
-    The closure takes one indicator vector (returning a float) or an S x kn
-    batch (returning S values).
+    The affine form anchor + (R residual)' slope of ``_population_fit``:
+    for the WLS family the coefficient-anchored expansion
+    c'b + c'w R (y - xx b) around R = pi; for Horvitz-Thompson the
+    estimator itself.  The closure takes one indicator vector (returning a
+    float) or an S x kn batch (returning S values).
     """
-    layout = pi.layout
-    y = layout.check_vector(y, "potential outcomes")
-    if spec.kind == "ht":
-        anchor, resid = 0.0, y
-        q = np.repeat(spec.padded_contrast(layout), layout.n) / (layout.n * pi.probs)
-    else:
-        xx, m, b, v = _population_fit(spec, pi, y)
-        anchor, resid = float(spec.padded_contrast(layout) @ b), y - xx @ b
-        q = m * (xx @ v)
+    y = pi.layout.check_vector(y, "potential outcomes")
+    anchor, resid, slope = _population_fit(spec, pi, y)
 
     def linearized(r: np.ndarray):
         r = np.asarray(r, dtype=float)
-        values = anchor + (np.atleast_2d(r) * resid) @ q
+        values = anchor + (np.atleast_2d(r) * resid) @ slope
         return values if r.ndim == 2 else float(values[0])
 
     return linearized

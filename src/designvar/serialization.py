@@ -226,30 +226,6 @@ def _read_table(path, required: list[str]) -> list[tuple[int, dict]]:
     return rows
 
 
-def read_potential_outcomes(path, layout: IndexLayout) -> np.ndarray:
-    """Long-format table (unit_id, arm, y) -> stacked kn outcome vector.
-
-    Every (unit, arm) cell must appear exactly once; unit ids are 0..n-1
-    and arms 0..k-1.
-    """
-    rows = _read_table(path, ["unit_id", "arm", "y"])
-    y = np.full(layout.kn, np.nan)
-    for line, row in rows:
-        unit, arm = (_cell(path, line, row, c, int) for c in ("unit_id", "arm"))
-        if not (0 <= unit < layout.n and 0 <= arm < layout.k):
-            raise ValidationError(
-                f"{path}: unit_id {unit} / arm {arm} out of range for "
-                f"n={layout.n}, k={layout.k}"
-            )
-        a = layout.flat(arm, unit)
-        if not np.isnan(y[a]):
-            raise ValidationError(f"{path}: duplicate row for unit {unit}, arm {arm}")
-        y[a] = _cell(path, line, row, "y")
-    if np.any(np.isnan(y)):
-        raise ValidationError(f"{path}: missing potential outcomes for some (unit, arm)")
-    return y
-
-
 def read_covariates(path, n: int) -> np.ndarray:
     """Table (unit_id, x1..xl) -> n x l matrix ordered by unit id."""
     fieldnames, rows = _dict_rows(path)

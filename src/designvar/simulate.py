@@ -86,7 +86,8 @@ class SimReport:
     realized denominator was singular; their count and probability weight
     are reported (in MC mode each replicate weighs 1/replicates).  Negative
     plug-in bound estimates are floored at zero inside the coverage
-    intervals and counted.
+    intervals and counted.  In MC mode every ``mc_se`` entry is None when
+    fewer than two draws were feasible.
     """
 
     estimand: float
@@ -102,7 +103,7 @@ class SimReport:
     negative_bound_count: int
     mode: str
     replicates: int
-    mc_se: dict[str, float] | None = None
+    mc_se: dict[str, float | None] | None = None
 
 
 def run_scenario(scenario: SimScenario) -> SimReport:
@@ -166,18 +167,16 @@ def run_scenario(scenario: SimScenario) -> SimReport:
         n_eff = len(ests)
         centered = ests - mean_est
         mc_se = {
-            "mean_estimate": float(ests.std(ddof=1) / math.sqrt(n_eff)),
-            "empirical_variance": float(
-                math.sqrt(max((centered**4).mean() - emp_var**2, 0.0) / n_eff)
-            ),
+            "mean_estimate": lambda: ests.std(ddof=1) / math.sqrt(n_eff),
+            "empirical_variance": lambda: math.sqrt(
+                max((centered**4).mean() - emp_var**2, 0.0) / n_eff),
         }
         if ipw_matrix is not None:
-            mc_se["mean_bound_estimate"] = float(
-                bounds_arr.std(ddof=1) / math.sqrt(n_eff)
-            )
-            mc_se["coverage_95"] = float(
-                math.sqrt(max(coverage * (1 - coverage), 0.0) / n_eff)
-            )
+            mc_se["mean_bound_estimate"] = lambda: bounds_arr.std(ddof=1) / math.sqrt(n_eff)
+            mc_se["coverage_95"] = lambda: math.sqrt(
+                max(coverage * (1 - coverage), 0.0) / n_eff)
+        # one feasible draw has no spread to estimate them from
+        mc_se = {key: float(se()) if n_eff > 1 else None for key, se in mc_se.items()}
 
     return SimReport(
         estimand=estimand,

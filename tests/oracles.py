@@ -259,17 +259,17 @@ def brute_force_second_order_norm(design: Design, dtilde: np.ndarray) -> float:
     return total / layout.n
 
 
-def dense_algorithm_m(mask: np.ndarray, init: np.ndarray | None = None,
-                      tol: float = 1e-8, max_iter: int = 10000) -> tuple[np.ndarray, int]:
+def dense_algorithm_m(mask: np.ndarray, tol: float = 1e-8,
+                      max_iter: int = 10000) -> tuple[np.ndarray, int]:
     """Alternating projections on the whole kn x kn matrix, one full eigh a step.
 
-    Symmetrize, stop once the smallest eigenvalue is at least
-    -max(tol * max(1, |largest|), 1e-10), else clip the negative
+    Start from the mask, symmetrize, stop once the smallest eigenvalue is
+    at least -max(tol * max(1, |largest|), 1e-10), else clip the negative
     eigenvalues away and put ones back at every masked position.
     Returns the converged additive part and the number of steps taken.
     """
     m = np.asarray(mask, dtype=float)
-    t = m.copy() if init is None else m + (1.0 - m) * np.asarray(init, dtype=float)
+    t = m.copy()
     for step in range(1, max_iter + 1):
         t = (t + t.T) / 2.0
         vals, vecs = np.linalg.eigh(t)
@@ -390,6 +390,28 @@ def cr0_sandwich(
     if seen != set(range(layout.n)):
         raise dv.LayoutMismatchError("clusters must partition units 0..n-1")
     return float(bread_c @ meat @ bread_c)
+
+
+def hc2_sandwich(data: dv.ObservedData, c: np.ndarray) -> float:
+    """Leverage-corrected (HC2) sandwich for a contrast of arm means.
+
+    The unit-level regression of each unit's observed outcome on its arm
+    dummies: X is n x k with X[i, r] = 1 when unit i is in arm r, u the
+    OLS residuals and h_i = x_i' (X'X)^-1 x_i the leverages.  HC2 is
+    c' (X'X)^-1 X' diag(u_i^2 / (1 - h_i)) X (X'X)^-1 c (MacKinnon &
+    White 1985), written from that formula with its own linear algebra.
+    Every arm needs two units, so that each h_i = 1 / n_r stays below 1.
+    """
+    layout = data.assignment.layout
+    arms = data.assignment.arms
+    x = (arms[:, None] == np.arange(layout.k)[None, :]).astype(float)
+    y = data.y_obs.reshape(layout.k, layout.n)[arms, np.arange(layout.n)]
+    bread = np.linalg.inv(x.T @ x)
+    u = y - x @ (bread @ (x.T @ y))
+    h = np.einsum("ia,ab,ib->i", x, bread, x)
+    meat = (x * (u**2 / (1.0 - h))[:, None]).T @ x
+    c = np.asarray(c, dtype=float)
+    return float(c @ bread @ meat @ bread @ c)
 
 
 def random_small_design(

@@ -10,6 +10,7 @@ from oracles import (
     enumeration_mean_var,
     hc0_sandwich,
     hc0_scalar_loops,
+    hc2_sandwich,
     random_small_design,
 )
 
@@ -187,6 +188,26 @@ class TestSandwichEquivalence:
         xx = dv.expand_covariates(x, design.layout)
         cr0 = cr0_sandwich(data, xx, c2(), clusters)
         assert_allclose(plug.value, cr0, rtol=1e-12, atol=0)
+
+    def test_neyman_plugin_equals_hc2_under_complete_randomization(self):
+        # Samii & Aronow (2012): the Neyman variance estimator sum_r s_r^2 / n_r
+        # is the HC2 sandwich of the arm-dummy regression
+        rng = np.random.default_rng(2012)
+        for _ in range(60):
+            counts = [int(v) for v in rng.integers(2, 9, size=2)]
+            design = dv.complete_design(counts)
+            layout = design.layout
+            pi = dv.inclusion_probabilities(design)
+            dmat, mask = dv.first_order_design_matrix(design)
+            bound = dv.neyman_bound(dmat, c2(), mask)
+            ipw = dv.ipw_bound_matrix(bound, dv.joint_probabilities(design))
+            y = rng.normal(size=layout.kn) * 10.0 ** rng.integers(-3, 4)
+            arms = design.draw(np.random.default_rng(int(rng.integers(2**31))))
+            data = dv.observe(dv.Assignment(layout, arms), y)
+            hc2 = hc2_sandwich(data, c2())
+            for kind in ("ht", "hj", "cm", "ols"):
+                plug = dv.plugin_bound_estimate(dv.EstimatorSpec(kind, c2()), data, pi, ipw)
+                assert abs(plug.value - hc2) <= 1e-10 * hc2, (counts, kind)
 
     def test_cr0_with_singleton_clusters_is_hc0(self):
         design, pi, x, y, data = self._bernoulli_case(8, n=5, l=1)

@@ -191,23 +191,12 @@ class TestAlgorithmM:
         assert err.value.iterations == 1
         assert err.value.last_min_eig < 0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("at", [(0, 1), (0, 2)])  # a masked and an unmasked position
-    def test_nonfinite_init_rejected(self, paired4_matrices, bad, at):
-        dmat, mask = paired4_matrices
-        init = np.zeros((8, 8))
-        init[at] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no RuntimeWarning from the eigensolver
-            with pytest.raises(dv.ValidationError, match="init"):
-                dv.algorithm_m_bound(dmat, mask, init=init)
-
-    def test_neyman_seeded_init(self, complete42_matrices):
+    def test_start_is_always_the_mask(self, complete42_matrices):
         dmat, mask = complete42_matrices
-        neyman = dv.neyman_bound(dmat, c2(), mask)
-        bound = dv.algorithm_m_bound(dmat, mask, init=neyman.dtilde - dmat.d)
-        assert bound.certified_bounding == "yes"
-        assert bound.certified_identified == "yes"
+        with pytest.raises(TypeError, match="init"):
+            dv.algorithm_m_bound(dmat, mask, init=np.zeros((8, 8)))
+        with pytest.raises(TypeError, match="init"):
+            dv.build_bound("algm", dmat, mask, init=np.zeros((8, 8)))
 
 
 def _custom_spec(seed: int, n: int = 6, points: int = 3) -> dict:
@@ -248,15 +237,14 @@ def _closure(pattern: np.ndarray) -> np.ndarray:
 class TestAlgorithmMParity:
     """The per-block iteration against a dense one on the whole matrix."""
 
-    def _check(self, dmat, mask, init=None):
-        bound = dv.algorithm_m_bound(dmat, mask, init=init)
-        t_dense, steps = dense_algorithm_m(mask.mask, init)
+    def _check(self, dmat, mask):
+        bound = dv.algorithm_m_bound(dmat, mask)
+        t_dense, steps = dense_algorithm_m(mask.mask)
         t = bound.dtilde - dmat.d
         scale = max(1.0, np.max(np.abs(dmat.d)), np.max(np.abs(t_dense)))
         assert bound.iterations == steps
         assert np.max(np.abs(t - t_dense)) <= 1e-12 * scale
-        start = mask.mask if init is None else mask.mask + (1.0 - mask.mask) * init
-        outside = ~_closure((start != 0) | (start.T != 0))
+        outside = ~_closure((mask.mask != 0) | (mask.mask.T != 0))
         assert np.all(t[outside] == 0.0)
         assert bound.certified_bounding == "yes"
         assert bound.certified_identified == "yes"
@@ -268,21 +256,19 @@ class TestAlgorithmMParity:
         bound = self._check(dmat, mask)
         assert bound.iterations > 1
 
-    def test_neyman_init_matches_dense_projection(self):
-        dmat, mask = dv.first_order_design_matrix(dv.complete_design([4, 3]))
-        neyman = dv.neyman_bound(dmat, c2(), mask)
-        self._check(dmat, mask, init=neyman.dtilde - dmat.d)
-
-    def test_smaller_blocks_decide_convergence(self, complete42_matrices):
-        # blocks of sizes 1, 2 and 3: the 3-block of ones is PSD from the
-        # start, so only the masked pair keeps the iteration going
-        dmat, _ = complete42_matrices
-        m = np.zeros((8, 8))
-        m[0, 4] = m[4, 0] = 1.0
-        init = np.zeros((8, 8))
-        init[1:4, 1:4] = 1.0
-        bound = self._check(dmat, dv.ImpossibilityMask(dmat.layout, m), init=init)
-        assert bound.iterations > 1
+    def test_smaller_blocks_decide_convergence(self):
+        # the mask's components: units {0, 1}, one per arm, give 4 indices and
+        # units {2, 3, 4}, arm counts [1, 2], give 6; projected alone, the
+        # 6-index component converges first, so the smaller one decides when
+        # the iteration stops
+        spec = {"type": "block", "k": 2, "blocks": [
+            {"units": [0, 1], "type": "complete", "counts": [1, 1]},
+            {"units": [2, 3, 4], "type": "complete", "counts": [1, 2]}]}
+        dmat, mask = dv.first_order_design_matrix(dv.build_design(spec))
+        bound = self._check(dmat, mask)
+        steps = {len(units): dense_algorithm_m(mask.mask[np.ix_(units, units)])[1]
+                 for units in ([0, 1, 5, 6], [2, 3, 4, 7, 8, 9])}
+        assert steps[6] < steps[4] == bound.iterations
 
     def test_paired_decomposes_only_pair_blocks(self, monkeypatch):
         pairs = [[2 * i, 2 * i + 1] for i in range(25)]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -209,20 +210,13 @@ class TestBoundCommand:
             "method": "user",
         }
 
-    def test_projection_with_neyman_init(self, tmp_path):
-        spec = write_json(tmp_path / "spec.json", COMPLETE_SPEC)
-        cdir = tmp_path / "complete"
-        main(["design", spec, "--out", str(cdir)])
-        out = tmp_path / "bound"
-        code = main([
-            "bound", "--d", str(cdir / "d.csv"), "--mask", str(cdir / "mask.csv"),
-            "--method", "algm", "--init", "neyman", "--contrast=-1,1",
-            "--out", str(out),
-        ])
-        assert code == 0
-        cert = json.loads((out / "certification.json").read_text())
-        assert cert["certified_bounding"] == "yes"
-        assert cert["certified_identified"] == "yes"
+    def test_init_option_is_rejected(self, paired_dir, tmp_path):
+        # algm always starts from the mask
+        with pytest.raises(SystemExit) as exit_:
+            main(["bound", "--d", str(paired_dir / "d.csv"), "--mask",
+                  str(paired_dir / "mask.csv"), "--method", "algm", "--init", "mask",
+                  "--out", str(tmp_path / "x")])
+        assert exit_.value.code == 2
 
     def test_nonconvergence_exits_3(self, paired_dir, tmp_path):
         code = main([
@@ -492,6 +486,37 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert "x.csv" in err and "row 3" in err and "'x1'" in err
 
+    @pytest.mark.parametrize("weights", ["missing.csv", "given.csv", "identity", "invpi"])
+    def test_weights_on_a_non_wls_estimator_exit_2(self, tmp_path, capsys, monkeypatch, weights):
+        # as a scenario's non-wls estimator with "weights" does
+        monkeypatch.chdir(tmp_path)
+        ser.write_vector_csv(tmp_path / "given.csv", np.ones(8))
+        obs = tmp_path / "obs.csv"
+        obs.write_text("unit_id,arm_assigned,y_obs\n0,0,1.0\n1,1,2.0\n2,1,3.0\n3,0,4.0\n")
+        out = tmp_path / "r.json"
+        code = main([
+            "estimate", "--design", write_json(tmp_path / "d.json", PAIRED_SPEC),
+            "--data", str(obs), "--estimator", "hj", "--contrast=-1,1",
+            "--weights", weights, "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        named = "missing.csv" if weights == "missing.csv" else "weighting diagonal"
+        assert named in capsys.readouterr().err
+
+    def test_malformed_weights_file_names_its_row(self, tmp_path, capsys):
+        weights = tmp_path / "w.csv"
+        weights.write_text("0,1,2,3,4,5,6,7\n1,1,x,1,1,1,1,1\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("unit_id,arm_assigned,y_obs\n0,0,1.0\n1,1,2.0\n2,1,3.0\n3,0,4.0\n")
+        code = main([
+            "estimate", "--design", write_json(tmp_path / "d.json", PAIRED_SPEC),
+            "--data", str(obs), "--estimator", "wls", "--contrast=-1,1",
+            "--weights", str(weights), "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "w.csv: row 2" in capsys.readouterr().err
+
     def test_ht_paired_algm_pipeline(self, tmp_path):
         obs = tmp_path / "obs.csv"
         obs.write_text(
@@ -538,20 +563,37 @@ class TestSimulateCommand:
         assert code == 2
 
     def test_non_finite_report_exits_3(self, tmp_path):
-        # one replicate leaves every Monte Carlo standard error undefined
+        # squares of an outcome of 1e200 overflow to inf
         scenario = {
             "design": PAIRED_SPEC,
-            "y": [0.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 4.0],
+            "y": [0.0, 1e200, 2.0, 3.0, 1.0, 2.0, 3.0, 4.0],
             "estimator": {"kind": "ht", "contrast": [-1, 1]},
-            "mode": "mc",
-            "replicates": 1,
-            "seed": 0,
         }
         out = tmp_path / "sim"
         with pytest.warns(RuntimeWarning):
             code = main(["simulate", write_json(tmp_path / "s.json", scenario), "--out", str(out)])
         assert code == 3
         assert not (out / "report.json").exists()
+
+    def test_one_replicate_reports_null_mc_se(self, tmp_path):
+        # one draw has no spread: every Monte Carlo standard error is null
+        scenario = {
+            "design": {"type": "bernoulli", "n": 2, "p": 0.5},
+            "y": [0.0, 1.0, 1.0, 2.0],
+            "estimator": {"kind": "ht", "contrast": [-1, 1]},
+            "mode": "mc",
+            "replicates": 1,
+            "seed": 0,
+        }
+        out = tmp_path / "sim"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", write_json(tmp_path / "s.json", scenario), "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["mc_se"] == dict.fromkeys(
+            ["mean_estimate", "empirical_variance", "mean_bound_estimate", "coverage_95"])
+        assert np.isfinite(report["mean_estimate"])
 
     @pytest.mark.parametrize(
         "doc, named",

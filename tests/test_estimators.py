@@ -189,14 +189,8 @@ class TestTaylorVariance:
     def test_zero_vector(self, complete42_matrices):
         dmat, _ = complete42_matrices
         layout = dmat.layout
-        z = dv.LinearizationVector(layout, np.zeros(8), "ht", "population")
+        z = dv.LinearizationVector(layout, np.zeros(8))
         assert dv.taylor_variance(z, dmat) == 0.0
-
-    def test_plug_in_provenance_rejected(self, complete42_matrices):
-        dmat, _ = complete42_matrices
-        z = dv.LinearizationVector(dmat.layout, np.zeros(8), "ols", "plug-in")
-        with pytest.raises(dv.ValidationError):
-            dv.taylor_variance(z, dmat)
 
     def test_zero_outcomes_give_zero_variance(self, complete42_matrices):
         dmat, _ = complete42_matrices

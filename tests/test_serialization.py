@@ -203,29 +203,21 @@ class TestOverlongField:
 
 
 class TestDataTables:
-    def test_potential_outcomes_long_format(self, tmp_path):
-        layout = dv.IndexLayout(2, 2)
-        path = tmp_path / "y.csv"
-        path.write_text(
-            "unit_id,arm,y\n0,0,1.5\n1,0,2.5\n0,1,3.5\n1,1,4.5\n"
-        )
-        y = ser.read_potential_outcomes(path, layout)
-        assert_array_equal(y, [1.5, 2.5, 3.5, 4.5])
-
     def test_missing_cell_rejected(self, tmp_path):
-        layout = dv.IndexLayout(2, 2)
-        path = tmp_path / "y.csv"
-        path.write_text("unit_id,arm,y\n0,0,1.5\n1,0,2.5\n0,1,3.5\n")
+        # unit 1's covariate cells are missing: unit 0 holds both rows
+        path = tmp_path / "x.csv"
+        path.write_text("unit_id,x1\n0,1.5\n0,2.5\n")
         with pytest.raises(dv.ValidationError, match="missing"):
-            ser.read_potential_outcomes(path, layout)
+            ser.read_covariates(path, 2)
 
     @pytest.mark.parametrize("body", ["0,0,1.5\n1,0,x\n", "0,0,1.5\n1,0\n"])
     def test_malformed_outcome_cell_names_row_and_column(self, tmp_path, body):
-        layout = dv.IndexLayout(2, 2)
-        path = tmp_path / "y.csv"
-        path.write_text("unit_id,arm,y\n" + body + "0,1,3.5\n1,1,4.5\n")
-        with pytest.raises(dv.ValidationError, match="row 3, column 'y'"):
-            ser.read_potential_outcomes(path, layout)
+        # a cell that is not a number, and one missing from a short row
+        layout = dv.IndexLayout(2, 3)
+        path = tmp_path / "obs.csv"
+        path.write_text("unit_id,arm_assigned,y_obs\n" + body + "2,1,0.5\n")
+        with pytest.raises(dv.ValidationError, match="row 3, column 'y_obs'"):
+            ser.read_observed(path, layout)
 
     def test_covariates(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -254,12 +246,6 @@ class TestDataTables:
 class TestTableRowNumbers:
     """A blank line is a row, as in matrix CSVs: the header is row 1."""
 
-    def test_potential_outcomes(self, tmp_path):
-        path = tmp_path / "y.csv"
-        path.write_text("unit_id,arm,y\n\n0,0,x\n1,0,2.5\n0,1,3.5\n1,1,4.5\n")
-        with pytest.raises(dv.ValidationError, match=r"y\.csv: row 3, column 'y'"):
-            ser.read_potential_outcomes(path, dv.IndexLayout(2, 2))
-
     def test_covariates(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("unit_id,x1\n0,1.0\n\n\n1,oops\n")
@@ -287,10 +273,9 @@ class TestUndecodableFile:
         ser.read_matrix_csv,
         ser.read_vector_csv,
         ser.read_json,
-        lambda path: ser.read_potential_outcomes(path, dv.IndexLayout(2, 2)),
         lambda path: ser.read_covariates(path, 2),
         lambda path: ser.read_observed(path, dv.IndexLayout(2, 2)),
-    ], ids=["matrix", "vector", "json", "outcomes", "covariates", "observed"])
+    ], ids=["matrix", "vector", "json", "covariates", "observed"])
     @pytest.mark.parametrize("data", [b"\xff\xfe", b"0,1\r\n1.0,2.0\r\n" * 5000 + b"\xff"],
                              ids=["first-byte", "after-a-read-block"])
     def test_names_the_file(self, tmp_path, read, data):

@@ -113,6 +113,23 @@ class TestRunScenarioMonteCarlo:
                 design, np.zeros(8), dv.EstimatorSpec("ht", c2()), mode="mc", replicates=10
             )
 
+    @pytest.mark.parametrize("kind, replicates, infeasible", [("ht", 1, 0), ("cm", 3, 2)])
+    def test_fewer_than_two_feasible_draws_give_no_standard_errors(
+            self, kind, replicates, infeasible):
+        # cm on Bernoulli n = 2 with seed 0: two of three draws leave an arm empty
+        design = dv.bernoulli_design(0.5, n=2)
+        scenario = dv.SimScenario(design, np.array([0.0, 1.0, 1.0, 2.0]),
+                                  dv.EstimatorSpec(kind, c2()), bound_method="as",
+                                  mode="mc", replicates=replicates, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", dv.errors.InfeasiblePointsWarning)
+            report = dv.run_scenario(scenario)
+        assert report.infeasible_count == infeasible
+        assert report.mc_se == dict.fromkeys(
+            ["mean_estimate", "empirical_variance", "mean_bound_estimate", "coverage_95"])
+        assert np.isfinite(report.mean_estimate) and report.empirical_variance == 0.0
+
     def test_ols_bound_conservative_under_bernoulli(self):
         rng = np.random.default_rng(7)
         n = 20
