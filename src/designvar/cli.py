@@ -313,7 +313,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # numpy stays quiet about overflow: a non-finite result is exit 3
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}",

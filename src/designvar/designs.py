@@ -602,7 +602,11 @@ class ImpossibilityMask:
     frac: ExactMatrix | None = None
 
     def __post_init__(self):
-        self.mask = (self.layout.check_matrix(self.mask, "mask") != 0).astype(float)
+        mask = self.layout.check_matrix(self.mask, "mask")
+        bad = (mask != 0) & (mask != 1)
+        if bad.any():
+            raise ValidationError(f"mask entries must be 0 or 1, got {float(mask[bad][0])}")
+        self.mask = (mask != 0).astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1233,13 +1237,14 @@ def custom_design(
                     support_cap=support_cap, enumerator=lambda: sup)
     design._enumerate()  # a given support is checked at build time
     # p sums prob * outer(indicators) over the support: an integer matmul over
-    # the common denominator, in int64 while the (positive) weights sum below 2**62
-    weights, denom, total = _integer_weights(sup.probs)
+    # the common denominator, in int64 while the (positive) weights sum below
+    # 2**62, divided by the weights' exact total so each unit's row sums to 1
+    weights, _, total = _integer_weights(sup.probs)
     weights = weights.astype(np.int64 if total < 2**62 else object)[sup.probs.codes]
     ind = arms_to_indicators(sup.arms, layout).astype(np.int64)
     counts = (ind.T * weights) @ ind
     uniq, inverse = np.unique(counts, return_inverse=True)
-    design.p_frac = ExactMatrix.of(uniq, inverse.reshape(counts.shape), denom)
+    design.p_frac = ExactMatrix.of(uniq, inverse.reshape(counts.shape), total)
     return design
 
 

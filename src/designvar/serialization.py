@@ -9,16 +9,23 @@ codebook, which pays because design matrices hold few distinct values.
 The writer formats each distinct value (bit pattern) once into a token
 table whose entries carry their separator, "," inside a row and CR LF
 after a row's last cell, so a block of rows is one gather from the table
-and one join.  The reader streams the file a line at a time: a line
-without a quote character is split on commas with ``str.split``, and
-csv.reader parses a file only from its first quote character on, so the
-fields are csv.reader's either way; float() runs once per distinct
-token.  Data
-tables go through the same row reader, one dict per row as
-csv.DictReader makes it, numbered like matrix rows (a blank line counts).
-Every reader opens its file as UTF-8.  A field longer than
-csv.field_size_limit(), or bytes that do not decode, are a
-ValidationError naming the file on every path.
+and one join.  The matrix reader takes the file as bytes, in blocks of
+whole lines of at most ``BATCH_BYTES``: one numpy scan finds a block's
+commas and line ends and checks each line's field count, each token is
+keyed by its length and bytes, one sort groups equal keys (a token whose
+bytes differ from its group's first hands the file on, so keys never
+merge two tokens), and float() runs once per distinct token.  A file it
+does not take whole goes whole to the row reader: one with a quote, a
+non-ASCII byte, a CR not followed by LF, a blank line or a line of
+another width, or a token longer than 32 bytes or one float() rejects.
+The row reader streams the file a line at a time: a line without a quote
+character is split on commas with ``str.split``, and csv.reader parses a
+file only from its first quote character on, so the fields are
+csv.reader's either way; it words every error.  Data tables go through
+the same row reader, one dict per row as csv.DictReader makes it,
+numbered like matrix rows (a blank line counts).  Every reader reads its
+file as UTF-8.  A field longer than csv.field_size_limit(), or bytes that
+do not decode, are a ValidationError naming the file on every path.
 """
 
 from __future__ import annotations
@@ -27,11 +34,12 @@ import contextlib
 import csv
 import itertools
 import json
+import os
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .designs import Assignment, Design, IndexLayout
+from .designs import BATCH_BYTES, Assignment, Design, IndexLayout
 from .errors import NumericalError, ValidationError
 
 if TYPE_CHECKING:
@@ -120,7 +128,108 @@ def _csv_rows(path, fh) -> Iterator[list[str]]:
         yield fields
 
 
+# odd constants that mix a token's length and 8-byte words into one key, and
+# _LOW[j][n] keeps the bytes of word j that lie in a token of n bytes
+_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+                 0xD6E8FEB86659FD93, 0xFF51AFD7ED558CCD], dtype=np.uint64)
+_LOW = np.array([[(1 << 8 * min(max(n - 8 * j, 0), 8)) - 1 for n in range(33)]
+                 for j in range(4)], dtype=np.uint64)
+
+
+def _block_rows(buf: bytearray, size: int, width: int, parsed: dict) -> np.ndarray | None:
+    """The rows of the whole lines in ``buf[:size]``, or None when the file
+    needs the row reader (also when two distinct tokens share a key).
+    ``buf`` holds 32 bytes past ``size``; ``parsed`` maps each token seen
+    to its float, across blocks."""
+    data = np.frombuffer(buf, np.uint8, size)
+    at = np.flatnonzero(data <= 44)  # commas and LFs, among CRs, quotes and others
+    kind = data[at]
+    if data.max() > 127 or np.any(kind == 34):  # not ASCII, or a quote
+        return None
+    at = at[(kind == 44) | (kind == 10)]  # the byte after each token
+    last = data[at] == 10  # ... that ends a line
+    cr = (data[at - 1] == 13) & last  # ... in CR LF
+    if (np.count_nonzero(kind == 13) != np.count_nonzero(cr)
+            or np.count_nonzero(last) * width != len(at) or not last[width - 1::width].all()):
+        return None
+    starts = np.zeros_like(at)
+    starts[1:] = at[:-1] + 1
+    length = at  # each token's length, in place
+    length -= cr
+    length -= starts
+    longest = int(length.max())
+    if longest > min(32, csv.field_size_limit()):
+        return None
+    # a token is its length and its bytes as little-endian words masked to
+    # the length; its key mixes them, and one sort of the keys, whose low
+    # bits are replaced by the token's index, groups equal keys
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # the 8 bytes at each offset
+    token = [length] + [words[starts + 8 * j] & _LOW[j][length] for j in range((longest + 7) // 8)]
+    key = length.astype(np.uint64)
+    key *= _MIX[0]
+    for word, mix in zip(token[1:], _MIX[1:]):
+        key += word * mix
+    low = (1 << len(key).bit_length()) - 1
+    key &= ~np.uint64(low)
+    key |= np.arange(len(key), dtype=np.uint64)
+    key.sort()
+    first = np.flatnonzero(np.concatenate(([True], (key[1:] ^ key[:-1]) > low)))
+    order = key.view(np.int64)  # the tokens in key order, in place
+    order &= low
+    group = np.empty(len(order), np.intp)  # each token's group, numbered by key
+    group[order] = np.repeat(np.arange(len(first)), np.diff(first, append=len(order)))
+    rep = order[first]
+    if any(np.any(part != part[rep][group]) for part in token):  # a key collision
+        return None
+    text = [buf[s:s + n].decode() for s, n in zip(starts[rep].tolist(), length[rep].tolist())]
+    new = [t for t in text if t not in parsed]
+    try:
+        parsed.update(zip(new, map(float, new)))
+    except ValueError:
+        return None
+    return np.fromiter(map(parsed.__getitem__, text), float, len(text))[group].reshape(-1, width)
+
+
+def _byte_rows(fh, width: int) -> np.ndarray | None:
+    """The data rows of the binary file ``fh``, read past its header in
+    blocks of whole lines of at most BATCH_BYTES (longer when one line is),
+    or None when the file needs the row reader."""
+    size = min(BATCH_BYTES, os.fstat(fh.fileno()).st_size - fh.tell())
+    buf, filled, parsed, blocks = bytearray(max(size, 1) + 32), 0, {}, []
+    while True:
+        with memoryview(buf) as view:
+            got = fh.readinto(view[filled:-32])
+        filled += got
+        cut = buf.rfind(b"\n", 0, filled) + 1
+        if not got and cut < filled:  # a last line without a line end
+            buf[filled] = ord("\n")
+            filled = cut = filled + 1
+        if cut:
+            rows = _block_rows(buf, cut, width, parsed)
+            if rows is None:
+                return None
+            blocks.append(rows)
+            buf[:filled - cut] = buf[cut:filled]
+            filled -= cut
+        elif filled == len(buf) - 32:  # a line longer than the buffer
+            buf.extend(bytes(len(buf)))
+        if not got:
+            return np.concatenate(blocks) if blocks else None
+
+
 def read_matrix_csv(path) -> np.ndarray:
+    with open(path, "rb") as fh:  # a pipe, read once, goes to the row reader
+        header = (fh.readline() if fh.seekable() else b"").removesuffix(b"\n").removesuffix(b"\r")
+        if (header.isascii() and 0 < len(header) <= csv.field_size_limit()
+                and b'"' not in header and b"\r" not in header):
+            matrix = _byte_rows(fh, header.count(b",") + 1)
+            if matrix is not None:
+                return matrix
+    return _read_rows(path)
+
+
+def _read_rows(path) -> np.ndarray:
+    """read_matrix_csv through the row reader, which words every error."""
     parsed: dict[str, float] = {}  # float() runs once per distinct token
     data = []
     with _open_text(path, newline="") as fh:

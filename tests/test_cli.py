@@ -218,6 +218,19 @@ class TestBoundCommand:
                   "--out", str(tmp_path / "x")])
         assert exit_.value.code == 2
 
+    @pytest.mark.parametrize("entry", ["nan", "0.5"])
+    def test_mask_entry_other_than_0_or_1_exits_2(self, tmp_path, capsys, entry):
+        cdir = tmp_path / "complete"
+        main(["design", write_json(tmp_path / "spec.json", COMPLETE_SPEC), "--out", str(cdir)])
+        mask = ser.read_matrix_csv(cdir / "mask.csv")
+        mask[0, 1] = mask[1, 0] = float(entry)
+        ser.write_matrix_csv(cdir / "mask.csv", mask)
+        code = main(["bound", "--d", str(cdir / "d.csv"), "--mask", str(cdir / "mask.csv"),
+                     "--method", "as", "--out", str(tmp_path / "as")])
+        assert code == 2
+        assert f"mask entries must be 0 or 1, got {float(entry)}" in capsys.readouterr().err
+        assert not (tmp_path / "as").exists()
+
     def test_nonconvergence_exits_3(self, paired_dir, tmp_path):
         code = main([
             "bound", "--d", str(paired_dir / "d.csv"), "--mask",
@@ -562,7 +575,7 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "sim")])
         assert code == 2
 
-    def test_non_finite_report_exits_3(self, tmp_path):
+    def test_non_finite_report_exits_3(self, tmp_path, capsys):
         # squares of an outcome of 1e200 overflow to inf
         scenario = {
             "design": PAIRED_SPEC,
@@ -570,10 +583,13 @@ class TestSimulateCommand:
             "estimator": {"kind": "ht", "contrast": [-1, 1]},
         }
         out = tmp_path / "sim"
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings stay quiet
             code = main(["simulate", write_json(tmp_path / "s.json", scenario), "--out", str(out)])
         assert code == 3
         assert not (out / "report.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_one_replicate_reports_null_mc_se(self, tmp_path):
         # one draw has no spread: every Monte Carlo standard error is null

@@ -114,6 +114,16 @@ class TestBuilders:
         with pytest.raises(error, match=message):
             dv.custom_design(dv.IndexLayout(2, 2), support)
 
+    def test_custom_unit_marginals_sum_to_one_exactly(self):
+        # these sum to 1 + 1/(7*2**80), within the float check's 1e-12 of 1:
+        # p is divided by their exact total, so each unit's pi sums to 1
+        den = 3 * 2**80
+        support = [([0, 0], Fraction(1, den)), ([0, 1], Fraction(5, den)),
+                   ([1, 0], Fraction(den - 6, den)), ([1, 1], Fraction(1, 7 * 2**80))]
+        design = dv.custom_design(dv.IndexLayout(2, 2), support)
+        pi = design.p_frac.diagonal()
+        assert [pi[unit] + pi[2 + unit] for unit in range(2)] == [1, 1]
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -406,6 +416,19 @@ class TestDesignMatrix:
     def test_mask_positions_are_exactly_minus_one(self, paired4_matrices):
         dmat, mask = paired4_matrices
         assert np.all(dmat.d[mask.mask == 1.0] == -1.0)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 0.5, 2.0, -1.0])
+    def test_mask_entries_other_than_0_and_1_rejected(self, entry):
+        mask = np.zeros((4, 4))
+        mask[0, 1] = mask[1, 0] = entry
+        with pytest.raises(dv.ValidationError, match="mask entries must be 0 or 1"):
+            dv.ImpossibilityMask(dv.IndexLayout(2, 2), mask)
+
+    def test_mask_keeps_0_and_1(self):
+        mask = np.array([[0.0, 1.0], [-0.0, 1.0]])
+        kept = dv.ImpossibilityMask(dv.IndexLayout(2, 1), mask).mask
+        assert_array_equal(kept, [[0.0, 1.0], [0.0, 1.0]])
+        assert not np.signbit(kept[1, 0])
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -165,6 +166,152 @@ class TestMatrixCsvAgainstReference:
         back = ser.read_matrix_csv(path)
         assert back.shape == want.shape
         assert_array_equal(_bits(back), _bits(want))
+
+
+def _same_as_reference(path) -> None:
+    """read_matrix_csv gives the reference's values, bit for bit, or its error text."""
+    try:
+        want = read_matrix_csv_reference(path)
+    except dv.ValidationError as exc:
+        with pytest.raises(dv.ValidationError) as got:
+            ser.read_matrix_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    back = ser.read_matrix_csv(path)
+    assert back.dtype == want.dtype and back.shape == want.shape
+    assert_array_equal(_bits(back), _bits(want))
+
+
+@pytest.fixture
+def handed_on(monkeypatch):
+    """The files the byte reader hands to the row reader, in call order."""
+    calls, row_reader = [], ser._read_rows
+
+    def spy(path):
+        calls.append(path)
+        return row_reader(path)
+
+    monkeypatch.setattr(ser, "_read_rows", spy)
+    return calls
+
+
+class TestByteReader:
+    """The byte-block reader against csv.reader, on the files it takes whole
+    and on those it hands to the row reader."""
+
+    @pytest.mark.parametrize("text, whole", [
+        (b"0,1\n1.5,-2\n3,4\n", True),  # LF
+        (b"0,1\r\n1.5,-2\r\n3,4\r\n", True),  # CR LF
+        (b"0,1\r\n1.5,-2\n3,4\r\n", True),  # mixed
+        (b"0,1\r1.5,-2\r3,4\r", False),  # lone CR
+        (b"0,1\n1.5,-2\r3,4\n", False),
+        (b"0,1\n1.5,2\r\r\n3,4\n", False),  # float() strips the first CR
+        (b"0\r1.5\n2.5\n", False),  # a lone CR ends the header
+        (b"0,1\r\n1.5,-2\r\n3,4", True),  # no line end after the last line
+        (b"0,1\n1.5,-2\n\n3,4\n", False),  # a blank line
+        (b"0\n1.5\n\n", False),
+        (b"0,1,2\n0.12345,0.123456,0.1234567\n", True),  # 7, 8 and 9 bytes
+        (b"0,1\n0." + b"3" * 30 + b",1\n", True),  # 32 bytes
+        (b"0,1\n0." + b"3" * 31 + b",1\n", False),  # 33 bytes
+        (b"0,1,2\n 1.5,2.5 ,  -3\t\n 1.5,2.5,-3\n", True),  # padded
+        ("0,1\n١٢,１２\n".encode(), False),  # digits float() reads, not ASCII
+        (b"0,1\n1e+300,-1e-300\n1_0,0x1\n", False),  # float() rejects 0x1
+        (b"0,1\n1e+300,-1e-300\n1_0,-0.0\n", True),
+        (b'0,1\n1.5,"2"\n', False),
+        (b'"0",1\n1.5,2\n', False),
+        (b"0,1\n1.5,2,3\n", False),
+        (b"0,1\n1.5\n2,3,4\n", False),  # as many fields as two lines of 2
+        (b"0,1\n", False),
+        (b"\n1.5\n", False),  # a blank header
+    ])
+    def test_reads_like_reference(self, tmp_path, handed_on, text, whole):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        _same_as_reference(path)
+        assert handed_on == ([] if whole else [path])
+
+    @pytest.mark.parametrize("text", [b"0,\xff\n1.5,2\n", b"0,1\n1.5,\xff2\n"],
+                             ids=["header", "token"])
+    def test_invalid_utf8(self, tmp_path, handed_on, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        with pytest.raises(dv.ValidationError) as got:
+            ser.read_matrix_csv(path)
+        assert str(got.value) == f"{path}: not valid UTF-8 text (invalid start byte)"
+        with pytest.raises(UnicodeDecodeError):  # csv.reader fails on it too
+            read_matrix_csv_reference(path)
+        assert handed_on == [path]
+
+    @pytest.mark.parametrize("block", [1, 20, 64, 300])
+    def test_rows_straddle_block_edges(self, tmp_path, monkeypatch, handed_on, block):
+        """Blocks smaller than a line, and lines across block edges."""
+        monkeypatch.setattr(ser, "BATCH_BYTES", block)
+        rng = np.random.default_rng(block)
+        matrix = rng.choice(SPECIAL[:-3], size=(30, 4)) * rng.integers(1, 4, size=(30, 4))
+        matrix[::7, 1] = rng.normal(size=5)  # tokens of many lengths, seen in one block only
+        path = tmp_path / "m.csv"
+        ser.write_matrix_csv(path, matrix)
+        _same_as_reference(path)
+        assert_array_equal(_bits(ser.read_matrix_csv(path)), _bits(matrix))
+        path.write_bytes(path.read_bytes()[:-2])  # no line end after the last line
+        _same_as_reference(path)
+        assert handed_on == []
+        path.write_bytes(path.read_bytes() + b"\r\n1.0,2.0,x,4.0\r\n")  # a bad last block
+        _same_as_reference(path)
+        assert handed_on == [path]
+
+    def test_key_collision_goes_to_the_row_reader(self, tmp_path, monkeypatch, handed_on):
+        # with no mixing every token's key is its length: 0.5 and 1.5 collide
+        monkeypatch.setattr(ser, "_MIX", np.zeros_like(ser._MIX))
+        path = tmp_path / "m.csv"
+        ser.write_matrix_csv(path, np.array([[0.5, 1.5], [1.5, -0.0]]))
+        _same_as_reference(path)
+        assert handed_on == [path]
+        ser.write_matrix_csv(path, np.array([[0.5, 0.5], [0.5, 0.5]]))  # one key, one token
+        _same_as_reference(path)
+        assert handed_on == [path]
+
+    def test_field_limit_holds_on_the_byte_path(self, tmp_path, handed_on):
+        limit = csv.field_size_limit()
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"0," + b"1" * (limit + 1) + b"\n1.5,2\n")  # in the header
+        with pytest.raises(dv.ValidationError, match=r"row 1: field larger than field limit"):
+            ser.read_matrix_csv(path)
+        path.write_bytes(b"0,1\n1.5,123456.5\n")  # under 32 bytes, over a limit of 5
+        try:
+            csv.field_size_limit(5)
+            with pytest.raises(dv.ValidationError,
+                               match=r"row 2: field larger than field limit \(5\)"):
+                ser.read_matrix_csv(path)
+        finally:
+            csv.field_size_limit(limit)
+        assert handed_on == [path, path]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_goes_to_the_row_reader(self, handed_on):
+        # read once: the byte reader must not consume what the row reader reads
+        read, write = os.pipe()
+        os.write(write, b"0,1\n1.5,2\n")
+        os.close(write)
+        try:
+            path = f"/dev/fd/{read}"
+            assert_array_equal(ser.read_matrix_csv(path), [[1.5, 2.0]])
+        finally:
+            os.close(read)
+        assert handed_on == [path]
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrix=matrices, block=st.integers(1, 400))
+    def test_written_matrices_read_whole_in_any_block_size(self, tmp_path_factory, matrix,
+                                                           block):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        ser.write_matrix_csv(path, matrix)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ser, "BATCH_BYTES", block)
+            patch.setattr(ser, "_read_rows", None)  # never reached
+            back = ser.read_matrix_csv(path)
+        assert back.dtype == np.float64 and back.shape == matrix.shape
+        assert_array_equal(_bits(back), _bits(matrix))
 
 
 class TestOverlongField:
