@@ -18,12 +18,10 @@ merge two tokens), and float() runs once per distinct token.  A file it
 does not take whole goes whole to the row reader: one with a quote, a
 non-ASCII byte, a CR not followed by LF, a blank line or a line of
 another width, or a token longer than 32 bytes or one float() rejects.
-The row reader streams the file a line at a time: a line without a quote
-character is split on commas with ``str.split``, and csv.reader parses a
-file only from its first quote character on, so the fields are
-csv.reader's either way; it words every error.  Data tables go through
-the same row reader, one dict per row as csv.DictReader makes it,
-numbered like matrix rows (a blank line counts).  Every reader reads its
+The row reader is csv.reader with one float() per distinct token; it
+words every error.  A data table is read whole by csv.reader, one dict
+per row as csv.DictReader makes it, numbered like matrix rows (a blank
+line counts), one row per unit_id in 0..n-1.  Every reader reads its
 file as UTF-8.  A field longer than csv.field_size_limit(), or bytes that
 do not decode, are a ValidationError naming the file on every path.
 """
@@ -32,8 +30,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import json
+import math
 import os
 from typing import TYPE_CHECKING, Iterator
 
@@ -103,29 +103,15 @@ def read_json(path):
 
 
 def _csv_rows(path, fh) -> Iterator[list[str]]:
-    """The rows csv.reader gives for ``fh``, a file opened with newline="".
-
-    Until a line holds a quote character, a line is its own row and
-    splitting it on commas gives csv.reader's fields; from that line on,
-    csv.reader parses the rest.  A csv.Error becomes a ValidationError
-    naming the file and row.
-    """
-    limit, row = csv.field_size_limit(), 0
-    for line in fh:
-        row += 1
-        if '"' in line:
-            try:
-                for fields in csv.reader(itertools.chain([line], fh)):
-                    yield fields
-                    row += 1
-            except csv.Error as exc:
-                raise ValidationError(f"{path}: row {row}: {exc}") from exc
-            return
-        line = line.rstrip("\r\n")
-        fields = line.split(",") if line else []
-        if len(line) > limit and max(map(len, fields)) > limit:
-            raise ValidationError(f"{path}: row {row}: field larger than field limit ({limit})")
-        yield fields
+    """The rows csv.reader gives for ``fh``, a file opened with newline="";
+    a csv.Error becomes a ValidationError naming the file and row."""
+    row = 1
+    try:
+        for fields in csv.reader(fh):
+            yield fields
+            row += 1
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: row {row}: {exc}") from exc
 
 
 # odd constants that mix a token's length and 8-byte words into one key, and
@@ -230,7 +216,7 @@ def read_matrix_csv(path) -> np.ndarray:
 
 def _read_rows(path) -> np.ndarray:
     """read_matrix_csv through the row reader, which words every error."""
-    parsed: dict[str, float] = {}  # float() runs once per distinct token
+    parse = functools.lru_cache(maxsize=None)(float)  # float() runs once per distinct token
     data = []
     with _open_text(path, newline="") as fh:
         rows = _csv_rows(path, fh)
@@ -239,13 +225,9 @@ def _read_rows(path) -> np.ndarray:
             if len(row) != width:
                 raise ValidationError(f"{path}: row {i} has {len(row)} fields, expected {width}")
             try:
-                data.append(np.fromiter(map(parsed.__getitem__, row), float, width))
-            except KeyError:  # the row holds tokens not seen before
-                try:
-                    parsed.update((token, float(token)) for token in row if token not in parsed)
-                except ValueError as exc:
-                    raise ValidationError(f"{path}: row {i}: {exc}") from exc
-                data.append(np.fromiter(map(parsed.__getitem__, row), float, width))
+                data.append(np.fromiter(map(parse, row), float, width))
+            except ValueError as exc:
+                raise ValidationError(f"{path}: row {i}: {exc}") from exc
     if not data:
         raise ValidationError(f"{path}: expected a header row plus data rows")
     return np.array(data)
@@ -303,74 +285,61 @@ def bound_sidecar(bound: BoundMatrix, tol: float) -> dict:
 
 
 def _cell(path, line: int, row: dict, column: str, convert=float):
-    """One table cell as a number, or a ValidationError naming file, row and column."""
+    """One table cell as a finite number, or a ValidationError naming file, row and column."""
     try:
-        return convert(row[column])
-    except (TypeError, ValueError) as exc:
-        text = f"{path}: row {line}, column {column!r}: {row[column]!r} is not a number"
-        raise ValidationError(text) from exc
+        value = convert(row[column])
+    except (TypeError, ValueError):  # not a number, or missing from a short row
+        value = math.nan
+    if not abs(value) < math.inf:
+        text = f"{path}: row {line}, column {column!r}: {row[column]!r} is not a finite number"
+        raise ValidationError(text)
+    return value
 
 
-def _dict_rows(path) -> tuple[list[str] | None, list[tuple[int, dict]]]:
-    """A table's header and its rows, each a dict as csv.DictReader makes
-    it (a short row's missing cells are None), numbered as in
-    read_matrix_csv: the header is row 1 and a blank line is a row, though
-    it yields no dict."""
+def _read_units(path, n: int, required: list[str]) -> tuple[list[str], list[tuple[int, dict]]]:
+    """A table's header and its rows in unit order, as (row number, dict as
+    csv.DictReader makes it), numbered as in read_matrix_csv (a blank line
+    counts).  The table has the ``required`` columns and one row for each
+    unit_id in 0..n-1."""
     with _open_text(path, newline="") as fh:
-        rows = _csv_rows(path, fh)
-        header = next(rows, None)
-        if header is None:
-            return None, []
-        return header, [(number, dict(itertools.zip_longest(header, fields)))
-                        for number, fields in enumerate(rows, start=2) if fields]
-
-
-def _read_table(path, required: list[str]) -> list[tuple[int, dict]]:
-    fieldnames, rows = _dict_rows(path)
-    if fieldnames is None:
+        rows = list(_csv_rows(path, fh))
+    if not rows:
         raise ValidationError(f"{path}: empty file")
-    missing = [c for c in required if c not in fieldnames]
+    missing = [c for c in required if c not in rows[0]]  # rows[0] is the header
     if missing:
         raise ValidationError(f"{path}: missing column(s) {missing}")
-    return rows
+    table = [(line, dict(itertools.zip_longest(rows[0], fields)))
+             for line, fields in enumerate(rows[1:], start=2) if fields]
+    if len(table) != n:
+        raise ValidationError(f"{path}: expected {n} rows, got {len(table)}")
+    units: list = [None] * n
+    for line, row in table:
+        unit = _cell(path, line, row, "unit_id", int)
+        if not 0 <= unit < n or units[unit]:
+            text = f"unit_id {unit} repeats or lies outside 0..{n - 1}, so a unit is missing"
+            raise ValidationError(f"{path}: row {line}: {text}")
+        units[unit] = line, row
+    return rows[0], units
 
 
 def read_covariates(path, n: int) -> np.ndarray:
     """Table (unit_id, x1..xl) -> n x l matrix ordered by unit id."""
-    fieldnames, rows = _dict_rows(path)
-    if fieldnames is None or "unit_id" not in fieldnames:
-        raise ValidationError(f"{path}: needs a unit_id column")
-    xcols = [c for c in fieldnames if c != "unit_id"]
-    if len(rows) != n:
-        raise ValidationError(f"{path}: expected {n} rows, got {len(rows)}")
-    x = np.full((n, len(xcols)), np.nan)
-    for line, row in rows:
-        unit = _cell(path, line, row, "unit_id", int)
-        if not 0 <= unit < n:
-            raise ValidationError(f"{path}: unit_id {unit} out of range")
-        x[unit] = [_cell(path, line, row, c) for c in xcols]
-    if np.any(np.isnan(x)):
-        raise ValidationError(f"{path}: duplicate or missing unit rows")
-    return x
+    header, rows = _read_units(path, n, ["unit_id"])
+    xcols = [c for c in header if c != "unit_id"]
+    return np.array([[_cell(path, line, row, c) for c in xcols] for line, row in rows])
 
 
 def read_observed(path, layout: IndexLayout) -> ObservedData:
     """Table (unit_id, arm_assigned, y_obs) -> observed data."""
     from .estimators import ObservedData
 
-    rows = _read_table(path, ["unit_id", "arm_assigned", "y_obs"])
-    if len(rows) != layout.n:
-        raise ValidationError(f"{path}: expected {layout.n} rows, got {len(rows)}")
-    arms = np.full(layout.n, -1, dtype=int)
+    _, rows = _read_units(path, layout.n, ["unit_id", "arm_assigned", "y_obs"])
+    arms = np.empty(layout.n, dtype=int)
     y_obs = np.zeros(layout.kn)
-    for line, row in rows:
-        unit, arm = (_cell(path, line, row, c, int) for c in ("unit_id", "arm_assigned"))
-        if not (0 <= unit < layout.n and 0 <= arm < layout.k):
-            raise ValidationError(f"{path}: unit_id/arm out of range")
-        if arms[unit] != -1:
-            raise ValidationError(f"{path}: duplicate unit {unit}")
+    for unit, (line, row) in enumerate(rows):
+        arm = _cell(path, line, row, "arm_assigned", int)
+        if not 0 <= arm < layout.k:
+            raise ValidationError(f"{path}: row {line}: arm {arm} outside 0..{layout.k - 1}")
         arms[unit] = arm
         y_obs[layout.flat(arm, unit)] = _cell(path, line, row, "y_obs")
-    if not np.all(np.isfinite(y_obs)):
-        raise ValidationError(f"{path}: y_obs values must be finite")
     return ObservedData(Assignment(layout, arms), y_obs)
