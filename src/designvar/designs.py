@@ -548,10 +548,12 @@ class PiDiagonal:
         if np.any(self.probs <= 0.0) or np.any(self.probs >= 1.0):
             bad = int(np.argmin(np.minimum(self.probs, 1.0 - self.probs)))
             arm, unit = divmod(bad, self.layout.n)
+            value = f"{self.probs[bad]}"
+            if self.frac is not None and 0 < self.frac[bad] < 1:  # exact, but 0 or 1 in float
+                value = f"{self.frac[bad]}, which rounds to {value} in float"
             raise NonIdentifiedDesignError(
                 "non-identified design: inclusion probability at flat index "
-                f"{bad} (arm {arm}, unit {unit}) "
-                f"is {self.probs[bad]}, outside (0, 1)"
+                f"{bad} (arm {arm}, unit {unit}) is {value}, outside (0, 1)"
             )
         unit_sums = self.probs.reshape(self.layout.k, self.layout.n).sum(axis=0)
         if np.max(np.abs(unit_sums - 1.0)) > 1e-12:

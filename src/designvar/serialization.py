@@ -179,28 +179,40 @@ def _block_rows(buf: bytearray, size: int, width: int, parsed: dict) -> np.ndarr
 def _byte_rows(fh, width: int) -> np.ndarray | None:
     """The data rows of the binary file ``fh``, read past its header in
     blocks of whole lines of at most BATCH_BYTES (longer when one line is),
-    or None when the file needs the row reader."""
-    size = min(BATCH_BYTES, os.fstat(fh.fileno()).st_size - fh.tell())
-    buf, filled, parsed, blocks = bytearray(max(size, 1) + 32), 0, {}, []
+    or None when the file needs the row reader.  A file that fits one block
+    is read at once; a longer one has its lines counted first, so that its
+    rows are held once, each block's written into its slice."""
+    start = fh.tell()
+    size = min(BATCH_BYTES, os.fstat(fh.fileno()).st_size - start + 1)
+    buf, filled, parsed, matrix, done = bytearray(size + 32), 0, {}, None, 0
     while True:
+        want = len(buf) - 32 - filled
         with memoryview(buf) as view:
             got = fh.readinto(view[filled:-32])
         filled += got
+        end = got < want  # a short read ends the file
+        if matrix is None and not end:  # more than one block
+            lines = sum(part.count(b"\n") for part in iter(lambda: fh.read(BATCH_BYTES), b""))
+            fh.seek(-1, os.SEEK_END)
+            lines += buf.count(b"\n", 0, filled) + (fh.read(1) != b"\n")
+            fh.seek(start + filled)
+            matrix = np.empty((lines, width))
         cut = buf.rfind(b"\n", 0, filled) + 1
-        if not got and cut < filled:  # a last line without a line end
+        if end and cut < filled:  # a last line without a line end
             buf[filled] = ord("\n")
             filled = cut = filled + 1
         if cut:
             rows = _block_rows(buf, cut, width, parsed)
-            if rows is None:
-                return None
-            blocks.append(rows)
+            if rows is None or matrix is None:  # the row reader's file, or one block
+                return rows
+            matrix[done:done + len(rows)] = rows
+            done += len(rows)
             buf[:filled - cut] = buf[cut:filled]
             filled -= cut
         elif filled == len(buf) - 32:  # a line longer than the buffer
             buf.extend(bytes(len(buf)))
-        if not got:
-            return np.concatenate(blocks) if blocks else None
+        if end:  # (a file changed since its lines were counted goes on too)
+            return matrix if done and done == len(matrix) else None
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -499,6 +499,22 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert "x.csv" in err and "row 3" in err and "'x1'" in err
 
+    def test_repeated_unit_id_in_covariates_exits_2(self, tmp_path, capsys):
+        # a unit_id-only table: without the check, unit 1's covariates were never read
+        obs = tmp_path / "obs.csv"
+        obs.write_text("unit_id,arm_assigned,y_obs\n0,0,1.0\n1,1,2.0\n2,1,3.0\n3,0,4.0\n")
+        cov = tmp_path / "x.csv"
+        cov.write_text("unit_id\n0\n0\n2\n3\n")
+        out = tmp_path / "r.json"
+        code = main([
+            "estimate", "--design", write_json(tmp_path / "d.json", PAIRED_SPEC),
+            "--data", str(obs), "--covariates", str(cov), "--estimator", "ols",
+            "--contrast=-1,1", "--bound", "as", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        assert "x.csv: row 3: unit_id 0 repeats" in capsys.readouterr().err
+
     @pytest.mark.parametrize("weights", ["missing.csv", "given.csv", "identity", "invpi"])
     def test_weights_on_a_non_wls_estimator_exit_2(self, tmp_path, capsys, monkeypatch, weights):
         # as a scenario's non-wls estimator with "weights" does

@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import designvar as dv
 from designvar import designs, serialization as ser
+from designvar.cli import main
 from designvar.designs import _arm_sequences
 from conftest import D_COMPLETE, D_PAIRED, SPECS_N30, SUPPORT_SIZES_N30, traced_peak
 from oracles import (
@@ -123,6 +125,22 @@ class TestBuilders:
         design = dv.custom_design(dv.IndexLayout(2, 2), support)
         pi = design.p_frac.diagonal()
         assert [pi[unit] + pi[2 + unit] for unit in range(2)] == [1, 1]
+
+    def test_exact_pi_that_rounds_to_one_is_named(self, tmp_path):
+        # the exact pi at flat index 2 lies within 2**-53 of 1, so its float is 1.0
+        den = 3 * 2**80
+        support = [([0, 0], Fraction(1, den)), ([0, 1], Fraction(5, den)),
+                   ([1, 1], Fraction(den - 6, den)), ([1, 0], Fraction(1, 7 * 2**80))]
+        design = dv.custom_design(dv.IndexLayout(2, 2), support)
+        message = ("non-identified design: inclusion probability at flat index 2 (arm 1, "
+                   "unit 0) is 8462480737302404222943219/8462480737302404222943233, "
+                   "which rounds to 1.0 in float, outside (0, 1)")
+        with pytest.raises(dv.NonIdentifiedDesignError, match=f"^{re.escape(message)}$"):
+            dv.inclusion_probabilities(design)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"type": "custom", "k": 2, "n": 2, "support": [
+            {"arms": arms, "prob": str(prob)} for arms, prob in support]}))
+        assert main(["design", str(spec), "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize(
         "build",

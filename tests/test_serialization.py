@@ -11,6 +11,7 @@ from numpy.testing import assert_array_equal
 import designvar as dv
 from designvar import serialization as ser
 
+from conftest import traced_peak
 from oracles import read_matrix_csv_reference, write_matrix_csv_reference
 
 
@@ -300,6 +301,17 @@ class TestByteReader:
             os.close(read)
         assert handed_on == [path]
 
+    def test_several_blocks_hold_the_result_once(self, tmp_path, handed_on):
+        # 7.9 MB of 19-byte tokens; beside the result, one block's arrays
+        rng = np.random.default_rng(0)
+        matrix = rng.choice(rng.normal(size=20), size=(1000, 400))
+        path = tmp_path / "m.csv"
+        ser.write_matrix_csv(path, matrix)
+        assert path.stat().st_size > 20 * ser.BATCH_BYTES
+        assert traced_peak(ser.read_matrix_csv, path) < matrix.nbytes + 8 * ser.BATCH_BYTES
+        assert_array_equal(_bits(ser.read_matrix_csv(path)), _bits(matrix))
+        assert handed_on == []
+
     @settings(max_examples=40, deadline=None)
     @given(matrix=matrices, block=st.integers(1, 400))
     def test_written_matrices_read_whole_in_any_block_size(self, tmp_path_factory, matrix,
@@ -312,6 +324,41 @@ class TestByteReader:
             back = ser.read_matrix_csv(path)
         assert back.dtype == np.float64 and back.shape == matrix.shape
         assert_array_equal(_bits(back), _bits(matrix))
+
+
+def row_reader_files(folder) -> dict:
+    """Two files the byte path refuses, 200 x 200 random floats: "long" of
+    40-byte tokens, and "quoted" with the first field of every row quoted."""
+    rng = np.random.default_rng(0)
+    header = ",".join(map(str, range(200))) + "\n"
+    paths = {"long": folder / "long.csv", "quoted": folder / "quoted.csv"}
+    paths["long"].write_text(header + "".join(
+        ",".join(f"{x:.38f}" for x in row) + "\n" for row in rng.random((200, 200)).tolist()))
+    paths["quoted"].write_text(header + "".join(
+        f'"{row[0]!r}",' + ",".join(map(repr, row[1:])) + "\n"
+        for row in rng.random((200, 200)).tolist()))
+    return paths
+
+
+class TestRowReader:
+    """csv.reader reads what the byte path hands on, as the reference does."""
+
+    @pytest.mark.parametrize("name", ["long", "quoted"])
+    def test_reads_like_reference(self, tmp_path, handed_on, name):
+        path = row_reader_files(tmp_path)[name]
+        assert read_matrix_csv_reference(path).shape == (200, 200)
+        _same_as_reference(path)
+        assert handed_on == [path]
+
+    def test_nul_byte_names_the_row(self, tmp_path, handed_on):
+        # csv.reader rejects NUL before Python 3.11 ("line contains NUL");
+        # from 3.11 on float() does
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"0,1\n1.5,2\n3,4\x005\n6,7\n")
+        with pytest.raises(dv.ValidationError) as got:
+            ser.read_matrix_csv(path)
+        assert str(got.value).startswith(f"{path}: row 3: ")
+        assert handed_on == [path]
 
 
 class TestOverlongField:
@@ -355,6 +402,14 @@ class TestDataTables:
         path = tmp_path / "x.csv"
         path.write_text("unit_id,x1\n0,1.5\n0,2.5\n")
         with pytest.raises(dv.ValidationError, match="missing"):
+            ser.read_covariates(path, 2)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_covariate_rejected(self, tmp_path, cell):
+        path = tmp_path / "x.csv"
+        path.write_text(f"unit_id,x1\n0,1.5\n1,{cell}\n")
+        with pytest.raises(dv.ValidationError,
+                           match=rf"x\.csv: row 3, column 'x1': '{cell}' is not a finite number"):
             ser.read_covariates(path, 2)
 
     @pytest.mark.parametrize("body", ["0,0,1.5\n1,0,x\n", "0,0,1.5\n1,0\n"])
