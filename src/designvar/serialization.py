@@ -205,14 +205,16 @@ def _byte_rows(fh, width: int) -> np.ndarray | None:
             rows = _block_rows(buf, cut, width, parsed)
             if rows is None or matrix is None:  # the row reader's file, or one block
                 return rows
+            if len(rows) > len(matrix) - done:  # the file grew since its lines were counted
+                return None
             matrix[done:done + len(rows)] = rows
             done += len(rows)
             buf[:filled - cut] = buf[cut:filled]
             filled -= cut
         elif filled == len(buf) - 32:  # a line longer than the buffer
             buf.extend(bytes(len(buf)))
-        if end:  # (a file changed since its lines were counted goes on too)
-            return matrix if done and done == len(matrix) else None
+        if end:  # no data row, or the file shrank since its lines were counted
+            return None if matrix is None or done < len(matrix) else matrix
 
 
 def read_matrix_csv(path) -> np.ndarray:
