@@ -14,11 +14,11 @@ whole lines of at most ``BATCH_BYTES``: one numpy scan finds a block's
 commas and line ends and checks each line's field count, each token is
 keyed by its length and bytes, one sort groups equal keys (a token whose
 bytes differ from its group's first hands the file on, so keys never
-merge two tokens), and float() runs once per distinct token.  A file it
-does not take whole goes whole to the row reader: one with a quote, a
-non-ASCII byte, a CR not followed by LF, a blank line or a line of
-another width, or a token longer than 32 bytes or one float() rejects.
-The row reader is csv.reader with one float() per distinct token; it
+merge two tokens), and float() runs once per distinct token of each
+block.  A file it does not take whole goes whole to the row reader: one
+with a quote, a non-ASCII byte, a CR not followed by LF, a blank line or
+a line of another width, or a token longer than 32 bytes or one float()
+rejects.  The row reader is csv.reader with one float() per cell; it
 words every error.  A data table is read whole by csv.reader, one dict
 per row as csv.DictReader makes it, numbered like matrix rows (a blank
 line counts), one row per unit_id in 0..n-1.  Every reader reads its
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import itertools
 import json
 import math
@@ -122,11 +121,10 @@ _LOW = np.array([[(1 << 8 * min(max(n - 8 * j, 0), 8)) - 1 for n in range(33)]
                  for j in range(4)], dtype=np.uint64)
 
 
-def _block_rows(buf: bytearray, size: int, width: int, parsed: dict) -> np.ndarray | None:
+def _block_rows(buf: bytearray, size: int, width: int) -> np.ndarray | None:
     """The rows of the whole lines in ``buf[:size]``, or None when the file
     needs the row reader (also when two distinct tokens share a key).
-    ``buf`` holds 32 bytes past ``size``; ``parsed`` maps each token seen
-    to its float, across blocks."""
+    ``buf`` holds 32 bytes past ``size``."""
     data = np.frombuffer(buf, np.uint8, size)
     at = np.flatnonzero(data <= 44)  # commas and LFs, among CRs, quotes and others
     kind = data[at]
@@ -168,12 +166,11 @@ def _block_rows(buf: bytearray, size: int, width: int, parsed: dict) -> np.ndarr
     if any(np.any(part != part[rep][group]) for part in token):  # a key collision
         return None
     text = [buf[s:s + n].decode() for s, n in zip(starts[rep].tolist(), length[rep].tolist())]
-    new = [t for t in text if t not in parsed]
     try:
-        parsed.update(zip(new, map(float, new)))
+        values = np.fromiter(map(float, text), float, len(text))
     except ValueError:
         return None
-    return np.fromiter(map(parsed.__getitem__, text), float, len(text))[group].reshape(-1, width)
+    return values[group].reshape(-1, width)
 
 
 def _byte_rows(fh, width: int) -> np.ndarray | None:
@@ -184,7 +181,7 @@ def _byte_rows(fh, width: int) -> np.ndarray | None:
     rows are held once, each block's written into its slice."""
     start = fh.tell()
     size = min(BATCH_BYTES, os.fstat(fh.fileno()).st_size - start + 1)
-    buf, filled, parsed, matrix, done = bytearray(size + 32), 0, {}, None, 0
+    buf, filled, matrix, done = bytearray(size + 32), 0, None, 0
     while True:
         want = len(buf) - 32 - filled
         with memoryview(buf) as view:
@@ -202,7 +199,7 @@ def _byte_rows(fh, width: int) -> np.ndarray | None:
             buf[filled] = ord("\n")
             filled = cut = filled + 1
         if cut:
-            rows = _block_rows(buf, cut, width, parsed)
+            rows = _block_rows(buf, cut, width)
             if rows is None or matrix is None:  # the row reader's file, or one block
                 return rows
             if len(rows) > len(matrix) - done:  # the file grew since its lines were counted
@@ -230,7 +227,6 @@ def read_matrix_csv(path) -> np.ndarray:
 
 def _read_rows(path) -> np.ndarray:
     """read_matrix_csv through the row reader, which words every error."""
-    parse = functools.lru_cache(maxsize=None)(float)  # float() runs once per distinct token
     data = []
     with _open_text(path, newline="") as fh:
         rows = _csv_rows(path, fh)
@@ -239,7 +235,7 @@ def _read_rows(path) -> np.ndarray:
             if len(row) != width:
                 raise ValidationError(f"{path}: row {i} has {len(row)} fields, expected {width}")
             try:
-                data.append(np.fromiter(map(parse, row), float, width))
+                data.append(np.fromiter(map(float, row), float, width))
             except ValueError as exc:
                 raise ValidationError(f"{path}: row {i}: {exc}") from exc
     if not data:
