@@ -166,6 +166,7 @@ def cmd_estimate(args) -> int:
     }, "estimate options", pi)
     estimate = point_estimate(spec, data, pi)
     dmat, mask = first_order_design_matrix(design)
+    mask.check_possible(data.assignment)
     bound = build_bound(args.bound, dmat, mask, contrast=spec.contrast)
     ipw = ipw_bound_matrix(bound, joint_probabilities(design))
     best = plugin_bound_estimate(spec, data, pi, ipw, bound_method=bound.method)
@@ -190,8 +191,12 @@ def cmd_compare(args) -> int:
     b = ser.read_matrix_csv(args.b)
     if args.as_what == "designs":
         layout = _layout_for_matrix(a, args.a, args.k)
+        # b's k comes from --k or its own design.json, and a's k only without either
+        own = args.k is not None or (Path(args.b).parent / "design.json").is_file()
+        k_b = args.k if own else layout.k
         comparison = compare_designs(
-            DesignMatrix(layout, a), DesignMatrix(layout, b), tol=args.tol
+            DesignMatrix(layout, a), DesignMatrix(_layout_for_matrix(b, args.b, k_b), b),
+            tol=args.tol,
         )
         report = ser.eigen_report_dict(comparison.report)
         report["extremal_eigenvalues"] = [lam for lam, _ in comparison.extremal]
@@ -296,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--as", dest="as_what", required=True, choices=["designs", "bounds"])
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--k", type=int, default=None,
-                   help="arm count for --as designs (default: k in the design.json beside --a)")
+                   help="arm count for --as designs (default: k in the design.json beside "
+                   "each file; --b without one takes --a's)")
     p.add_argument("--vectors", help="optional CSV sidecar for eigenvectors")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=cmd_compare)

@@ -580,10 +580,19 @@ class JointProbMatrix:
             raise ValidationError("joint probabilities must lie in [0, 1]")
 
 
+def check_symmetric(m: np.ndarray, what: str) -> None:
+    """Raise ValidationError unless the square ``m`` is symmetric within
+    1e-10 times its largest entry magnitude."""
+    gap = np.subtract(m, m.T)
+    if np.max(np.abs(gap, out=gap)) > 1e-10 * max(m.max(), -m.min()):
+        raise ValidationError(f"{what} is not symmetric within 1e-10 of its largest entry")
+
+
 @dataclass(eq=False)
 class DesignMatrix:
     """First-order design matrix: covariance of the inverse-probability
-    weighted assignment indicators, normalized elementwise."""
+    weighted assignment indicators, normalized elementwise.  Without exact
+    values, ``d`` must be symmetric within 1e-10 of its largest entry."""
 
     layout: IndexLayout
     d: np.ndarray
@@ -592,6 +601,8 @@ class DesignMatrix:
 
     def __post_init__(self):
         self.d = self.layout.check_matrix(self.d, "design matrix")
+        if self.frac is None:  # exact values are symmetric by construction
+            check_symmetric(self.d, "design matrix")
 
 
 @dataclass(eq=False)
@@ -609,6 +620,20 @@ class ImpossibilityMask:
         if bad.any():
             raise ValidationError(f"mask entries must be 0 or 1, got {float(mask[bad][0])}")
         self.mask = (mask != 0).astype(float)
+
+    def check_possible(self, assignment: Assignment) -> None:
+        """Raise ValidationError, naming one pair of units and their arms,
+        when the mask marks two of ``assignment``'s arms as never occurring
+        together (R' mask R > 0)."""
+        flat = self.layout.flat(assignment.arms, np.arange(self.layout.n))
+        pairs = np.argwhere(self.mask[np.ix_(flat, flat)])
+        if len(pairs):
+            i, j = pairs[0].tolist()
+            arms = assignment.arms.tolist()
+            raise ValidationError(
+                f"the design never assigns unit {i} to arm {arms[i]} together with "
+                f"unit {j} to arm {arms[j]}, as the observed assignment does"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .designs import DesignMatrix
+from .designs import DesignMatrix, check_symmetric
 from .errors import LayoutMismatchError, ValidationError
 
 DEFAULT_PSD_TOL = 1e-8
@@ -50,6 +50,11 @@ class EigenReport:
 
 
 def psd_threshold(max_eig: float, tol: float) -> float:
+    """The PSD threshold for a spectrum whose dominant eigenvalue is
+    ``max_eig``.  ``tol`` must be finite and in [0, 1): from 1 on the
+    threshold is at least the dominant magnitude, so a verdict says nothing."""
+    if not 0.0 <= tol < 1.0:
+        raise ValidationError(f"tol must be a finite number in [0, 1), got {tol}")
     return max(tol * abs(max_eig), PSD_ABS_FLOOR)
 
 
@@ -105,11 +110,8 @@ def eigen_psd_check(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> EigenReport:
         raise ValidationError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix entries must be finite")
-    # one kn x kn temporary: the asymmetry, then (M + M') / 2 in its place
-    sym = np.subtract(m, m.T)
-    if np.max(np.abs(sym, out=sym)) > 1e-10 * max(m.max(), -m.min()):
-        raise ValidationError("matrix is not symmetric within 1e-10 of its largest entry")
-    np.add(m, m.T, out=sym)
+    check_symmetric(m, "matrix")
+    sym = np.add(m, m.T)
     sym /= 2.0
     vals, blocks, start = np.empty(len(sym)), [], 0
     for idx in connected_components(sym != 0):

@@ -231,6 +231,32 @@ class TestBoundCommand:
         assert f"mask entries must be 0 or 1, got {float(entry)}" in capsys.readouterr().err
         assert not (tmp_path / "as").exists()
 
+    @pytest.mark.parametrize("method", ["as", "algm", "neyman"])
+    def test_asymmetric_d_exits_2(self, tmp_path, capsys, method):
+        cdir = tmp_path / "complete"
+        main(["design", write_json(tmp_path / "spec.json", COMPLETE_SPEC), "--out", str(cdir)])
+        d = ser.read_matrix_csv(cdir / "d.csv")
+        d[0, 1] += 1.0
+        ser.write_matrix_csv(cdir / "d.csv", d)
+        code = main(["bound", "--d", str(cdir / "d.csv"), "--mask", str(cdir / "mask.csv"),
+                     "--method", method, "--contrast=-1,1", "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert "design matrix is not symmetric" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("method, tol", [("verify", "1e300"), ("as", "inf"), ("algm", "nan")])
+    def test_tol_outside_0_1_exits_2(self, tmp_path, capsys, method, tol):
+        cdir = tmp_path / "complete"
+        main(["design", write_json(tmp_path / "spec.json", COMPLETE_SPEC), "--out", str(cdir)])
+        zero = tmp_path / "zero.csv"
+        ser.write_matrix_csv(zero, np.zeros((8, 8)))
+        args = ["bound", "--d", str(cdir / "d.csv"), "--mask", str(cdir / "mask.csv"),
+                "--method", method, "--candidate", str(zero), "--out", str(tmp_path / "b")]
+        assert main(args + [f"--tol={tol}"]) == 2
+        assert "tol must be a finite number in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "b" / "certification.json").exists()
+        assert main(args) == 0
+
     def test_nonconvergence_exits_3(self, paired_dir, tmp_path):
         code = main([
             "bound", "--d", str(paired_dir / "d.csv"), "--mask",
@@ -282,6 +308,30 @@ class TestArmCount:
         assert main(args + ["--k", "2"]) == 2
         assert main(args) == 0
         assert len(json.loads(out.read_text())["eigenvalues"]) == 18
+
+
+    def test_compare_designs_reads_the_layout_of_b(self, tmp_path, capsys):
+        # k = 2, n = 6 against k = 3, n = 4: both matrices are 12 x 12
+        dirs = {}
+        for name, counts in (("two", [3, 3]), ("three", [2, 1, 1])):
+            spec = write_json(tmp_path / f"{name}.json", {"type": "complete", "counts": counts})
+            dirs[name] = tmp_path / name
+            assert main(["design", spec, "--out", str(dirs[name])]) == 0
+        out = str(tmp_path / "cmp.json")
+        for a, b in (("two", "three"), ("three", "two")):
+            assert main(["compare", "--a", str(dirs[a] / "d.csv"), "--b", str(dirs[b] / "d.csv"),
+                         "--as", "designs", "--out", out]) == 2
+            assert "different layouts" in capsys.readouterr().err
+        two, three = str(dirs["two"] / "d.csv"), str(dirs["three"] / "d.csv")
+        assert main(["compare", "--a", two, "--b", three, "--as", "designs", "--k", "2",
+                     "--out", out]) == 2
+        assert "disagrees with k=3" in capsys.readouterr().err
+        # without a design.json beside --b, b takes a's k
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "d.csv").write_bytes((dirs["three"] / "d.csv").read_bytes())
+        assert main(["compare", "--a", two, "--b", str(bare / "d.csv"), "--as", "designs",
+                     "--out", out]) == 0
 
 
 class TestCompareCommand:
@@ -561,6 +611,26 @@ class TestEstimateCommand:
         report = json.loads(out.read_text())
         assert np.isfinite(report["point_estimate"])
         assert np.isfinite(report["se"])
+
+
+    @pytest.mark.parametrize("spec, impossible, possible, pair", [
+        (PAIRED_SPEC, [0, 0, 1, 1], [0, 1, 1, 0],
+         "unit 0 to arm 0 together with unit 1 to arm 0"),
+        ({"type": "cluster", "k": 2, "clusters": [[0, 1], [2, 3]],
+          "cluster_design": {"type": "complete", "counts": [1, 1]}}, [0, 1, 1, 0], [0, 0, 1, 1],
+         "unit 0 to arm 0 together with unit 1 to arm 1"),
+    ], ids=["paired", "cluster"])
+    def test_impossible_observed_assignment_exits_2(self, tmp_path, capsys, spec, impossible,
+                                                    possible, pair):
+        obs = tmp_path / "obs.csv"
+        args = ["estimate", "--design", write_json(tmp_path / "d.json", spec), "--data",
+                str(obs), "--estimator", "hj", "--contrast=-1,1", "--out", str(tmp_path / "r.json")]
+        for arms, code in ((impossible, 2), (possible, 0)):
+            obs.write_text("unit_id,arm_assigned,y_obs\n"
+                           + "".join(f"{u},{arm},{u + 1.5}\n" for u, arm in enumerate(arms)))
+            assert main(args) == code
+            assert (tmp_path / "r.json").exists() == (code == 0)
+        assert pair in capsys.readouterr().err
 
 
 class TestSimulateCommand:

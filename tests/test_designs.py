@@ -448,6 +448,30 @@ class TestDesignMatrix:
         assert_array_equal(kept, [[0.0, 1.0], [0.0, 1.0]])
         assert not np.signbit(kept[1, 0])
 
+    def test_float_d_must_be_symmetric(self, complete42_matrices):
+        # the rule eigen_psd_check applies: 1e-10 of the largest entry magnitude
+        dmat, _ = complete42_matrices
+        d = dmat.d.copy()
+        d[0, 1] += 1.0
+        with pytest.raises(dv.ValidationError, match="design matrix is not symmetric"):
+            dv.DesignMatrix(dmat.layout, d)
+        d[0, 1] = dmat.d[0, 1] + 5e-11 * np.abs(dmat.d).max()
+        assert_array_equal(dv.DesignMatrix(dmat.layout, d).d, d)
+
+    @pytest.mark.parametrize("spec, arms, pair", [
+        ({"type": "paired", "k": 2, "pairs": [[0, 1], [2, 3]]}, [0, 0, 1, 1], (0, 0, 1, 0)),
+        ({"type": "cluster", "k": 2, "clusters": [[0, 1], [2, 3]],
+          "cluster_design": {"type": "complete", "counts": [1, 1]}}, [0, 1, 1, 0], (0, 0, 1, 1)),
+    ], ids=["paired", "cluster"])
+    def test_impossible_assignment_names_a_pair(self, spec, arms, pair):
+        design = dv.build_design(spec)
+        _, mask = dv.first_order_design_matrix(design)
+        pair = "unit {} to arm {} together with unit {} to arm {}".format(*pair)
+        with pytest.raises(dv.ValidationError, match=pair):
+            mask.check_possible(dv.Assignment(design.layout, np.array(arms)))
+        for possible in design.support.arms:
+            mask.check_possible(dv.Assignment(design.layout, possible))
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**9))

@@ -312,6 +312,17 @@ class TestByteReader:
         assert_array_equal(_bits(ser.read_matrix_csv(path)), _bits(matrix))
         assert handed_on == []
 
+    def test_distinct_tokens_cost_a_few_results(self, tmp_path, handed_on):
+        # 500 x 400 distinct floats in about 15 blocks: each parses its own tokens
+        matrix = np.random.default_rng(1).random((500, 400))
+        path = tmp_path / "m.csv"
+        ser.write_matrix_csv(path, matrix)
+        assert path.stat().st_size > 12 * ser.BATCH_BYTES
+        assert traced_peak(ser.read_matrix_csv, path) < 5 * matrix.nbytes
+        assert_array_equal(_bits(ser.read_matrix_csv(path)),
+                           _bits(read_matrix_csv_reference(path)))
+        assert handed_on == []
+
     @settings(max_examples=40, deadline=None)
     @given(matrix=matrices, block=st.integers(1, 400))
     def test_written_matrices_read_whole_in_any_block_size(self, tmp_path_factory, matrix,
@@ -349,6 +360,17 @@ class TestRowReader:
         assert read_matrix_csv_reference(path).shape == (200, 200)
         _same_as_reference(path)
         assert handed_on == [path]
+
+    def test_distinct_values_cost_a_few_results(self, tmp_path, handed_on):
+        # the values of the byte path's test, each row's first field quoted
+        matrix = np.random.default_rng(1).random((500, 400))
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(map(str, range(400))) + "\r\n" + "".join(
+            f'"{row[0]!r}",' + ",".join(map(repr, row[1:])) + "\r\n" for row in matrix.tolist()))
+        assert traced_peak(ser.read_matrix_csv, path) < 5 * matrix.nbytes
+        assert_array_equal(_bits(ser.read_matrix_csv(path)),
+                           _bits(read_matrix_csv_reference(path)))
+        assert handed_on == [path, path]
 
     def test_nul_byte_names_the_row(self, tmp_path, handed_on):
         # csv.reader rejects NUL before Python 3.11 ("line contains NUL");

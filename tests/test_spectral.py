@@ -67,6 +67,24 @@ class TestEigenPsdCheck:
             dv.eigen_psd_check(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("tol", [1.0, 1e300, np.inf, np.nan, -1e-8])
+def test_tol_outside_0_1_rejected_wherever_it_is_read(paired4_matrices, tol):
+    # from tol = 1 on the threshold reaches the dominant eigenvalue's magnitude
+    dmat, mask = paired4_matrices
+    zero = dv.user_bound(np.zeros((8, 8)), dmat.layout)
+    reads = [
+        lambda: dv.eigen_psd_check(np.eye(8), tol),
+        lambda: dv.compare_bounds(DT_AS_PAIRED, DT_M_PAIRED, tol),
+        lambda: dv.compare_designs(dmat, dmat, tol),
+        lambda: dv.certify(zero, dmat, mask, tol),
+        lambda: dv.algorithm_m_bound(dmat, mask, tol=tol, max_iter=50),
+    ]
+    for read in reads:
+        with pytest.raises(dv.ValidationError, match=r"tol must be a finite number in \[0, 1\)"):
+            read()
+    assert dv.eigen_psd_check(np.eye(8), 0.0).psd and dv.eigen_psd_check(np.eye(8), 0.5).psd
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9), st.integers(2, 64))
 def test_eigen_reconstruction_and_orthonormality(seed, size):
