@@ -70,8 +70,7 @@ def _layout_for_matrix(matrix: np.ndarray, path, k: int | None) -> IndexLayout:
 
 
 def cmd_design(args) -> int:
-    spec = ser.read_json(args.spec)
-    design = build_design(spec, support_cap=args.support_cap)
+    design = build_design(ser.read_json(args.spec))
     pi = inclusion_probabilities(design)
     p = joint_probabilities(design)
     dmat, mask = first_order_design_matrix(design)
@@ -268,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="emit pi, p, d, and mask for a design spec")
     p.add_argument("spec", help="design spec JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--support-cap", type=int, default=None, dest="support_cap")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("bound", help="construct or verify a variance-bound matrix")

@@ -302,7 +302,7 @@ class _Rationals:
     bound is at most 62 bits the operation runs in int64, which cannot
     overflow then; beyond it, it runs on Python ints in object arrays.
 
-    Supports ``+ - * /``, unary ``-``, ``abs`` and ``== !=`` (which give 0/1
+    Supports ``+ - * /``, unary ``-`` and ``== !=`` (which give 0/1
     rationals), mixed with integers, bools and integer arrays.  Using one
     as a truth value raises TypeError: formulas must be branch-free.
     """
@@ -364,9 +364,6 @@ class _Rationals:
     def __neg__(self):
         return _Rationals(-self.num, self.den, self.bits)
 
-    def __abs__(self):
-        return _Rationals(abs(self.num), self.den, self.bits)
-
     def __eq__(self, other):
         _, (a, b, c, d) = self._parts(other, lambda a, b, c, d: (a + d, c + b))
         return _Rationals(np.equal(a * d, c * b).astype(np.int64), 1, (1, 1))
@@ -392,7 +389,7 @@ def elementwise(fn, *operands) -> tuple[np.ndarray, ExactMatrix | None]:
     from a sort otherwise.  When an operand is not exact, ``fn`` runs on
     the float arrays and there are no exact values.  Callers write their
     formula once through it instead of branching on exactness, so a
-    formula must be branch-free: ``+ - * /``, ``abs`` and comparisons,
+    formula must be branch-free: ``+ - * /``, unary ``-`` and ``== !=``,
     mixed with integers.  They may still rearrange operand codes
     (``_outer_pair`` sorts the codes of a symmetric pair so it is
     evaluated once).
@@ -1349,9 +1346,7 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
     read are ignored.
     """
     what = "design spec"
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{what} must be a JSON object")
-    family = spec.get("type")
+    family = spec_field(spec, "type", what, None)
     if support_cap is None:
         support_cap = spec_field(spec, "support_cap", what, DEFAULT_SUPPORT_CAP, spec_int)
     inherited = {"k": spec["k"]} if spec.get("k") is not None else {}  # k passes down to sub-specs
@@ -1448,14 +1443,13 @@ def first_order_design_matrix(design: Design) -> tuple[DesignMatrix, Impossibili
     and over p's class tables where p has them.
     """
     pi = inclusion_probabilities(design)  # raises if non-identified
-    p = joint_probabilities(design)
-    if p.frac is not None:
-        joint, (pa, pb) = p.frac, _outer_pair(p.frac)
-    else:
-        joint, pa, pb = p.p, pi.probs[:, None], pi.probs[None, :]
+    if design.p_frac is not None:
+        joint, (pa, pb) = design.p_frac, _outer_pair(design.p_frac)
+    else:  # a Monte Carlo estimate of p
+        joint, pa, pb = design.moments[0], pi.probs[:, None], pi.probs[None, :]
     d, d_frac = elementwise(lambda pab, pa, pb: pab / (pa * pb) - 1, joint, pa, pb)
     mask, mask_frac = elementwise(lambda pab: pab == 0, joint)
     return (
-        DesignMatrix(design.layout, d, frac=d_frac, estimated=p.estimated),
+        DesignMatrix(design.layout, d, frac=d_frac, estimated=pi.estimated),
         ImpossibilityMask(design.layout, mask, frac=mask_frac),
     )

@@ -8,9 +8,11 @@ weights) as special cases; Horvitz-Thompson has a nonrandom W and is
 handled on its own.
 
 One batched engine evaluates every draw: an S x kn batch of 0/1
-indicators, ``batch_rows(kn)`` rows at a time, gives point estimates,
-plug-in bound estimates and a feasibility mask.  Its per-draw
-temporaries are updated in place, each at most ``BATCH_BYTES``.  The
+indicators gives point estimates, plug-in bound estimates and a
+feasibility mask.  The batch producers (``Design.support_indicators``,
+``Design.replicate_indicators``, the sweep's count classes) make batches
+of at most ``batch_rows(kn)`` rows, so the engine's per-draw
+temporaries, updated in place, are each at most ``BATCH_BYTES``.  The
 WLS family shares one stacked realized fit (one condition check and one
 solve per batch); a single estimate is a batch of one, and the
 population fit is the same fit at R = pi.
@@ -36,7 +38,6 @@ from .designs import (
     DesignMatrix,
     IndexLayout,
     PiDiagonal,
-    batch_rows,
     inclusion_probabilities,
 )
 from .errors import (
@@ -74,8 +75,6 @@ def expand_covariates(x: np.ndarray | None, layout: IndexLayout) -> np.ndarray:
         )
     if not np.all(np.isfinite(x)):
         raise ValidationError("covariates must be finite")
-    if x.shape[1] == 0:
-        return base
     return np.hstack([base, np.tile(x, (layout.k, 1))])
 
 
@@ -124,14 +123,10 @@ class EstimatorSpec:
     def padded_contrast(self, layout: IndexLayout) -> np.ndarray:
         layout.check_contrast(self.contrast)
         l = 0 if self.covariates is None else self.covariates.shape[1]
-        if self.kind in ("ols", "wls") and l:
-            return np.concatenate([self.contrast, np.zeros(l)])
-        return self.contrast.copy()
+        return np.concatenate([self.contrast, np.zeros(l)])
 
     def design_x(self, layout: IndexLayout) -> np.ndarray:
-        if self.kind in ("ols", "wls"):
-            return expand_covariates(self.covariates, layout)
-        return intercept_matrix(layout)
+        return expand_covariates(self.covariates, layout)
 
     def weight_diag(self, pi: PiDiagonal) -> np.ndarray:
         """Diagonal of the weighting matrix for the WLS-family members."""
@@ -237,11 +232,11 @@ def _population_fit(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray):
 
 def _evaluate_draws(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, r: np.ndarray,
                     ipw_matrix: np.ndarray | None = None):
-    """The estimator and its plug-in bound estimate on a batch of draws.
+    """The estimator and its plug-in bound estimate on one batch of draws.
 
-    r is an S x kn batch of 0/1 indicators and y the outcomes (full
-    potential outcomes or an observed vector; only R y enters).  Rows are
-    evaluated ``batch_rows(kn)`` at a time.  Horvitz-Thompson is one
+    r is an S x kn batch of 0/1 indicators, whose producer keeps S at most
+    ``batch_rows(kn)``, and y the outcomes (full potential outcomes or an
+    observed vector; only R y enters).  Horvitz-Thompson is one
     product with its fixed weight vector; the rest of the family goes through the
     stacked realized fit.  The plug-in vector R z-hat replaces population
     denominators and coefficients by realized ones, and the bound estimate
@@ -252,32 +247,26 @@ def _evaluate_draws(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, r: np.nd
     """
     layout = pi.layout
     fc = spec.padded_contrast(layout)
-    points = np.full(len(r), np.nan)
-    bounds = None if ipw_matrix is None else np.full(len(r), np.nan)
-    feasible = np.ones(len(r), dtype=bool)
-    step = batch_rows(layout.kn)
-    for start in range(0, len(r), step):
-        rows = slice(start, start + step)
-        rz = r[rows] * y  # R y, then in place R z-hat
-        if spec.kind == "ht":
-            carm = np.repeat(spec.contrast, layout.n)
-            points[rows] = rz @ (carm / (layout.n * pi.probs))
-            rz *= carm
-            rz /= layout.n
-        else:
-            xx, m, b, v, feasible[rows] = _realized_fit(spec, pi, y, r[rows])
-            points[rows] = b @ fc
-            fitted = b @ xx.T
-            fitted *= r[rows]
-            rz -= fitted  # the residual
-            del fitted
-            rz *= pi.probs
-            lever = v @ xx.T
-            lever *= m
-            rz *= lever
-            del lever
-        if bounds is not None:
-            bounds[rows] = np.einsum("sa,sa->s", rz @ ipw_matrix, rz)
+    rz = r * y  # R y, then in place R z-hat
+    if spec.kind == "ht":
+        carm = np.repeat(fc, layout.n)
+        points = rz @ (carm / (layout.n * pi.probs))
+        feasible = np.ones(len(r), dtype=bool)
+        rz *= carm
+        rz /= layout.n
+    else:
+        xx, m, b, v, feasible = _realized_fit(spec, pi, y, r)
+        points = b @ fc
+        fitted = b @ xx.T
+        fitted *= r
+        rz -= fitted  # the residual
+        del fitted
+        rz *= pi.probs
+        lever = v @ xx.T
+        lever *= m
+        rz *= lever
+        del lever
+    bounds = None if ipw_matrix is None else np.einsum("sa,sa->s", rz @ ipw_matrix, rz)
     return points, bounds, feasible
 
 
