@@ -921,7 +921,11 @@ def bernoulli_design(
     This is the block design whose blocks are single units: each unit is
     a one-unit part over its arms of positive probability, so the support
     size is the number of assignments with positive probability.  Only
-    the sampler is Bernoulli's own, drawing every unit in one vector step.
+    the sampler is Bernoulli's own, drawing every unit in one vector step:
+    a uniform u picks the arm whose float cumulative-probability interval
+    [lo, hi) holds it.  Each unit's sums are scaled so the last is exactly
+    1, so an arm of probability zero is never drawn and the last arm of
+    positive probability takes the rounding.
     """
     def _is_scalar(x) -> bool:
         return isinstance(x, (int, float, np.integer, np.floating, Fraction, str))
@@ -979,12 +983,11 @@ def bernoulli_design(
     design = block_design([([i], part[j]) for i, j in enumerate(which.tolist())],
                           support_cap=support_cap)
 
-    probs_float = np.array([[float(x) for x in row] for row in normalized])[which]
+    cum = np.cumsum(np.array([[float(x) for x in row] for row in normalized])[which], axis=1)
+    cum /= cum[:, -1:]
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(n)
-        cum = np.cumsum(probs_float, axis=1)
-        return (u[:, None] > cum).sum(axis=1)
+        return (rng.random(n)[:, None] >= cum).sum(axis=1)
 
     design.family, design.sampler = "bernoulli", sampler
     return design

@@ -18,16 +18,18 @@ merge two tokens), and float() runs once per distinct token of each
 block.  A file it does not take whole goes whole to the row reader: one
 with a quote, a non-ASCII byte, a CR not followed by LF, a blank line or
 a line of another width, or a token longer than 32 bytes or one float()
-rejects.  The row reader is csv.reader with one float() per cell; it
-words every error.  A data table is read whole by csv.reader, one dict
-per row as csv.DictReader makes it, numbered like matrix rows (a blank
-line counts), one row per unit_id in 0..n-1.  Every reader reads its
-file as UTF-8.  A field longer than csv.field_size_limit(), or bytes that
-do not decode, are a ValidationError naming the file on every path.
+rejects.  The row reader is csv.reader with one float() per cell into
+one growing buffer; it words every error.  A data table is read whole by
+csv.reader, one dict per row as csv.DictReader makes it, numbered like
+matrix rows (a blank line counts), one row per unit_id in 0..n-1.  Every
+reader reads its file as UTF-8.  A field longer than csv.field_size_limit(),
+or bytes that do not decode, are a ValidationError naming the file on
+every path.
 """
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import itertools
@@ -226,8 +228,9 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def _read_rows(path) -> np.ndarray:
-    """read_matrix_csv through the row reader, which words every error."""
-    data = []
+    """read_matrix_csv through the row reader, which words every error.
+    Its values go into one growing buffer, so the rows are held once."""
+    values, i = array.array("d"), 1
     with _open_text(path, newline="") as fh:
         rows = _csv_rows(path, fh)
         width = len(next(rows, ()))
@@ -235,12 +238,12 @@ def _read_rows(path) -> np.ndarray:
             if len(row) != width:
                 raise ValidationError(f"{path}: row {i} has {len(row)} fields, expected {width}")
             try:
-                data.append(np.fromiter(map(float, row), float, width))
+                values.extend(map(float, row))
             except ValueError as exc:
                 raise ValidationError(f"{path}: row {i}: {exc}") from exc
-    if not data:
+    if i == 1:
         raise ValidationError(f"{path}: expected a header row plus data rows")
-    return np.array(data)
+    return np.frombuffer(values).reshape(i - 1, width)
 
 
 def write_vector_csv(path, vector: np.ndarray) -> None:

@@ -150,6 +150,59 @@ class TestDesignCommand:
         assert main(["design", write_json(tmp_path / "spec.json", spec), "--out", str(out)]) == 0
         assert_array_equal(ser.read_matrix_csv(out / "d.csv"), D_PAIRED)
 
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ({"type": "bernoulli", "k": 3, "n": 4, "p": 0.5}, "scalar probability implies k=2"),
+            ({"type": "bernoulli", "p": 0.5}, "scalar probability requires explicit n"),
+            ({"type": "bernoulli", "n": 2, "probs": []}, "empty probability spec"),
+            ({"type": "bernoulli", "probs": [0.5, 0.5]},
+             "shared arm probabilities require explicit n"),
+            ({"type": "bernoulli", "n": 3, "probs": [[0.5, 0.5], [0.5, 0.5]]},
+             "probs row count disagrees with n"),
+            ({"type": "bernoulli", "probs": [[0.5, 0.5], [0.2, 0.3, 0.5]]},
+             "every probability row must have length k"),
+            ({"type": "bernoulli", "n": 2, "probs": [0.5, 0.6]},
+             "arm probabilities for unit 0 do not sum to 1"),
+            ({"type": "bernoulli", "n": 2, "probs": [1.5, -0.5]},
+             "arm probabilities must be nonnegative"),
+            ({"type": "complete", "counts": [3, -1]}, "arm counts must be nonnegative"),
+            ({"type": "block", "blocks": []}, "block design needs at least one block"),
+            ({"type": "block", "blocks": [{"units": [0, 1], "type": "complete", "counts": [1, 1]},
+                                          {"units": [2, 3, 4], "type": "complete",
+                                           "counts": [1, 1, 1]}]},
+             "all blocks must share the same arm count"),
+            ({"type": "paired", "k": 2, "pairs": [[0, 1, 2], [3, 4, 5]]},
+             "each matched group must have exactly k=2 units, got [0, 1, 2]"),
+            ({"type": "cluster", "clusters": [[0, 1], [2, 3]],
+              "cluster_design": {"type": "bernoulli", "n": 3, "p": 0.5}},
+             "cluster-level design has n=3, expected 2 clusters"),
+            ({"type": "custom", "k": 2, "n": 1, "support_cap": 1,
+              "support": [{"arms": [0], "prob": 0.5}, {"arms": [1], "prob": 0.5}]},
+             "custom support has 2 points, above the cap 1"),
+            ({"type": "custom", "k": 1, "n": 2, "support": [{"arms": [0, 0], "prob": 1}]},
+             "arm count k must be >= 2, got 1"),
+            ([], "design spec must be a JSON object, got list"),
+        ],
+        ids=["bernoulli-scalar-k3", "bernoulli-scalar-without-n", "bernoulli-probs-empty",
+             "bernoulli-shared-row-without-n", "bernoulli-rows-against-n",
+             "bernoulli-rows-unequal", "bernoulli-row-sum", "bernoulli-row-negative",
+             "complete-count-negative", "block-none", "block-arm-counts-differ",
+             "paired-groups-of-3", "cluster-design-n", "custom-over-cap", "custom-k1",
+             "spec-list"],
+    )
+    def test_infeasible_spec_exits_2_with_its_reason(self, tmp_path, capsys, spec, reason):
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main(["design", path, "--out", str(tmp_path / "x")]) == 2
+        assert reason in capsys.readouterr().err
+
+    def test_support_cap_option_is_rejected(self, tmp_path):
+        # the spec's "support_cap" field is the one cap setting
+        spec = write_json(tmp_path / "spec.json", COMPLETE_SPEC)
+        with pytest.raises(SystemExit) as exit_:
+            main(["design", spec, "--support-cap", "5", "--out", str(tmp_path / "x")])
+        assert exit_.value.code == 2
+
 
 class TestBoundCommand:
     def test_aronow_samii_matches_reference(self, paired_dir, tmp_path):
@@ -230,6 +283,34 @@ class TestBoundCommand:
         assert code == 2
         assert f"mask entries must be 0 or 1, got {float(entry)}" in capsys.readouterr().err
         assert not (tmp_path / "as").exists()
+
+    @pytest.mark.parametrize(
+        "options, reason",
+        [
+            (["--method", "neyman"], "the block-diagonal bound needs a contrast vector"),
+            (["--method", "verify"], "--method verify requires --candidate"),
+            (["--method", "neyman", "--contrast=a,b"], "bad contrast 'a,b'"),
+            (["--method", "as", "--d", "{bare}/d23.csv", "--k", "2"],
+             "expected a square matrix, got shape (2, 3)"),
+            # no design.json beside this copy of d to disagree with --k
+            (["--method", "as", "--d", "{bare}/d.csv", "--k", "3"],
+             "matrix size 8 is not divisible by k=3"),
+        ],
+        ids=["neyman-without-contrast", "verify-without-candidate", "contrast-text",
+             "d-not-square", "k-not-dividing"],
+    )
+    def test_bad_options_exit_2_with_their_reason(self, tmp_path, capsys, options, reason):
+        cdir, bare = tmp_path / "complete", tmp_path / "bare"
+        main(["design", write_json(tmp_path / "spec.json", COMPLETE_SPEC), "--out", str(cdir)])
+        bare.mkdir()
+        ser.write_matrix_csv(bare / "d.csv", ser.read_matrix_csv(cdir / "d.csv"))
+        ser.write_matrix_csv(bare / "d23.csv", np.zeros((2, 3)))
+        capsys.readouterr()
+        code = main(["bound", "--d", str(cdir / "d.csv"), "--mask", str(cdir / "mask.csv"),
+                     "--out", str(tmp_path / "b"),
+                     *(option.format(bare=bare) for option in options)])
+        assert code == 2
+        assert reason in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["as", "algm", "neyman"])
     def test_asymmetric_d_exits_2(self, tmp_path, capsys, method):
@@ -385,6 +466,14 @@ class TestCompareCommand:
         v = ser.read_matrix_csv(vecs)
         assert v.shape == (8, 8)
         assert_allclose(v.T @ v, np.eye(8), atol=1e-8)
+
+    def test_bounds_of_different_shapes_exit_2(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        ser.write_matrix_csv(a, np.eye(8))
+        ser.write_matrix_csv(b, np.eye(4))
+        assert main(["compare", "--a", str(a), "--b", str(b), "--as", "bounds",
+                     "--out", str(tmp_path / "c.json")]) == 2
+        assert "bound matrices have different shapes" in capsys.readouterr().err
 
 
 class TestEstimateCommand:
@@ -632,6 +721,30 @@ class TestEstimateCommand:
             assert (tmp_path / "r.json").exists() == (code == 0)
         assert pair in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "table, options, reason",
+        [
+            ("unit_id,y_obs\n0,1.0\n1,2.0\n2,3.0\n3,4.0\n", [],
+             "missing column(s) ['arm_assigned']"),
+            ("", [], "empty file"),
+            ("unit_id,arm_assigned,y_obs\n0,0,1.0\n1,5,2.0\n2,1,3.0\n3,0,4.0\n", [],
+             "row 3: arm 5 outside 0..1"),
+            ("unit_id,arm_assigned,y_obs\n0,0,1.0\n1,1,2.0\n2,1,3.0\n3,0,4.0\n",
+             ["--estimator", "wls", "--weights", "{tmp}/w.csv"], "expected a single data row"),
+        ],
+        ids=["without-arm-column", "empty-table", "arm-outside-k", "wls-weights-two-rows"],
+    )
+    def test_bad_input_exits_2_with_its_reason(self, tmp_path, capsys, table, options, reason):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(table)
+        ser.write_matrix_csv(tmp_path / "w.csv", np.ones((2, 8)))
+        code = main(["estimate", "--design", write_json(tmp_path / "d.json", COMPLETE_SPEC),
+                     "--data", str(obs), "--estimator", "ht", "--contrast=-1,1",
+                     "--out", str(tmp_path / "r.json"),
+                     *(option.format(tmp=tmp_path) for option in options)])
+        assert code == 2
+        assert reason in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_exact_scenario(self, tmp_path):
@@ -836,6 +949,39 @@ class TestSimulateCommand:
         assert code == 3
         assert "entry budget" in capsys.readouterr().err
         assert not (out / "trend.csv").exists()
+
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            ({"estimator": {"kind": "xyz", "contrast": [-1, 1]}}, "unknown estimator kind 'xyz'"),
+            ({"estimator": {"kind": "ht", "contrast": [-1, 1], "covariates": [[1], [2], [3], [4]]}},
+             "ht does not take covariates"),
+            ({"estimator": {"kind": "wls", "contrast": [-1, 1],
+                            "weights": [1, 1, 1, -1, 1, 1, 1, 1]}},
+             "wls weights must be positive and finite"),
+            ({"mode": "mc", "replicates": 0, "seed": 1},
+             "monte-carlo scenarios need replicates >= 1"),
+            ({"sweep": {"estimator": {"kind": "cm", "contrast": [-1, 1]},
+                        "base_y": [[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]], "n_list": [4]}},
+             "n=4 is not a multiple of the base population size 3"),
+            ({"sweep": {"estimator": {"kind": "cm", "contrast": [-1, 1]},
+                        "base_y": [[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]], "n_list": [3]}},
+             "balanced design needs even n, got 3"),
+            ({"y": [float("nan"), 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 4.0]},
+             "potential outcomes must be finite"),
+            ({"estimator": {"kind": "ht", "contrast": [float("nan"), 1]}},
+             "contrast must be a finite 1-d vector"),
+        ],
+        ids=["kind-unknown", "ht-covariates", "wls-weight-negative", "mc-no-replicates",
+             "sweep-n-not-tiling-base", "sweep-n-odd", "y-nan", "contrast-nan"],
+    )
+    def test_bad_scenario_exits_2_with_its_reason(self, tmp_path, capsys, doc, reason):
+        scenario = {"design": PAIRED_SPEC, "y": [0.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 4.0],
+                    "estimator": {"kind": "ht", "contrast": [-1, 1]}, **doc}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario))  # NaN is written as a bare NaN token
+        assert main(["simulate", str(path), "--out", str(tmp_path / "sim")]) == 2
+        assert reason in capsys.readouterr().err
 
 
 class TestUndecodableInput:

@@ -608,6 +608,39 @@ class TestSupportDraws:
         assert_array_equal(design.draw(np.random.default_rng((2024, 24))), design.support.arms[old])
 
 
+class _FixedUniform:
+    """A generator stub whose ``random(size)`` returns ``size`` copies of u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+# ten arms whose float cumulative sum ends at 0.9999999999999998
+_ROW_SUMMING_BELOW_1 = [
+    0.047464260442374985, 0.007208575931028201, 0.0029077488149003537, 0.14308069476401247,
+    0.16058340248014816, 0.10672696980873944, 0.12834217919518004, 0.09564132279872932,
+    0.16450966185825994, 0.14353518390662706,
+]
+
+
+class TestBernoulliSampler:
+    def test_u_zero_skips_a_leading_arm_of_probability_zero(self):
+        design = dv.bernoulli_design([0, 0.5, 0.5], n=2)
+        assert_array_equal(design.draw(_FixedUniform(0.0)), [1, 1])
+
+    def test_u_below_1_draws_the_last_arm_when_the_row_sums_below_1(self):
+        assert np.cumsum(_ROW_SUMMING_BELOW_1)[-1] < 1.0
+        design = dv.bernoulli_design(_ROW_SUMMING_BELOW_1, n=1)
+        assert_array_equal(design.draw(_FixedUniform(1 - 2**-53)), [9])
+
+    def test_u_below_1_draws_the_last_arm_of_positive_probability(self):
+        design = dv.bernoulli_design(_ROW_SUMMING_BELOW_1 + [0], n=1)
+        assert_array_equal(design.draw(_FixedUniform(1 - 2**-53)), [9])
+
+
 class TestCompositionAgainstEnumeration:
     def test_block_moments_match_enumerated_product(self):
         b1 = dv.complete_design([1, 1])

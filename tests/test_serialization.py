@@ -372,6 +372,15 @@ class TestRowReader:
                            _bits(read_matrix_csv_reference(path)))
         assert handed_on == [path, path]
 
+    def test_rows_are_held_once(self, tmp_path):
+        # one growing buffer, shared by the result: no per-row arrays beside it
+        matrix = np.random.default_rng(1).random((500, 400))
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(map(str, range(400))) + "\n" + "".join(
+            f'"{row[0]!r}",' + ",".join(map(repr, row[1:])) + "\n" for row in matrix.tolist()))
+        assert traced_peak(ser._read_rows, path) < 1.5 * matrix.nbytes
+        assert_array_equal(_bits(ser._read_rows(path)), _bits(matrix))
+
     def test_nul_byte_names_the_row(self, tmp_path, handed_on):
         # csv.reader rejects NUL before Python 3.11 ("line contains NUL");
         # from 3.11 on float() does
