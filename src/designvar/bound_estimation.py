@@ -3,12 +3,13 @@
 The workhorse is the inverse-probability weighted bound matrix: divide
 the bounding matrix elementwise by the joint assignment probabilities
 (0/0 resolving to 0, which identification guarantees is the only zero
-division).  Sandwiching it between observed linearization vectors gives
-an unbiased estimate of the bound for Horvitz-Thompson and a plug-in
-estimate for the rest of the family.  Under Bernoulli (resp.
-independent-cluster) assignment the plug-in estimate for OLS reproduces
-the HC0 (resp. CR0) sandwich exactly; the textbook sandwiches it is
-checked against live with the tests, in ``tests/oracles.py``.
+division), read through ``Design.joint``.  Sandwiching it between
+observed linearization vectors gives an unbiased estimate of the bound
+for Horvitz-Thompson and a plug-in estimate for the rest of the family.
+Under Bernoulli (resp. independent-cluster) assignment the plug-in
+estimate for OLS reproduces the HC0 (resp. CR0) sandwich exactly; the
+textbook sandwiches it is checked against live with the tests, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundMatrix
-from .designs import Assignment, ExactMatrix, IndexLayout, JointProbMatrix, PiDiagonal, elementwise
+from .designs import (Assignment, Design, ExactMatrix, IndexLayout, JointProbMatrix,
+                      PiDiagonal, elementwise)
 from .errors import LayoutMismatchError, NotIdentifiedBoundError
 from .estimators import EstimatorSpec, ObservedData, _evaluate_one, ht_linearization
 
@@ -45,8 +47,8 @@ class BoundEstimate:
     plug_in: bool
 
 
-def ipw_bound_matrix(bound: BoundMatrix, p: JointProbMatrix) -> IpwBoundMatrix:
-    """Elementwise dtilde / p with the 0/0 -> 0 convention.
+def ipw_bound_matrix(bound: BoundMatrix, p: Design | JointProbMatrix) -> IpwBoundMatrix:
+    """Elementwise dtilde / ``p.joint`` with the 0/0 -> 0 convention.
 
     Requires an identified bound: a nonzero dtilde entry over a zero
     joint probability has no unbiased estimator and raises.
@@ -57,7 +59,7 @@ def ipw_bound_matrix(bound: BoundMatrix, p: JointProbMatrix) -> IpwBoundMatrix:
         raise NotIdentifiedBoundError(
             "bound is certified non-identified; cannot inverse-probability weight it"
         )
-    dt, joint = bound.frac or bound.dtilde, p.frac or p.p
+    dt, joint = bound.frac or bound.dtilde, p.joint
     unidentified, _ = elementwise(lambda t, pab: (t != 0) * (pab == 0), dt, joint)
     if np.any(unidentified):
         a, b = np.argwhere(unidentified)[0]

@@ -80,9 +80,7 @@ def cmd_design(args) -> int:
     ser.write_matrix_csv(out / "p.csv", p.p)
     ser.write_matrix_csv(out / "d.csv", dmat.d)
     ser.write_matrix_csv(out / "mask.csv", mask.mask.astype(int))
-    summary = ser.design_summary(design)
-    summary["estimated"] = bool(pi.estimated)
-    ser.write_json(out / "design.json", summary)
+    ser.write_json(out / "design.json", ser.design_summary(design))
     print(f"wrote pi.csv, p.csv, d.csv, mask.csv, design.json to {out}")
     return 0
 
@@ -167,7 +165,7 @@ def cmd_estimate(args) -> int:
     dmat, mask = first_order_design_matrix(design)
     mask.check_possible(data.assignment)
     bound = build_bound(args.bound, dmat, mask, contrast=spec.contrast)
-    ipw = ipw_bound_matrix(bound, joint_probabilities(design))
+    ipw = ipw_bound_matrix(bound, design)
     best = plugin_bound_estimate(spec, data, pi, ipw, bound_method=bound.method)
     report = {
         "point_estimate": estimate,

@@ -39,17 +39,19 @@ when ``.codes`` or an entry is read, and then kept.  Tables that would
 hold more entries than the dense matrix (many distinct Bernoulli rows)
 are expanded at build time; custom designs keep a dense p.
 
-A design's one probability state is its joint matrix p_ab = E[R_a R_b];
-indicators are 0/1, so the inclusion probabilities pi are p's diagonal.
-Only a sampler-only custom design estimates p, by Monte Carlo at build
-time (``custom_design(..., sampler=..., seed=..., mc_replicates=...)``),
-as ``moments`` = (p, p se); pi and its se are their diagonals.  A block
+A design's one probability state is its joint matrix p_ab = E[R_a R_b],
+read through ``Design.joint``; indicators are 0/1, so the inclusion
+probabilities pi are p's diagonal.  Only a sampler-only custom design
+estimates p, by Monte Carlo at build time
+(``custom_design(..., sampler=..., seed=..., mc_replicates=...)``), as
+``moments`` = (p, p se); pi and its se are their diagonals.  A block
 or cluster design over such a part builds and draws but carries no
 moments; estimate them by wrapping its sampler the same way:
 ``custom_design(d.layout, sampler=d.draw, seed=s, mc_replicates=r)``.
 
-Support points and replicate draws reach the rest of the package as
-indicator batches (``support_indicators``, ``replicate_indicators``).
+Every design draws through its sampler.  Support points and replicate
+draws reach the rest of the package as indicator batches
+(``support_indicators``, ``replicate_indicators``).
 Every batched loop in the package sizes its batches by one byte budget
 per float temporary, ``BATCH_BYTES``, through ``batch_rows``, so its
 memory does not grow with the number of draws or support points.
@@ -576,6 +578,11 @@ class JointProbMatrix:
         if np.any(self.p < 0.0) or np.any(self.p > 1.0):
             raise ValidationError("joint probabilities must lie in [0, 1]")
 
+    @property
+    def joint(self) -> ExactMatrix | np.ndarray:
+        """p, exact where there are exact values, as ``Design.joint`` reads it."""
+        return self.p if self.frac is None else self.frac
+
 
 def check_symmetric(m: np.ndarray, what: str) -> None:
     """Raise ValidationError unless the square ``m`` is symmetric within
@@ -690,9 +697,9 @@ class Design:
     ``p_frac`` is the exact joint matrix: class tables (ClassMatrix) for the
     built-in families, dense codes for custom designs.  ``moments`` holds
     the estimated (p, p se) of a sampler-only custom design built with a
-    seed, and is None otherwise.  Inclusion probabilities are p's diagonal, so nothing
-    computed from p needs the support.  Assignments are drawn from
-    ``sampler`` when there is one.
+    seed, and is None otherwise; ``joint`` reads p from either.  Inclusion
+    probabilities are p's diagonal, so nothing computed from p needs the
+    support.  Assignments are drawn by ``sampler``.
 
     ``support`` is enumerated by ``enumerator``, validated and cached on
     first read.  It reads as None, without enumerating, when
@@ -703,17 +710,13 @@ class Design:
 
     layout: IndexLayout
     family: str
-    sampler: Callable[[np.random.Generator], np.ndarray] | None = None
+    sampler: Callable[[np.random.Generator], np.ndarray]
     p_frac: ExactMatrix | None = None
     support_size: int | None = None
     support_cap: int = DEFAULT_SUPPORT_CAP
     enumerator: Callable[[], Support] | None = field(default=None, repr=False)
     moments: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _support: Support | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.sampler is None and self.enumerator is None:
-            raise ValidationError("a design needs a sampler or an enumerable support")
 
     def _enumerate(self) -> Support:
         """The support, whatever its size: composites enumerate their parts
@@ -740,12 +743,20 @@ class Design:
             )
         return support
 
+    @property
+    def joint(self) -> ExactMatrix | np.ndarray:
+        """p: ``p_frac`` if exact, else the Monte Carlo estimate in ``moments``."""
+        if self.p_frac is not None:
+            return self.p_frac
+        if self.moments is None:
+            raise ValidationError(
+                f"{self.family} design has neither exact nor estimated moments; estimate them "
+                "with custom_design(d.layout, sampler=d.draw, seed=s, mc_replicates=r)")
+        return self.moments[0]
+
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one assignment (arm-per-unit vector)."""
-        if self.sampler is not None:
-            return self.sampler(rng)
-        support = self.support
-        return support.arms[rng.choice(len(support), p=support.draw_probs)].copy()
+        return self.sampler(rng)
 
     def support_indicators(self) -> Iterator[np.ndarray]:
         """The support points' indicators, in support order, as S x kn
@@ -795,10 +806,12 @@ def _sorted_pair(codes: np.ndarray, book: Codebook) -> tuple[ExactMatrix, ExactM
     return ExactMatrix(np.minimum(a, b), book), ExactMatrix(np.maximum(a, b), book)
 
 
-def _outer_pair(p: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+def _outer_pair(p: ExactMatrix | np.ndarray) -> tuple[ExactMatrix | np.ndarray, ...]:
     """p_aa and p_bb at each entry (a, b) of the joint matrix ``p``, in p's
     form, with each pair's codes sorted, so a formula symmetric in the two
     evaluates entries (a, b) and (b, a) once."""
+    if isinstance(p, np.ndarray):  # a Monte Carlo estimate
+        return p.diagonal()[:, None], p.diagonal()[None, :]
     if not isinstance(p, ClassMatrix):
         return _sorted_pair(np.diagonal(p.codes), p.book)
     diagonal, shape = p.carrier[:len(p.pattern.classes)], p.tables.shape
@@ -1219,49 +1232,48 @@ def custom_design(
     mc_replicates: int = 10000,
     seed: int | None = None,
 ) -> Design:
-    """Design given directly by an enumerated support or by a sampler.
+    """Design given directly by an enumerated support or by a sampler, not both.
 
-    Enumerated supports get an exact rational p; pi is its diagonal.  A
-    sampler-only design is the one design that estimates its moments: with
-    a ``seed`` it counts ``mc_replicates`` draws from the child generators
-    ``default_rng((seed, rep))`` at build time into ``moments`` = (p, p se),
-    and everything derived from them is flagged as estimated.  Without a
-    seed it still draws, but asking for its pi or p raises ValidationError.
-    Wrapping a composite's sampler,
+    A support gets an exact rational p, pi its diagonal, and a sampler that
+    draws one of its points.  A sampler-only design is the one design that
+    estimates its moments: with a ``seed`` it counts ``mc_replicates``
+    draws from the child generators ``default_rng((seed, rep))`` at build
+    time into ``moments`` = (p, p se), and everything derived from them is
+    flagged as estimated.  Without a seed it still draws, but asking for
+    its pi or p raises ValidationError.  Wrapping a composite's sampler,
     ``custom_design(d.layout, sampler=d.draw, seed=s, mc_replicates=r)``,
     estimates the moments of a block or cluster over sampler-only parts.
     """
-    if support is None and sampler is None:
-        raise InfeasibleSpecError("custom design needs a support or a sampler")
-    sup = None
-    if support is not None:
-        if len(support) > support_cap:
-            raise SupportOverflowError(
-                f"custom support has {len(support)} points, above the cap {support_cap}"
-            )
-        rows = []
-        for arms, _ in support:
-            try:
-                rows.append(_ints(arms))
-            except (TypeError, ValidationError) as exc:
-                raise ValidationError(
-                    f'custom support entry field "arms" is malformed: {arms!r}') from exc
-        try:
-            arms = np.array(rows, dtype=int)
-        except ValueError as exc:
-            raise LayoutMismatchError(
-                f"custom support assignments must each give one integer arm per unit: {exc}"
-            ) from exc
-        probs = [_as_fraction(prob) for _, prob in support]
-        sup = Support(arms, ExactMatrix.of([p.numerator for p in probs],
-                                           den=[p.denominator for p in probs]))
-    if sup is None:
+    if (support is None) == (sampler is None):
+        raise InfeasibleSpecError("custom design needs a support or a sampler, not both")
+    if sampler is not None:
         design = Design(layout=layout, family="custom", sampler=sampler)
         if seed is not None:
             design.moments = _empirical_moments(design, seed, mc_replicates)
         return design
-    design = Design(layout=layout, family="custom", sampler=sampler, support_size=len(sup),
-                    support_cap=support_cap, enumerator=lambda: sup)
+    if len(support) > support_cap:
+        raise SupportOverflowError(
+            f"custom support has {len(support)} points, above the cap {support_cap}"
+        )
+    rows = []
+    for arms, _ in support:
+        try:
+            rows.append(_ints(arms))
+        except (TypeError, ValidationError) as exc:
+            raise ValidationError(
+                f'custom support entry field "arms" is malformed: {arms!r}') from exc
+    try:
+        arms = np.array(rows, dtype=int)
+    except ValueError as exc:
+        raise LayoutMismatchError(
+            f"custom support assignments must each give one integer arm per unit: {exc}"
+        ) from exc
+    probs = [_as_fraction(prob) for _, prob in support]
+    sup = Support(arms, ExactMatrix.of([p.numerator for p in probs],
+                                       den=[p.denominator for p in probs]))
+    design = Design(layout=layout, family="custom",
+                    sampler=lambda rng: sup.arms[rng.choice(len(sup), p=sup.draw_probs)].copy(),
+                    support_size=len(sup), support_cap=support_cap, enumerator=lambda: sup)
     design._enumerate()  # a given support is checked at build time
     # p sums prob * outer(indicators) over the support: an integer matmul over
     # the common denominator, in int64 while the (positive) weights sum below
@@ -1407,34 +1419,22 @@ def _empirical_moments(design: Design, seed: int, reps: int) -> tuple[np.ndarray
     return p_hat, np.sqrt(np.clip(p_hat * (1 - p_hat), 0, None) / reps)
 
 
-def _moments(design: Design, diagonal: bool) -> tuple[np.ndarray, ExactMatrix | None,
-                                                     np.ndarray | None]:
-    """p, or its diagonal, as (floats, exact values, se): exact when the design
-    has an exact p (se None), else its Monte Carlo estimate (frac None)."""
-    if design.p_frac is not None:
-        frac = design.p_frac.diagonal() if diagonal else design.p_frac
-        return frac.to_float(), frac, None
-    if design.moments is None:
-        raise ValidationError(
-            f"{design.family} design has neither exact nor estimated moments; estimate them "
-            "with custom_design(d.layout, sampler=d.draw, seed=s, mc_replicates=r)"
-        )
-    p_hat, p_se = design.moments
-    if diagonal:
-        return np.diagonal(p_hat).copy(), None, np.diagonal(p_se).copy()
-    return p_hat, None, p_se
-
-
 def inclusion_probabilities(design: Design) -> PiDiagonal:
     """Marginal assignment probabilities, p's diagonal: exact where p is."""
-    probs, frac, se = _moments(design, diagonal=True)
-    return PiDiagonal(design.layout, probs, frac=frac, estimated=se is not None, se=se)
+    joint = design.joint
+    if design.p_frac is None:  # a Monte Carlo estimate, with its se
+        return PiDiagonal(design.layout, np.diagonal(joint).copy(), estimated=True,
+                          se=np.diagonal(design.moments[1]).copy())
+    frac = joint.diagonal()
+    return PiDiagonal(design.layout, frac.to_float(), frac=frac)
 
 
 def joint_probabilities(design: Design) -> JointProbMatrix:
     """Joint assignment probabilities, exact where the family allows."""
-    p, frac, se = _moments(design, diagonal=False)
-    return JointProbMatrix(design.layout, p, frac=frac, estimated=se is not None, se=se)
+    joint = design.joint
+    if design.p_frac is None:  # a Monte Carlo estimate, with its se
+        return JointProbMatrix(design.layout, joint, estimated=True, se=design.moments[1])
+    return JointProbMatrix(design.layout, joint.to_float(), frac=joint)
 
 
 def first_order_design_matrix(design: Design) -> tuple[DesignMatrix, ImpossibilityMask]:
@@ -1446,11 +1446,8 @@ def first_order_design_matrix(design: Design) -> tuple[DesignMatrix, Impossibili
     and over p's class tables where p has them.
     """
     pi = inclusion_probabilities(design)  # raises if non-identified
-    if design.p_frac is not None:
-        joint, (pa, pb) = design.p_frac, _outer_pair(design.p_frac)
-    else:  # a Monte Carlo estimate of p
-        joint, pa, pb = design.moments[0], pi.probs[:, None], pi.probs[None, :]
-    d, d_frac = elementwise(lambda pab, pa, pb: pab / (pa * pb) - 1, joint, pa, pb)
+    joint = design.joint
+    d, d_frac = elementwise(lambda pab, pa, pb: pab / (pa * pb) - 1, joint, *_outer_pair(joint))
     mask, mask_frac = elementwise(lambda pab: pab == 0, joint)
     return (
         DesignMatrix(design.layout, d, frac=d_frac, estimated=pi.estimated),

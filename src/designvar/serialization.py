@@ -273,6 +273,7 @@ def design_summary(design: Design) -> dict:
         "family": design.family,
         "support_size": design.support_size,
         "exact_probabilities": design.p_frac is not None,
+        "estimated": design.moments is not None,
     }
 
 

@@ -32,7 +32,6 @@ from .designs import (
     complete_design,
     first_order_design_matrix,
     inclusion_probabilities,
-    joint_probabilities,
 )
 from .errors import (
     BudgetExceededError,
@@ -124,7 +123,7 @@ def run_scenario(scenario: SimScenario) -> SimReport:
     if scenario.bound_method is not None:
         bound = build_bound(scenario.bound_method, dmat, mask, contrast=spec.contrast)
         bound_value = float(z.z @ bound.dtilde @ z.z)
-        ipw_matrix = ipw_bound_matrix(bound, joint_probabilities(design)).matrix
+        ipw_matrix = ipw_bound_matrix(bound, design).matrix
 
     # exact mode: support points weigh their probability; MC: each replicate weighs 1 / total
     if scenario.mode == "exact":

@@ -52,6 +52,26 @@ class TestIpwBoundMatrix:
             dv.ipw_bound_matrix(bound, dv.joint_probabilities(paired4))
 
 
+    @pytest.mark.parametrize("design", [
+        dv.paired_design([(0, 1), (2, 3)]),
+        dv.complete_design([2, 1, 2]),
+        dv.custom_design(dv.IndexLayout(2, 3), [([0, 1, 1], "1/6"), ([1, 0, 1], "1/3"),
+                                                 ([1, 1, 0], "1/2")]),
+        dv.custom_design(dv.IndexLayout(2, 3), sampler=lambda rng: rng.permutation([0, 1, 1]),
+                         seed=2, mc_replicates=500),
+    ], ids=["paired", "complete", "custom", "estimated"])
+    def test_the_design_weights_as_its_joint_probabilities_do(self, design):
+        dmat, mask = dv.first_order_design_matrix(design)
+        bound = dv.aronow_samii_bound(dmat, mask)
+        from_p = dv.ipw_bound_matrix(bound, dv.joint_probabilities(design))
+        from_design = dv.ipw_bound_matrix(bound, design)
+        assert_array_equal(from_design.matrix, from_p.matrix)
+        assert (from_design.frac is None) == (from_p.frac is None) == (design.p_frac is None)
+        if from_p.frac is not None:
+            assert from_design.frac.values == from_p.frac.values
+            assert_array_equal(from_design.frac.codes, from_p.frac.codes)
+
+
 class TestHtBoundEstimate:
     def test_unbiased_over_paired_support(self, paired4, paired4_matrices):
         dmat, mask = paired4_matrices

@@ -597,7 +597,6 @@ class TestSupportDraws:
         support = [([(int(c) >> i) & 1 for i in range(n)], Fraction(int(w), int(weights.sum())))
                    for c, w in zip(codes, weights)]
         design = dv.custom_design(dv.IndexLayout(2, n), support)
-        assert design.sampler is None
         for seed in (0, 1, 7, 2024):
             for rep in range(25):
                 probs = np.array([float(p) for p in design.support.probs])
@@ -606,6 +605,13 @@ class TestSupportDraws:
                 assert_array_equal(drawn, design.support.arms[old])
         drawn[:] = 1 - drawn  # a draw is a copy, not a view of the support
         assert_array_equal(design.draw(np.random.default_rng((2024, 24))), design.support.arms[old])
+
+
+    def test_a_support_and_a_sampler_together_are_rejected(self):
+        # the sampler would draw [0, 0], a point p marks as impossible
+        with pytest.raises(dv.InfeasibleSpecError, match="not both"):
+            dv.custom_design(dv.IndexLayout(2, 2), [([0, 1], "1/2"), ([1, 0], "1/2")],
+                             sampler=lambda rng: np.array([0, 0]))
 
 
 class _FixedUniform:

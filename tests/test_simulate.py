@@ -15,6 +15,16 @@ def c2():
     return np.array([-1.0, 1.0])
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_an_exact_design_builds_no_joint_probability_matrix(monkeypatch, paired4, mode):
+    built = []
+    monkeypatch.setattr(dv.JointProbMatrix, "__post_init__", lambda self: built.append(self))
+    y = np.random.default_rng(0).normal(size=8)
+    dv.run_scenario(dv.SimScenario(paired4, y, dv.EstimatorSpec("hj", c2()), "as", mode=mode,
+                                   replicates=20, seed=1))
+    assert built == []
+
+
 class TestRunScenarioExact:
     def test_ht_unbiased_with_matching_variance(self, paired4):
         rng = np.random.default_rng(0)
