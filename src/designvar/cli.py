@@ -2,7 +2,9 @@
 
 Subcommands: design, bound, estimate, compare, simulate.  All input and
 output is file-based (CSV matrices, JSON sidecars); see docs/formats.md.
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure.  On
+exit 0 stderr holds zero or more ``warning:`` lines, one per distinct
+warning; on exit 2 or 3 it holds one line, the error.
 
 A process pays for what its subcommand runs and little else.  Each
 ``cmd_*`` function imports the library modules it needs, so ``design``
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -39,7 +42,8 @@ from .designs import (
     spec_field,
     spec_int,
 )
-from .errors import NumericalError, ValidationError
+from .errors import (IllConditionedWarning, InfeasiblePointsWarning, NumericalError,
+                     ValidationError)
 
 if TYPE_CHECKING:
     from .estimators import EstimatorSpec
@@ -55,12 +59,15 @@ def _parse_contrast(text: str) -> np.ndarray:
 def _layout_for_matrix(matrix: np.ndarray, path, k: int | None) -> IndexLayout:
     """Layout of a kn x kn matrix, k from --k and the design.json written beside it."""
     sidecar = Path(path).parent / "design.json"
-    recorded = ser.read_json(sidecar).get("k") if sidecar.is_file() else None
+    recorded = (spec_field(ser.read_json(sidecar), "k", str(sidecar), None, spec_int)
+                if sidecar.is_file() else None)
     if k is None and recorded is None:
         raise ValidationError(f"arm count unknown: pass --k or keep design.json beside {path}")
     if k is not None and recorded is not None and k != recorded:
         raise ValidationError(f"--k {k} disagrees with k={recorded} in {sidecar}")
-    k = int(k if k is not None else recorded)
+    k = k if k is not None else recorded
+    if k < 2:
+        raise ValidationError(f"arm count k must be >= 2, got {k}")
     kn = matrix.shape[0]
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
@@ -223,11 +230,7 @@ def cmd_simulate(args) -> int:
             spec_field(sweep, "base_y", "sweep", cast=_floats),
             spec_field(sweep, "n_list", "sweep", cast=lambda ns: [spec_int(n) for n in ns]),
         )
-        with open(out / "trend.csv", "w") as fh:
-            cols = list(rows[0].keys())
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(float(row[c])) for c in cols) + "\n")
+        ser.write_rows_csv(out / "trend.csv", rows)
         print(f"wrote trend.csv to {out}")
         return 0
     design = build_design(spec_field(doc, "design", what))
@@ -312,8 +315,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the subcommand ``argv`` names and return its exit code.
+
+    Warnings are recorded while it runs.  On exit 0 each distinct one is
+    printed as one ``warning:`` line on stderr; on exit 2 or 3 the error
+    line is the only one.
+    """
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IllConditionedWarning)
+        warnings.simplefilter("always", InfeasiblePointsWarning)
+        code = _run(args)
+    if code == 0:
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
+    return code
+
+
+def _run(args) -> int:
+    """``args.func(args)``, its errors mapped to one stderr line and an exit code."""
     try:
         # numpy stays quiet about overflow: a non-finite result is exit 3
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -329,6 +349,10 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

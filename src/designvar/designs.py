@@ -72,6 +72,7 @@ from .errors import (
     InfeasibleSpecError,
     LayoutMismatchError,
     NonIdentifiedDesignError,
+    NumericalError,
     SupportOverflowError,
     ValidationError,
 )
@@ -111,7 +112,10 @@ class Codebook:
         self.bits = (top[0].bit_length(), top[1].bit_length())
         dtype = np.int64 if max(self.bits) <= 53 else object
         self.num, self.den = num.astype(dtype, copy=False), den.astype(dtype, copy=False)
-        self.floats = (self.num / self.den).astype(float)
+        try:
+            self.floats = (self.num / self.den).astype(float)
+        except OverflowError as exc:  # Python ints past the float range
+            raise NumericalError(f"an exact value lies outside the float range ({exc})") from exc
 
     def __len__(self) -> int:
         return len(self.num)

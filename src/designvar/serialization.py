@@ -99,8 +99,18 @@ def _open_text(path, **kwargs) -> Iterator:
 
 
 def read_json(path):
-    with _open_text(path) as fh:
-        return json.load(fh)
+    """The JSON document in ``path``.  Nesting too deep to parse, or an
+    integer literal past Python's digit limit, is a ValidationError naming
+    the file; a JSONDecodeError passes through with its line and column."""
+    try:
+        with _open_text(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: JSON nested too deeply to read") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _csv_rows(path, fh) -> Iterator[list[str]]:
@@ -264,6 +274,20 @@ def write_json(path, obj) -> None:
         raise NumericalError(f"{path}: result holds a non-finite value ({exc})") from exc
     with open(path, "w") as fh:
         fh.write(text + "\n")
+
+
+def write_rows_csv(path, rows: list[dict]) -> None:
+    """Rows of numbers under a header of the first row's keys, one line each,
+    every value as repr(float).  As in write_json, a non-finite value is a
+    NumericalError, and no file is written."""
+    cols = list(rows[0])
+    values = [[float(row[c]) for c in cols] for row in rows]
+    for row in values:
+        for col, value in zip(cols, row):
+            if not math.isfinite(value):
+                raise NumericalError(f"{path}: result holds a non-finite value ({col} = {value})")
+    with open(path, "w") as fh:
+        fh.write("".join(",".join(map(str, line)) + "\n" for line in [cols] + values))
 
 
 def design_summary(design: Design) -> dict:

@@ -138,8 +138,9 @@ def run_scenario(scenario: SimScenario) -> SimReport:
     infeasible_count = int(np.sum(~feasible))
     infeasible_weight = float(probs[~feasible].sum()) / total
     if infeasible_count:
+        points_or_draws = "support points" if scenario.mode == "exact" else "draws"
         warnings.warn(
-            f"{infeasible_count} draws were estimation-infeasible and excluded "
+            f"{infeasible_count} {points_or_draws} were estimation-infeasible and excluded "
             "from conditional metrics",
             InfeasiblePointsWarning,
             stacklevel=2,

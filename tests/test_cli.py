@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -1030,3 +1031,134 @@ class TestUndecodableInput:
         path = tmp_path / "s.json"
         path.write_bytes(b'{"sweep": "\xc3"}')
         self._exits_2_naming(["simulate", path, "--out", tmp_path / "s"], path, capsys)
+
+
+def _scenario(design, y, estimator, **extra):
+    return {"design": design, "y": y, "estimator": estimator, "mode": "exact", **extra}
+
+
+ILL_CONDITIONED_OLS = _scenario(
+    {"type": "complete", "counts": [3, 3]}, [0, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 7],
+    {"kind": "ols", "contrast": [-1, 1],
+     "covariates": [[1], [1], [1 + 3e-7], [1], [1], [1 + 3e-7]]})
+
+
+class TestStderrLines:
+    """Exit 0 leaves only ``warning:`` lines on stderr, one per distinct
+    warning; exit 2 or 3 leaves exactly one line, the error."""
+
+    def run(self, capsys, *argv):
+        code = main([str(a) for a in argv])
+        return code, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("doc, lines", [
+        (_scenario({"type": "bernoulli", "n": 3, "p": 0.5}, [0, 1, 2, 1, 2, 3],
+                   {"kind": "hj", "contrast": [-1, 1]}),
+         ["warning: 2 support points were estimation-infeasible and excluded from "
+          "conditional metrics"]),
+        (_scenario({"type": "bernoulli", "n": 3, "p": 0.5}, [0, 1, 2, 1, 2, 3],
+                   {"kind": "hj", "contrast": [-1, 1]}, mode="mc", replicates=40, seed=0),
+         ["warning: 7 draws were estimation-infeasible and excluded from conditional metrics"]),
+        (ILL_CONDITIONED_OLS,
+         ["warning: ill-conditioned denominator (condition number up to 2.21e+14)",
+          "warning: ill-conditioned denominator (condition number up to 4.55e+14)"]),
+    ], ids=["infeasible-points", "infeasible-draws", "ill-conditioned"])
+    def test_warnings_are_one_line_each(self, tmp_path, capsys, doc, lines):
+        code, err = self.run(capsys, "simulate", write_json(tmp_path / "s.json", doc),
+                             "--out", tmp_path / "sim")
+        assert code == 0
+        assert err == lines
+        assert (tmp_path / "sim" / "report.json").exists()
+
+    @pytest.mark.parametrize("doc, line", [
+        # every point warns before the run fails: only the failure is printed
+        (_scenario({"type": "bernoulli", "n": 1, "p": 0.5}, [0, 1],
+                   {"kind": "hj", "contrast": [-1, 1]}),
+         "numerical failure: estimation failed on every draw"),
+        (_scenario(COMPLETE_SPEC, [0, 1, 2, 3, 1, 2, 3, 4],
+                   {"kind": "ols", "contrast": [-1, 1], "covariates": [[1], [1], [1], [1]]}),
+         "numerical failure: singular population denominator"),
+        ({"sweep": {"estimator": {"kind": "hj", "contrast": [-1, 1]},
+                    "base_y": [[0, 1e308], [1, 2]], "n_list": [4]}},
+         "numerical failure: {out}/trend.csv: result holds a non-finite value "
+         "(n_times_var = nan)"),
+    ], ids=["every-draw-infeasible", "singular-population", "sweep-nan"])
+    def test_numerical_failure_is_one_line(self, tmp_path, capsys, doc, line):
+        out = tmp_path / "sim"
+        code, err = self.run(capsys, "simulate", write_json(tmp_path / "s.json", doc),
+                             "--out", out)
+        assert (code, err) == (3, [line.format(out=out)])
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("sidecar, k, reason", [
+        (None, "0", "arm count k must be >= 2, got 0"),
+        ('{"k": 0}', None, "arm count k must be >= 2, got 0"),
+        ("[2]", None, "{sidecar} must be a JSON object, got list"),
+        ('{"k": "2"}', None, '{sidecar} field "k" is malformed: '),
+    ], ids=["k-option-0", "k-field-0", "sidecar-list", "k-field-string"])
+    def test_bad_arm_count_exits_2(self, paired_dir, tmp_path, capsys, sidecar, k, reason):
+        path = paired_dir / "design.json"
+        if sidecar is None:
+            path.unlink()
+        else:
+            path.write_text(sidecar)
+        code, err = self.run(capsys, "bound", "--d", paired_dir / "d.csv", "--mask",
+                             paired_dir / "mask.csv", "--method", "as", "--out", tmp_path / "b",
+                             *(["--k", k] if k else []))
+        assert code == 2 and len(err) == 1
+        assert err[0].startswith("error: " + reason.format(sidecar=path))
+
+    def test_json_nested_too_deeply_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, err = self.run(capsys, "design", path, "--out", tmp_path / "x")
+        assert (code, err) == (2, [f"error: {path}: JSON nested too deeply to read"])
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "digits.json"
+        path.write_text("1" * 5001)
+        code, err = self.run(capsys, "design", path, "--out", tmp_path / "x")
+        assert code == 2 and len(err) == 1
+        if hasattr(sys, "set_int_max_str_digits"):  # Python's int digit limit
+            assert err[0].startswith(f"error: {path}: Exceeds the limit")
+
+    def test_malformed_json_keeps_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"type": }')
+        code, err = self.run(capsys, "design", path, "--out", tmp_path / "x")
+        assert (code, err) == (2, ["error: malformed JSON: line 1 column 10: Expecting value"])
+
+    def test_exact_value_past_the_float_range_exits_3(self, tmp_path, capsys):
+        # the IPW entry of the 1e-320 point's pair is about 1e320, which no float holds
+        spec = {"type": "custom", "k": 2, "n": 2, "support": [
+            {"arms": [0, 0], "prob": 0.25}, {"arms": [1, 1], "prob": 0.25},
+            {"arms": [1, 0], "prob": 0.5}, {"arms": [0, 1], "prob": 1e-320}]}
+        obs = tmp_path / "obs.csv"
+        obs.write_text("unit_id,arm_assigned,y_obs\n0,0,1.0\n1,0,2.0\n")
+        code, err = self.run(capsys, "estimate", "--design", write_json(tmp_path / "d.json", spec),
+                             "--data", obs, "--estimator", "ht", "--contrast=-1,1",
+                             "--out", tmp_path / "r.json")
+        assert code == 3 and len(err) == 1
+        assert err[0].startswith("numerical failure: an exact value lies outside the float range")
+
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # complete [10^9, 10^9] asks numpy for arrays it refuses; nothing is allocated here
+        message = "Unable to allocate 29.8 GiB for an array with shape (4000000000,)"
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(dv.designs, "complete_design", refuse)
+        spec = write_json(tmp_path / "spec.json", {"type": "complete", "counts": [10**9, 10**9]})
+        code, err = self.run(capsys, "design", spec, "--out", tmp_path / "x")
+        assert (code, err) == (3, [f"numerical failure: out of memory: {message}"])
+
+    def test_estimate_builds_no_joint_probability_matrix(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(dv.JointProbMatrix, "__post_init__", lambda self: built.append(self))
+        obs = tmp_path / "obs.csv"
+        obs.write_text("unit_id,arm_assigned,y_obs\n0,0,1.0\n1,1,2.5\n2,1,3.0\n3,0,0.5\n")
+        assert main(["estimate", "--design", write_json(tmp_path / "d.json", PAIRED_SPEC),
+                     "--data", str(obs), "--estimator", "hj", "--contrast=-1,1",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert built == []

@@ -174,3 +174,17 @@ class TestRunExitPath:
         proc = _cli("simulate", tmp_path / "big.json", "--out", tmp_path / "big")
         assert proc.returncode == 3
         assert proc.stderr.startswith("numerical failure: ") and "entry budget" in proc.stderr
+
+    @pytest.mark.parametrize("n, code, lines", [
+        (3, 0, ["warning: 2 support points were estimation-infeasible and excluded from "
+                "conditional metrics"]),
+        # every point warns before the run fails: only the failure is printed
+        (1, 3, ["numerical failure: estimation failed on every draw"]),
+    ], ids=["warning", "failure"])
+    def test_stderr_holds_warning_lines_or_one_error(self, tmp_path, n, code, lines):
+        (tmp_path / "s.json").write_text(json.dumps({
+            "design": {"type": "bernoulli", "n": n, "p": 0.5},
+            "y": list(range(n)) + list(range(1, n + 1)),
+            "estimator": {"kind": "hj", "contrast": [-1, 1]}, "mode": "exact"}))
+        proc = _cli("simulate", tmp_path / "s.json", "--out", tmp_path / "sim")
+        assert (proc.returncode, proc.stderr.splitlines()) == (code, lines)

@@ -22,6 +22,20 @@ def test_write_json_refuses_non_finite(tmp_path):
     assert not path.exists()
 
 
+def test_write_rows_csv_writes_repr_floats(tmp_path):
+    path = tmp_path / "trend.csv"
+    ser.write_rows_csv(path, [{"n": 4, "v": 0.1}, {"n": 8, "v": 1 / 3}])
+    assert path.read_bytes() == b"n,v\n4.0,0.1\n8.0,0.3333333333333333\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_rows_csv_refuses_non_finite(tmp_path, value):
+    path = tmp_path / "trend.csv"
+    with pytest.raises(dv.NumericalError, match="v = "):
+        ser.write_rows_csv(path, [{"n": 4, "v": 1.0}, {"n": 8, "v": value}])
+    assert not path.exists()
+
+
 class TestMatrixRoundTrip:
     def test_exact_float_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
