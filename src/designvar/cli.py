@@ -4,7 +4,8 @@ Subcommands: design, bound, estimate, compare, simulate.  All input and
 output is file-based (CSV matrices, JSON sidecars); see docs/formats.md.
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  On
 exit 0 stderr holds zero or more ``warning:`` lines, one per distinct
-warning; on exit 2 or 3 it holds one line, the error.
+warning (ill-conditioned solves share one); on exit 2 or 3 it holds one
+line, the error.
 
 A process pays for what its subcommand runs and little else.  Each
 ``cmd_*`` function imports the library modules it needs, so ``design``
@@ -318,8 +319,9 @@ def main(argv=None) -> int:
     """Run the subcommand ``argv`` names and return its exit code.
 
     Warnings are recorded while it runs.  On exit 0 each distinct one is
-    printed as one ``warning:`` line on stderr; on exit 2 or 3 the error
-    line is the only one.
+    printed as one ``warning:`` line on stderr, and the ill-conditioned
+    ones as one line, at the largest condition number; on exit 2 or 3 the
+    error line is the only one.
     """
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
@@ -327,7 +329,10 @@ def main(argv=None) -> int:
         warnings.simplefilter("always", InfeasiblePointsWarning)
         code = _run(args)
     if code == 0:
-        for message in dict.fromkeys(str(w.message) for w in caught):
+        messages = [w.message for w in caught]
+        ill = [m for m in messages if isinstance(m, IllConditionedWarning)]
+        worst = max(ill, key=lambda m: m.cond, default=None)
+        for message in dict.fromkeys(str(worst if m in ill else m) for m in messages):
             print(f"warning: {message}", file=sys.stderr)
     return code
 

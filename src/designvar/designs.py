@@ -10,7 +10,8 @@ paired, block, cluster, enumerated custom) are kept as exact rationals.
 An enumerated support (Support) is an S x n array of arms, one row per
 assignment, over a length-S exact matrix of point probabilities.  A
 builder only records how to enumerate it: ``Design.support`` builds it
-on first read, up to the design's ``support_cap``.
+on first read, up to the design's ``support_cap``, the one cap setting:
+builders take none, and ``build_design`` sets the spec's.
 An exact matrix (ExactMatrix) is an integer code array over a Codebook
 of distinct rationals, held as integer numerator/denominator arrays with
 their correctly rounded floats; its floats are a view, floats[codes],
@@ -926,8 +927,6 @@ def bernoulli_design(
     probs,
     k: int | None = None,
     n: int | None = None,
-    *,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> Design:
     """Independent per-unit assignment.
 
@@ -997,8 +996,7 @@ def bernoulli_design(
             parts[row] = custom_design(IndexLayout(k, 1),
                                        [([r], row[r]) for r in range(k) if row[r] > 0])
     part = [parts[row] for row in normalized]
-    design = block_design([([i], part[j]) for i, j in enumerate(which.tolist())],
-                          support_cap=support_cap)
+    design = block_design([([i], part[j]) for i, j in enumerate(which.tolist())])
 
     cum = np.cumsum(np.array([[float(x) for x in row] for row in normalized])[which], axis=1)
     cum /= cum[:, -1:]
@@ -1038,11 +1036,7 @@ def _arm_sequences(counts: Sequence[int]) -> np.ndarray:
     return arms
 
 
-def complete_design(
-    counts: Sequence[int],
-    *,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> Design:
+def complete_design(counts: Sequence[int]) -> Design:
     """Completely randomized assignment with fixed arm sizes."""
     counts = [spec_int(c) for c in counts]
     if any(c < 0 for c in counts):
@@ -1084,7 +1078,6 @@ def complete_design(
         sampler=sampler,
         p_frac=p_frac,
         support_size=size,
-        support_cap=support_cap,
         enumerator=enumerator,
     )
 
@@ -1097,18 +1090,14 @@ def _covered_units(unit_lists: list[list[int]], message: str) -> int:
     return len(flat)
 
 
-def block_design(
-    blocks: Sequence[tuple[Sequence[int], Design]],
-    *,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> Design:
+def block_design(blocks: Sequence[tuple[Sequence[int], Design]]) -> Design:
     """Independent sub-designs over disjoint unit sets.
 
     Marginal and joint probabilities are assembled blockwise (cross-block
     joints are products of marginals), so the product support never needs
     to be enumerated just to obtain pi, p, or the design matrix.  Paired
-    and Bernoulli designs are built through it; ``support_cap`` bounds the
-    product of the blocks' support sizes.
+    and Bernoulli designs are built through it.  The design's own
+    ``support_cap`` bounds the product of the blocks' support sizes.
     """
     if not blocks:
         raise InfeasibleSpecError("block design needs at least one block")
@@ -1150,20 +1139,14 @@ def block_design(
         sampler=sampler,
         p_frac=p_frac,
         support_size=size,
-        support_cap=support_cap,
         enumerator=enumerator,
     )
 
 
-def paired_design(
-    pairs: Sequence[Sequence[int]],
-    k: int = 2,
-    *,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> Design:
+def paired_design(pairs: Sequence[Sequence[int]], k: int = 2) -> Design:
     """Matched groups of size k; within each group one unit goes to each arm.
 
-    A block design of one k-unit complete design per group, so
+    A block design of one k-unit complete design per group, so its
     ``support_cap`` bounds the whole support of k!**groups points.
     """
     k = spec_int(k)
@@ -1172,9 +1155,9 @@ def paired_design(
             raise InfeasibleSpecError(
                 f"each matched group must have exactly k={k} units, got {list(pair)}"
             )
-    # one complete design shared by every group; the caller's cap applies to the product
+    # one complete design shared by every group; its cap is not read, only the product's
     group = complete_design([1] * k)
-    design = block_design([(list(pair), group) for pair in pairs], support_cap=support_cap)
+    design = block_design([(list(pair), group) for pair in pairs])
     design.family = "paired"
     return design
 
@@ -1222,7 +1205,6 @@ def cluster_design(clusters: Sequence[Sequence[int]], cluster_level: Design) -> 
         sampler=sampler,
         p_frac=p_frac,
         support_size=cluster_level.support_size,
-        support_cap=cluster_level.support_cap,
         enumerator=enumerator,
     )
 
@@ -1232,7 +1214,6 @@ def custom_design(
     support: Sequence[tuple[Sequence[int], object]] | None = None,
     sampler: Callable[[np.random.Generator], np.ndarray] | None = None,
     *,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
     mc_replicates: int = 10000,
     seed: int | None = None,
 ) -> Design:
@@ -1255,10 +1236,6 @@ def custom_design(
         if seed is not None:
             design.moments = _empirical_moments(design, seed, mc_replicates)
         return design
-    if len(support) > support_cap:
-        raise SupportOverflowError(
-            f"custom support has {len(support)} points, above the cap {support_cap}"
-        )
     rows = []
     for arms, _ in support:
         try:
@@ -1277,7 +1254,7 @@ def custom_design(
                                        den=[p.denominator for p in probs]))
     design = Design(layout=layout, family="custom",
                     sampler=lambda rng: sup.arms[rng.choice(len(sup), p=sup.draw_probs)].copy(),
-                    support_size=len(sup), support_cap=support_cap, enumerator=lambda: sup)
+                    support_size=len(sup), enumerator=lambda: sup)
     design._enumerate()  # a given support is checked at build time
     # p sums prob * outer(indicators) over the support: an integer matmul over
     # the common denominator, in int64 while the (positive) weights sum below
@@ -1357,24 +1334,33 @@ def _rationals(value):
     return _as_fraction(value)
 
 
-def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
+def build_design(spec: dict) -> Design:
     """Build a design from its JSON-shaped description.
 
-    See docs/formats.md for the schema.  ``support_cap`` overrides the
-    spec's own "support_cap" field when given.  Fields a family does not
-    read are ignored.
+    See docs/formats.md for the schema.  The top-level spec's
+    "support_cap" is read once and set on the design returned; sub-specs'
+    caps are not read.  Fields a family does not read are ignored.
     """
+    cap = spec_field(spec, "support_cap", "design spec", DEFAULT_SUPPORT_CAP, spec_int)
+    if cap < 0:
+        raise ValidationError(f'design spec field "support_cap" must be >= 0, got {cap}')
+    design = _built(spec, cap)
+    design.support_cap = cap
+    return design
+
+
+def _built(spec: dict, cap: int) -> Design:
+    """The design ``spec`` describes; a custom support, whole or a block
+    part, of more than ``cap`` points is refused."""
     what = "design spec"
     family = spec_field(spec, "type", what, None)
-    if support_cap is None:
-        support_cap = spec_field(spec, "support_cap", what, DEFAULT_SUPPORT_CAP, spec_int)
     inherited = {"k": spec["k"]} if spec.get("k") is not None else {}  # k passes down to sub-specs
     if family == "bernoulli":
         probs = spec_field(spec, "probs" if "probs" in spec else "p", what, cast=_rationals)
         k, n = (spec_field(spec, key, what, None, spec_int) for key in ("k", "n"))
-        return bernoulli_design(probs, k=k, n=n, support_cap=support_cap)
+        return bernoulli_design(probs, k=k, n=n)
     if family == "complete":
-        d = complete_design(spec_field(spec, "counts", what, cast=_ints), support_cap=support_cap)
+        d = complete_design(spec_field(spec, "counts", what, cast=_ints))
         if spec_field(spec, "n", what, d.layout.n, spec_int) != d.layout.n:
             raise InfeasibleSpecError(
                 f"complete design arm counts sum to {d.layout.n}, not n={spec['n']}"
@@ -1382,28 +1368,29 @@ def build_design(spec: dict, *, support_cap: int | None = None) -> Design:
         return d
     if family == "paired":
         pairs = spec_field(spec, "pairs", what, cast=lambda v: _listed(v, _ints))
-        k = spec_field(spec, "k", what, 2, spec_int)
-        return paired_design(pairs, k=k, support_cap=support_cap)
+        return paired_design(pairs, k=spec_field(spec, "k", what, 2, spec_int))
     if family == "block":
         built = []
         for sub in spec_field(spec, "blocks", what, cast=_listed):
             units = spec_field(sub, "units", 'design spec "blocks" entry', cast=_ints)
-            sub = {**inherited, "n": len(units), **sub}
-            built.append((units, build_design(sub, support_cap=support_cap)))
-        return block_design(built, support_cap=support_cap)
+            built.append((units, _built({**inherited, "n": len(units), **sub}, cap)))
+        return block_design(built)
     if family == "cluster":
         clusters = spec_field(spec, "clusters", what, cast=lambda v: _listed(v, _ints))
         # {**v} raises TypeError unless the cluster-level spec is an object
         sub = spec_field(spec, "cluster_design", what,
                          cast=lambda v: {**inherited, "n": len(clusters), **v})
-        return cluster_design(clusters, build_design(sub, support_cap=support_cap))
+        return cluster_design(clusters, _built(sub, cap))
     if family == "custom":
         layout = IndexLayout(spec_field(spec, "k", "custom spec", cast=spec_int),
                              spec_field(spec, "n", "custom spec", cast=spec_int))
         parsed = [(spec_field(entry, "arms", "custom support entry"),
                    spec_field(entry, "prob", "custom support entry", cast=_as_fraction))
                   for entry in spec_field(spec, "support", what, cast=_listed)]
-        return custom_design(layout, parsed, support_cap=support_cap)
+        if len(parsed) > cap:
+            raise SupportOverflowError(
+                f"custom support has {len(parsed)} points, above the cap {cap}")
+        return custom_design(layout, parsed)
     raise InfeasibleSpecError(f"unknown design type {family!r}")
 
 

@@ -63,6 +63,10 @@ class NonConvergenceError(NumericalError):
 class IllConditionedWarning(UserWarning):
     """A solve went through, but the system's condition number exceeds 1e12."""
 
+    def __init__(self, cond: float):
+        super().__init__(f"ill-conditioned denominator (condition number up to {cond:.3g})")
+        self.cond = cond
+
 
 class InfeasiblePointsWarning(UserWarning):
     """Some support points were excluded because estimation was infeasible."""

@@ -203,9 +203,7 @@ def _realized_fit(spec: EstimatorSpec, pi: PiDiagonal, y: np.ndarray, r: np.ndar
     cond = np.linalg.cond(denom)
     feasible = cond <= COND_FAIL
     if np.any(cond[feasible] > COND_WARN):
-        worst = cond[feasible].max()
-        warnings.warn(f"ill-conditioned denominator (condition number up to {worst:.3g})",
-                      IllConditionedWarning, stacklevel=3)
+        warnings.warn(IllConditionedWarning(cond[feasible].max()), stacklevel=3)
     sol = np.full(rhs.shape, np.nan)
     sol[feasible] = np.linalg.solve(denom[feasible], rhs[feasible])
     return xx, m, sol[:, :, 0], sol[:, :, 1], feasible

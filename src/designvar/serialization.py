@@ -9,8 +9,9 @@ codebook, which pays because design matrices hold few distinct values.
 The writer formats each distinct value (bit pattern) once into a token
 table whose entries carry their separator, "," inside a row and CR LF
 after a row's last cell, so a block of rows is one gather from the table
-and one join.  The matrix reader takes the file as bytes, in blocks of
-whole lines of at most ``BATCH_BYTES``: one numpy scan finds a block's
+and one join.  The matrix reader takes the file as bytes in one pass, in
+blocks of whole lines of at most ``BATCH_BYTES``, each block's rows
+appended to one growing buffer: one numpy scan finds a block's
 commas and line ends and checks each line's field count, each token is
 keyed by its length and bytes, one sort groups equal keys (a token whose
 bytes differ from its group's first hands the file on, so keys never
@@ -186,44 +187,34 @@ def _block_rows(buf: bytearray, size: int, width: int) -> np.ndarray | None:
 
 
 def _byte_rows(fh, width: int) -> np.ndarray | None:
-    """The data rows of the binary file ``fh``, read past its header in
-    blocks of whole lines of at most BATCH_BYTES (longer when one line is),
-    or None when the file needs the row reader.  A file that fits one block
-    is read at once; a longer one has its lines counted first, so that its
-    rows are held once, each block's written into its slice."""
-    start = fh.tell()
-    size = min(BATCH_BYTES, os.fstat(fh.fileno()).st_size - start + 1)
-    buf, filled, matrix, done = bytearray(size + 32), 0, None, 0
+    """The data rows of the binary file ``fh``, read past its header in one
+    pass, in blocks of whole lines of at most BATCH_BYTES (longer when one
+    line is), or None when the file needs the row reader.  A file that fits
+    one block gives that block's rows; a longer one appends each block's
+    rows to one growing buffer, so its rows are held once."""
+    size = min(BATCH_BYTES, os.fstat(fh.fileno()).st_size - fh.tell() + 1)
+    buf, filled, values = bytearray(size + 32), 0, array.array("d")
     while True:
         want = len(buf) - 32 - filled
         with memoryview(buf) as view:
             got = fh.readinto(view[filled:-32])
         filled += got
         end = got < want  # a short read ends the file
-        if matrix is None and not end:  # more than one block
-            lines = sum(part.count(b"\n") for part in iter(lambda: fh.read(BATCH_BYTES), b""))
-            fh.seek(-1, os.SEEK_END)
-            lines += buf.count(b"\n", 0, filled) + (fh.read(1) != b"\n")
-            fh.seek(start + filled)
-            matrix = np.empty((lines, width))
         cut = buf.rfind(b"\n", 0, filled) + 1
         if end and cut < filled:  # a last line without a line end
             buf[filled] = ord("\n")
             filled = cut = filled + 1
         if cut:
             rows = _block_rows(buf, cut, width)
-            if rows is None or matrix is None:  # the row reader's file, or one block
+            if rows is None or (end and not values):  # the row reader's file, or one block
                 return rows
-            if len(rows) > len(matrix) - done:  # the file grew since its lines were counted
-                return None
-            matrix[done:done + len(rows)] = rows
-            done += len(rows)
+            values.frombytes(rows.data.cast("B"))
             buf[:filled - cut] = buf[cut:filled]
             filled -= cut
         elif filled == len(buf) - 32:  # a line longer than the buffer
             buf.extend(bytes(len(buf)))
-        if end:  # no data row, or the file shrank since its lines were counted
-            return None if matrix is None or done < len(matrix) else matrix
+        if end:  # None when there is no data row
+            return np.frombuffer(values).reshape(-1, width) if values else None
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -1045,7 +1045,8 @@ ILL_CONDITIONED_OLS = _scenario(
 
 class TestStderrLines:
     """Exit 0 leaves only ``warning:`` lines on stderr, one per distinct
-    warning; exit 2 or 3 leaves exactly one line, the error."""
+    warning and one for every ill-conditioned solve; exit 2 or 3 leaves
+    exactly one line, the error."""
 
     def run(self, capsys, *argv):
         code = main([str(a) for a in argv])
@@ -1060,8 +1061,7 @@ class TestStderrLines:
                    {"kind": "hj", "contrast": [-1, 1]}, mode="mc", replicates=40, seed=0),
          ["warning: 7 draws were estimation-infeasible and excluded from conditional metrics"]),
         (ILL_CONDITIONED_OLS,
-         ["warning: ill-conditioned denominator (condition number up to 2.21e+14)",
-          "warning: ill-conditioned denominator (condition number up to 4.55e+14)"]),
+         ["warning: ill-conditioned denominator (condition number up to 4.55e+14)"]),
     ], ids=["infeasible-points", "infeasible-draws", "ill-conditioned"])
     def test_warnings_are_one_line_each(self, tmp_path, capsys, doc, lines):
         code, err = self.run(capsys, "simulate", write_json(tmp_path / "s.json", doc),
@@ -1107,6 +1107,11 @@ class TestStderrLines:
                              *(["--k", k] if k else []))
         assert code == 2 and len(err) == 1
         assert err[0].startswith("error: " + reason.format(sidecar=path))
+
+    def test_a_negative_cap_exits_2(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {**COMPLETE_SPEC, "support_cap": -5})
+        code, err = self.run(capsys, "design", spec, "--out", tmp_path / "x")
+        assert (code, err) == (2, ['error: design spec field "support_cap" must be >= 0, got -5'])
 
     def test_json_nested_too_deeply_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

@@ -75,7 +75,8 @@ class TestBuilders:
         assert dv.build_design(spec).support.arms.tolist() == [[0, 1]]
 
     def test_bernoulli_over_the_cap_builds_without_a_support(self):
-        d = dv.bernoulli_design(0.5, n=30, support_cap=2**20)
+        d = dv.bernoulli_design(0.5, n=30)
+        d.support_cap = 2**20
         assert (d.support_size, d.support_cap) == (2**30, 2**20)
         assert d.support is None
         assert dv.inclusion_probabilities(d).frac is not None  # moments stay exact
@@ -86,7 +87,7 @@ class TestBuilders:
         assert design.support_size == len(design.support) == 12
         assert ser.design_summary(design)["support_size"] == 12  # design.json's value
         # the cap is checked against the 12 enumerated points, not k**n = 27
-        assert len(dv.build_design(spec, support_cap=20).support) == 12
+        assert len(dv.build_design({**spec, "support_cap": 20}).support) == 12
 
     def test_spec_mode_is_ignored(self):
         # no family reads a "mode" field, whatever its value
@@ -283,8 +284,59 @@ class TestLazySupport:
 
     def test_a_composite_cap_bounds_its_parts(self):
         # the pairs' own designs keep the default cap; the product's cap of 4 admits them
-        assert len(dv.paired_design([[0, 1], [2, 3]], support_cap=4).support) == 4
-        assert dv.paired_design([[0, 1], [2, 3]], support_cap=3).support is None
+        design = dv.paired_design([[0, 1], [2, 3]])
+        design.support_cap = 3
+        assert design.support is None
+        design.support_cap = 4
+        assert len(design.support) == 4
+        design.support_cap = 3  # an enumerated support still reads as None over the cap
+        assert design.support is None
+
+    @pytest.mark.parametrize("builder, args", [
+        (dv.bernoulli_design, (0.5, 2, 2)), (dv.complete_design, ([1, 1],)),
+        (dv.block_design, ([([0, 1], dv.complete_design([1, 1]))],)),
+        (dv.paired_design, ([[0, 1]],)), (dv.custom_design, (dv.IndexLayout(2, 1), [([0], 1)])),
+        (dv.build_design, ({"type": "complete", "counts": [1, 1]},)),
+    ], ids=["bernoulli", "complete", "block", "paired", "custom", "build_design"])
+    def test_builders_take_no_cap(self, builder, args):
+        # Design.support_cap, which build_design sets from the spec, is the one setting
+        assert builder(*args).support_cap == dv.designs.DEFAULT_SUPPORT_CAP
+        with pytest.raises(TypeError):
+            builder(*args, support_cap=10)
+
+    def test_a_sub_spec_cap_is_not_read(self):
+        part = {"units": [0, 1, 2, 3], "type": "complete", "counts": [1, 3], "support_cap": 1}
+        design = dv.build_design({"type": "block", "k": 2, "blocks": [part]})
+        assert design.support_cap == dv.designs.DEFAULT_SUPPORT_CAP
+        assert len(design.support) == 4
+        level = {"type": "complete", "counts": [1, 3], "support_cap": "not read"}
+        assert len(dv.build_design({"type": "cluster", "k": 2, "clusters": [[0], [1], [2], [3]],
+                                    "cluster_design": level}).support) == 4
+
+    def test_the_top_level_cap_governs_a_cluster(self):
+        spec = {"type": "cluster", "k": 2, "clusters": [[0, 1], [2], [3], [4, 5]],
+                "cluster_design": {"type": "complete", "counts": [2, 2]}, "support_cap": 5}
+        design = dv.build_design(spec)
+        assert (design.support_size, design.support_cap, design.support) == (6, 5, None)
+        design.support_cap = 6
+        assert len(design.support) == 6
+
+    @pytest.mark.parametrize("as_part", [False, True], ids=["top-level", "block-part"])
+    def test_a_custom_support_over_the_cap_is_refused_at_build(self, as_part):
+        custom = {"type": "custom", "k": 2, "n": 1,
+                  "support": [{"arms": [0], "prob": 0.5}, {"arms": [1], "prob": 0.5}]}
+        spec = ({"type": "block", "blocks": [{"units": [0], **custom}]} if as_part else custom)
+        with pytest.raises(dv.SupportOverflowError,
+                           match=r"^custom support has 2 points, above the cap 1$"):
+            dv.build_design({**spec, "support_cap": 1})
+        assert dv.build_design({**spec, "support_cap": 2}).support_cap == 2
+
+    @pytest.mark.parametrize("cap", [-1, -5])
+    def test_a_negative_cap_is_rejected(self, cap):
+        with pytest.raises(dv.ValidationError, match=f'"support_cap" must be >= 0, got {cap}'):
+            dv.build_design({"type": "complete", "counts": [2, 2], "support_cap": cap})
+        assert dv.build_design({"type": "complete", "counts": [2, 2],
+                                "support_cap": 0}).support is None
 
 
 REFERENCE_SPECS = {

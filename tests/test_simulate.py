@@ -108,7 +108,8 @@ class TestRunScenarioMonteCarlo:
         y = np.random.default_rng(4).normal(size=24)
         reports = []
         for cap, read in ((100, False), (100, True), (10**6, False), (10**6, True)):
-            design = dv.complete_design([6, 6], support_cap=cap)
+            design = dv.complete_design([6, 6])
+            design.support_cap = cap
             if read:
                 assert (design.support is None) == (cap == 100)
             scenario = dv.SimScenario(design, y, dv.EstimatorSpec("hj", c2()),
