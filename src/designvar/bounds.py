@@ -57,20 +57,14 @@ def user_bound(matrix: np.ndarray, layout: IndexLayout) -> BoundMatrix:
 
 
 def derive_mask(dmat: DesignMatrix) -> ImpossibilityMask:
-    """Impossible-assignment positions read off the design matrix.
-
-    Rational-backed matrices are checked exactly; float-backed ones rely
-    on the construction invariant that impossible positions hold exactly
-    -1.0 (p_ab = 0 gives 0 / (pi_a pi_b) - 1, which involves no rounding).
-    """
-    mask, frac = elementwise(lambda d: d == -1, dmat.frac or dmat.d)
-    return ImpossibilityMask(dmat.layout, mask, frac=frac)
+    """The pairs where d is -1: ``dmat.mask``, derived once and kept."""
+    return dmat.mask
 
 
 def _mask_for(dmat: DesignMatrix, mask: ImpossibilityMask | None) -> ImpossibilityMask:
-    """The caller's mask, on the design matrix's layout, or one derived from d."""
+    """The caller's mask, on the design matrix's layout, or d's own."""
     if mask is None:
-        return derive_mask(dmat)
+        return dmat.mask
     if mask.layout != dmat.layout:
         raise LayoutMismatchError("mask and design matrix use different layouts")
     return mask
@@ -85,7 +79,8 @@ def certify(
     """Run both certifications and update the bound's tri-states.
 
     Bounding: the difference dtilde - d must be PSD within tolerance.
-    Identified: dtilde must be exactly zero at every masked position.
+    Identified: dtilde must be exactly zero at every pair where d is -1
+    (``dmat.mask``) and at every pair a given mask marks besides.
     """
     if bound.layout != dmat.layout:
         raise LayoutMismatchError("bound and design matrix use different layouts")
@@ -93,10 +88,8 @@ def certify(
     report = eigen_psd_check(bound.dtilde - dmat.d, tol)
     bound.certified_bounding = "yes" if report.psd else "no"
     bound.diff_min_eig = report.min_eig
-    masked = mask.mask == 1.0
-    bound.certified_identified = (
-        "yes" if np.all(bound.dtilde[masked] == 0.0) else "no"
-    )
+    masked = dmat.mask.mask if mask is dmat.mask else np.maximum(dmat.mask.mask, mask.mask)
+    bound.certified_identified = "yes" if np.all(bound.dtilde[masked == 1.0] == 0.0) else "no"
     return bound
 
 
@@ -112,15 +105,14 @@ def neyman_bound(
     block d_01 is negative semidefinite.  It is the generalized Neyman
     bound sum_s (c_s / c_r) d_rs under that bound's preconditions, which
     the contrast gates but does not enter: no diagonal block of d holds a
-    -1, every off-diagonal block equals d_01, the contrast sums to zero
-    and has no zero entry.  The quadratic-form slack is
-    sum_{r<s} c_r c_s tau_rs' d_01 tau_rs, with tau_rs the arm-r-minus-arm-s
-    effect vector.
+    -1 (read off ``dmat.mask``, whatever mask is given), every off-diagonal
+    block equals d_01, the contrast sums to zero and has no zero entry.  The
+    quadratic-form slack is sum_{r<s} c_r c_s tau_rs' d_01 tau_rs, with
+    tau_rs the arm-r-minus-arm-s effect vector.
     """
     layout = dmat.layout
     k, n = layout.k, layout.n
     c = layout.check_contrast(c)
-    mask = _mask_for(dmat, mask)
     if not np.all(np.isfinite(c)):
         raise NeymanPreconditionError(f"contrast entries must be finite (got {c})")
     if abs(float(c.sum())) > 1e-12:
@@ -132,7 +124,7 @@ def neyman_bound(
             "every contrast entry must be nonzero for the block-diagonal bound"
         )
     arms = np.arange(k)
-    diagonal = mask.mask.reshape(k, n, k, n)[arms, :, arms, :]  # (k, n, n): block (r, r)
+    diagonal = dmat.mask.mask.reshape(k, n, k, n)[arms, :, arms, :]  # (k, n, n): block (r, r)
     bad = np.flatnonzero((diagonal == 1.0).any(axis=(1, 2))).tolist()
     if bad:
         raise NeymanPreconditionError(

@@ -99,7 +99,7 @@ def cmd_bound(args) -> int:
     d = ser.read_matrix_csv(args.d)
     layout = _layout_for_matrix(d, args.d, args.k)
     dmat = DesignMatrix(layout, d)
-    mask = ImpossibilityMask(layout, ser.read_matrix_csv(args.mask))
+    mask = None if args.mask is None else ImpossibilityMask(layout, ser.read_matrix_csv(args.mask))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.method == "verify":
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="construct or verify a variance-bound matrix")
     p.add_argument("--d", required=True, help="design matrix CSV")
-    p.add_argument("--mask", required=True, help="impossibility mask CSV")
+    p.add_argument("--mask", help="impossibility mask CSV (default: where --d is -1)")
     p.add_argument("--method", required=True, choices=["neyman", "as", "algm", "verify"])
     p.add_argument("--candidate", help="candidate bound CSV (verify only)")
     p.add_argument("--contrast", help="comma-separated contrast (neyman)")

@@ -601,7 +601,13 @@ def check_symmetric(m: np.ndarray, what: str) -> None:
 class DesignMatrix:
     """First-order design matrix: covariance of the inverse-probability
     weighted assignment indicators, normalized elementwise.  Without exact
-    values, ``d`` must be symmetric within 1e-10 of its largest entry."""
+    values, ``d`` must be symmetric within 1e-10 of its largest entry.
+
+    ``mask``, derived on first read and kept, is the one impossibility set:
+    the pairs where d is -1, those with p_ab = 0.  Exact where d is; float
+    impossible entries hold exactly -1.0 (0 / (pi_a pi_b) - 1 is not
+    rounded), and a float d also marks a pair too improbable to move -1.0.
+    """
 
     layout: IndexLayout
     d: np.ndarray
@@ -613,11 +619,18 @@ class DesignMatrix:
         if self.frac is None:  # exact values are symmetric by construction
             check_symmetric(self.d, "design matrix")
 
+    @cached_property
+    def mask(self) -> ImpossibilityMask:
+        mask, frac = elementwise(lambda d: d == -1, self.frac or self.d)
+        return ImpossibilityMask(self.layout, mask, frac=frac)
+
 
 @dataclass(eq=False)
 class ImpossibilityMask:
     """0/1 matrix marking pairs of assignments with joint probability zero;
-    ``frac``, when there is one, holds the same 0/1 values exactly."""
+    ``frac``, when there is one, holds the same 0/1 values exactly.  d's own
+    is ``DesignMatrix.mask``; a given one steers the Aronow-Samii and
+    Algorithm M constructions, and ``certify`` checks it on top of d's."""
 
     layout: IndexLayout
     mask: np.ndarray
@@ -1429,18 +1442,15 @@ def joint_probabilities(design: Design) -> JointProbMatrix:
 
 
 def first_order_design_matrix(design: Design) -> tuple[DesignMatrix, ImpossibilityMask]:
-    """Normalized covariance matrix of the weighted assignment indicators.
+    """Normalized covariance matrix of the weighted assignment indicators,
+    with its impossibility mask.
 
-    Entry (a, b) is p_ab / (pi_a pi_b) - 1.  Impossible joint assignments
-    (p_ab = 0, detected exactly, never by float comparison) carry exactly
-    -1 and are reported in the companion mask.  Both are exact where p is,
-    and over p's class tables where p has them.
+    Entry (a, b) is p_ab / (pi_a pi_b) - 1, exact where p is, and over p's
+    class tables where p has them.  Impossible joint assignments (p_ab = 0)
+    carry exactly -1, and the mask returned is ``dmat.mask``, read off d.
     """
     pi = inclusion_probabilities(design)  # raises if non-identified
     joint = design.joint
     d, d_frac = elementwise(lambda pab, pa, pb: pab / (pa * pb) - 1, joint, *_outer_pair(joint))
-    mask, mask_frac = elementwise(lambda pab: pab == 0, joint)
-    return (
-        DesignMatrix(design.layout, d, frac=d_frac, estimated=pi.estimated),
-        ImpossibilityMask(design.layout, mask, frac=mask_frac),
-    )
+    dmat = DesignMatrix(design.layout, d, frac=d_frac, estimated=pi.estimated)
+    return dmat, dmat.mask

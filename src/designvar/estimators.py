@@ -136,10 +136,7 @@ class EstimatorSpec:
         if self.kind == "hj":
             return 1.0 / pi.probs
         if self.kind == "wls":
-            w = pi.layout.check_vector(self.weights, "wls weights")
-            if not np.all(np.isfinite(pi.probs * w)):
-                raise ValidationError("pi times the wls weighting diagonal must be finite")
-            return w
+            return pi.layout.check_vector(self.weights, "wls weights")
         raise ValidationError("horvitz-thompson has no weighting diagonal")
 
 

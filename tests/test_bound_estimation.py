@@ -251,3 +251,19 @@ class TestSandwichEquivalence:
         direct = dv.ht_bound_estimate(y, c2(), assignment, ipw)
         assert_allclose(plug.value, direct.value, atol=1e-14, rtol=0)
         assert not plug.plug_in
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda dmat: dv.ipw_bound_matrix(dv.aronow_samii_bound(dmat), dv.complete_design([1, 1])),
+     dv.LayoutMismatchError, "bound and joint probabilities use different layouts"),
+    (lambda dmat: dv.ipw_bound_matrix(dv.certify(dv.user_bound(dmat.d, dmat.layout), dmat),
+                                      dv.paired_design([(0, 1), (2, 3)])),
+     dv.NotIdentifiedBoundError, "bound is certified non-identified"),
+    (lambda dmat: dv.ht_bound_estimate(
+        np.ones(6), c2(), dv.Assignment(dv.IndexLayout(2, 3), np.array([0, 1, 0])),
+        dv.ipw_bound_matrix(dv.aronow_samii_bound(dmat), dv.paired_design([(0, 1), (2, 3)]))),
+     dv.LayoutMismatchError, "assignment and bound use different layouts"),
+], ids=["ipw-layout", "ipw-not-identified", "ht-estimate-layout"])
+def test_rejections(paired4_matrices, call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call(paired4_matrices[0])

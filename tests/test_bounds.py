@@ -389,3 +389,75 @@ def test_certified_bounds_dominate_quadratic_forms(seed):
             lhs = z @ bound.dtilde @ z
             rhs = z @ dmat.d @ z
             assert lhs - rhs >= -1e-8 * float(z @ z)
+
+
+class TestOneImpossibilitySet:
+    """The impossible pairs are read off d once, and every verdict reads them."""
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "paired", "k": 2, "pairs": [[0, 1], [2, 3]]},
+        {"type": "bernoulli", "n": 3, "probs": ["1/6", "1/3", "1/2"]},
+        {"type": "custom", "k": 2, "n": 2,
+         "support": [{"arms": [0, 1], "prob": "1/3"}, {"arms": [1, 0], "prob": "2/3"}]},
+    ], ids=["paired", "bernoulli", "custom"])
+    def test_one_derivation(self, monkeypatch, spec):
+        design = dv.build_design(spec)
+        joint, calls = design.joint, []
+        real = dv.designs.elementwise
+
+        def spy(fn, *operands):
+            calls.append(operands)
+            return real(fn, *operands)
+
+        monkeypatch.setattr(dv.designs, "elementwise", spy)
+        dmat, mask = dv.first_order_design_matrix(design)
+        assert mask is dmat.mask
+        assert dv.derive_mask(dmat) is dmat.mask
+        # p is read once, by the d formula; the mask is read off d's exact values
+        assert [len(ops) for ops in calls if any(op is joint for op in ops)] == [3]
+        assert [ops for ops in calls if len(ops) == 1] == [(dmat.frac,)]
+        assert_array_equal(mask.mask, (dmat.d == -1.0).astype(float))
+
+    def test_a_float_d_reads_its_own_minus_ones(self, paired4_matrices):
+        exact, _ = paired4_matrices
+        dmat = dv.DesignMatrix(exact.layout, exact.d.copy())
+        assert dmat.mask.frac is None
+        assert_array_equal(dmat.mask.mask, exact.mask.mask)
+
+    @pytest.mark.parametrize("build", [dv.aronow_samii_bound, dv.algorithm_m_bound])
+    def test_an_empty_mask_cannot_certify_an_impossible_pair(self, paired4_matrices, build):
+        dmat, _ = paired4_matrices
+        empty = dv.ImpossibilityMask(dmat.layout, np.zeros((8, 8)))
+        bound = build(dmat, empty)
+        assert_array_equal(bound.dtilde, dmat.d)  # the mask still steers construction
+        assert bound.certified_bounding == "yes"
+        assert bound.certified_identified == "no"
+        with pytest.raises(dv.NotIdentifiedBoundError, match="certified non-identified"):
+            dv.ipw_bound_matrix(bound, dv.paired_design([(0, 1), (2, 3)]))
+
+    def test_an_empty_mask_cannot_hide_neymans_diagonal_minus_ones(self, paired4_matrices):
+        dmat, _ = paired4_matrices
+        empty = dv.ImpossibilityMask(dmat.layout, np.zeros((8, 8)))
+        with pytest.raises(dv.NeymanPreconditionError, match="diagonal block"):
+            dv.neyman_bound(dmat, c2(), empty)
+
+    def test_a_given_mask_adds_pairs_to_the_check(self, paired4_matrices):
+        dmat, mask = paired4_matrices
+        bound = dv.user_bound(DT_INVAR_PAIRED, dmat.layout)
+        assert dv.certify(bound, dmat, mask).certified_identified == "yes"
+        extra = mask.mask.copy()
+        extra[0, 2] = extra[2, 0] = 1.0  # a possible pair, where the candidate is -1
+        more = dv.ImpossibilityMask(dmat.layout, extra)
+        assert dv.certify(bound, dmat, more).certified_identified == "no"
+        steered = dv.aronow_samii_bound(dmat, more)  # d + mask: 1 at (0, 2), where d is 0
+        assert steered.dtilde[0, 2] == 1.0 and steered.certified_identified == "no"
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda d: dv.certify(dv.user_bound(np.zeros((6, 6)), dv.IndexLayout(2, 3)), d),
+     dv.LayoutMismatchError, "bound and design matrix use different layouts"),
+    (lambda d: dv.build_bound("minimax", d), dv.ValidationError, "unknown bound method 'minimax'"),
+], ids=["certify-layout", "build-bound-method"])
+def test_rejections(complete42_matrices, call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(complete42_matrices[0])

@@ -218,6 +218,26 @@ class TestBoundCommand:
         assert cert["certified_bounding"] == "yes"
         assert cert["certified_identified"] == "yes"
 
+    @pytest.mark.parametrize("method", ["as", "algm", "verify"])
+    def test_an_omitted_mask_is_read_off_d(self, paired_dir, tmp_path, method):
+        ser.write_matrix_csv(tmp_path / "invar.csv", DT_INVAR_PAIRED)
+        argv = ["bound", "--d", str(paired_dir / "d.csv"), "--method", method,
+                "--candidate", str(tmp_path / "invar.csv")]
+        mask = ["--mask", str(paired_dir / "mask.csv")]
+        assert main(argv + mask + ["--out", str(tmp_path / "a")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        for name in ["certification.json"] + (["dtilde.csv"] if method != "verify" else []):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("method", ["as", "algm"])
+    def test_an_all_zero_mask_certifies_no(self, paired_dir, tmp_path, method):
+        ser.write_matrix_csv(tmp_path / "zero.csv", np.zeros((8, 8), dtype=int))
+        code = main(["bound", "--d", str(paired_dir / "d.csv"), "--mask",
+                     str(tmp_path / "zero.csv"), "--method", method, "--out", str(tmp_path / "z")])
+        assert code == 0
+        cert = json.loads((tmp_path / "z" / "certification.json").read_text())
+        assert (cert["certified_bounding"], cert["certified_identified"]) == ("yes", "no")
+
     def test_algm_without_iterations_exits_2(self, paired_dir, tmp_path, capsys):
         code = main([
             "bound", "--d", str(paired_dir / "d.csv"), "--mask", str(paired_dir / "mask.csv"),

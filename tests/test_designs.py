@@ -743,3 +743,33 @@ class TestCompositionAgainstEnumeration:
         ind = a.indicators()
         back = dv.Assignment.from_indicators(layout, ind)
         assert_array_equal(back.arms, a.arms)
+
+
+L22 = dv.IndexLayout(2, 2)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: designs.elementwise(lambda a: a * 0.5, designs.ExactMatrix.of([1, 2])),
+     TypeError, "exact formulas combine only with integers and bools, not 0.5"),
+    (lambda: designs.elementwise(lambda a: a if a else -a, designs.ExactMatrix.of([1, 2])),
+     TypeError, "an exact formula must be a branch-free array expression"),
+    (lambda: dv.IndexLayout(2, 0), dv.InfeasibleSpecError, "unit count n must be >= 1, got 0"),
+    (lambda: L22.check_matrix(np.zeros((3, 3)), "mask"), dv.LayoutMismatchError,
+     "mask must have shape (4, 4) for k=2, n=2; got (3, 3)"),
+    (lambda: dv.Assignment.from_indicators(L22, [1.0, 0.5, 0.0, 0.5]), dv.ValidationError,
+     "indicators must be 0/1"),
+    (lambda: dv.Assignment.from_indicators(L22, [1.0, 1.0, 1.0, 0.0]), dv.ValidationError,
+     "each unit must be assigned to exactly one arm"),
+    (lambda: dv.PiDiagonal(L22, np.array([0.5, 0.5, 0.4, 0.5])), dv.ValidationError,
+     "per-unit inclusion probabilities must sum to 1 across arms"),
+    (lambda: dv.JointProbMatrix(dv.IndexLayout(2, 1), np.array([[0.5, 0.1], [0.0, 0.5]])),
+     dv.ValidationError, "joint probability matrix must be exactly symmetric"),
+    (lambda: dv.JointProbMatrix(dv.IndexLayout(2, 1), np.array([[0.5, 1.5], [1.5, 0.5]])),
+     dv.ValidationError, "joint probabilities must lie in [0, 1]"),
+    (lambda: dv.block_design([([0, 1, 2], dv.complete_design([1, 1]))]), dv.InfeasibleSpecError,
+     "block lists 3 units but its design has n=2"),
+], ids=["lift-float", "formula-truth-value", "no-units", "matrix-shape", "indicators-0-1",
+        "one-arm-per-unit", "pi-unit-sums", "p-asymmetric", "p-range", "block-unit-count"])
+def test_rejections(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

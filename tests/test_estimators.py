@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -230,6 +231,41 @@ def test_ht_variance_scales_with_the_square_of_y(seed, s):
     assert scaled >= 0.0 and base >= 0.0  # rounding residue is clamped at every scale
 
 
+SCALING_SPECS = {
+    "complete": {"type": "complete", "counts": [3, 3]},
+    "paired": {"type": "paired", "k": 2, "pairs": [[0, 1], [2, 3], [4, 5]]},
+    "bernoulli": {"type": "bernoulli", "n": 4, "p": "1/3"},
+    "cluster": {"type": "cluster", "k": 2, "clusters": [[0, 1], [2, 3], [4, 5], [6, 7]],
+                "cluster_design": {"type": "complete", "counts": [2, 2]}},
+}
+
+
+@pytest.mark.filterwarnings("ignore")  # infeasible support points, ill-conditioned fits
+@pytest.mark.parametrize("family", sorted(SCALING_SPECS))
+def test_every_variance_and_bound_scales_with_the_square_of_y(family):
+    """By exact enumeration: y times s scales each estimator kind's Taylor
+    variance, each bound's quadratic form and each mean bound estimate by
+    s**2, within 1e-12 relative, at s = 1e-6 and 1e6."""
+    design = dv.build_design(SCALING_SPECS[family])
+    layout = design.layout
+    rng = np.random.default_rng(5)
+    y, x = rng.normal(size=layout.kn), rng.normal(size=(layout.n, 1))
+    w = 1.0 / dv.inclusion_probabilities(design).probs + rng.random(layout.kn)
+    specs = [dv.EstimatorSpec(kind, contrast2()) for kind in ("ht", "cm", "hj", "ols")] + [
+        dv.EstimatorSpec("ols", contrast2(), covariates=x),
+        dv.EstimatorSpec("wls", contrast2(), weights=w),
+        dv.EstimatorSpec("wls", contrast2(), covariates=x, weights=w)]
+    bounds = ["as", "algm"] + (["neyman"] if family != "paired" else [])  # paired: d_rr has -1
+    for spec, bound in [(spec, bound) for spec in specs for bound in bounds]:
+        base = dv.run_scenario(dv.SimScenario(design, y, spec, bound))
+        for s in (1e-6, 1e6):
+            scaled = dv.run_scenario(dv.SimScenario(design, s * y, spec, bound))
+            for field in ("taylor_variance", "bound_value", "mean_bound_estimate"):
+                want = s**2 * getattr(base, field)
+                assert abs(getattr(scaled, field) - want) <= 1e-12 * abs(want), (
+                    spec.kind, bound, s, field)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**9))
 def test_ht_variance_equals_enumeration(seed):
@@ -332,3 +368,32 @@ class TestTaylorGap:
         design = dv.bernoulli_design(0.5, n=30)
         with pytest.raises(dv.ValidationError):
             dv.taylor_gap(dv.EstimatorSpec("cm", contrast2()), design, np.zeros(60))
+
+
+L22 = dv.IndexLayout(2, 2)
+PI22 = dv.PiDiagonal(L22, np.full(4, 0.5))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: dv.expand_covariates(np.array([[1.0], [np.nan]]), L22), dv.ValidationError,
+     "covariates must be finite"),
+    (lambda: dv.EstimatorSpec("wls", contrast2()), dv.ValidationError,
+     "wls requires the weighting diagonal"),
+    (lambda: dv.EstimatorSpec("wls", contrast2(), weights=np.ones(3)).weight_diag(PI22),
+     dv.LayoutMismatchError, "wls weights must have shape (4,)"),
+    (lambda: dv.EstimatorSpec("ht", contrast2()).weight_diag(PI22), dv.ValidationError,
+     "horvitz-thompson has no weighting diagonal"),
+    (lambda: dv.ObservedData(dv.Assignment(L22, np.array([0, 1])), np.array([1.0, 0.0, 2.0, 3.0])),
+     dv.ValidationError, "observed outcome vector must be zero at unobserved positions"),
+    (lambda: dv.point_estimate(dv.EstimatorSpec("cm", contrast2()),
+                               dv.observe(dv.Assignment(dv.IndexLayout(2, 3), np.array([0, 1, 0])),
+                                          np.ones(6)), PI22),
+     dv.LayoutMismatchError, "data and probabilities use different layouts"),
+    (lambda: dv.taylor_variance(dv.LinearizationVector(dv.IndexLayout(2, 3), np.ones(6)),
+                                dv.first_order_design_matrix(dv.complete_design([1, 1]))[0]),
+     dv.LayoutMismatchError, "linearization vector and design matrix disagree"),
+], ids=["covariates-finite", "wls-weights", "wls-weights-shape", "ht-weights", "unobserved-y",
+        "evaluate-layout", "taylor-layout"])
+def test_rejections(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -288,6 +288,31 @@ def test_elementwise_grouping_on_both_sides_of_the_key_space_threshold(table, da
             assert got[a, b] == want and floats[a, b] == float(want)
 
 
+def test_the_key_is_renumbered_before_its_radix_overflows(monkeypatch):
+    """Four operands of 65,536 distinct values each: three take the key's
+    radix to 2**48 and the fourth would take it to 2**64, so the key is
+    renumbered densely first.  Every entry is its Python-int value, and
+    every float is that value's correctly rounded float, bit for bit."""
+    size, rng = 2**16, np.random.default_rng(11)
+    values = [3 * np.arange(size) - 40_000, np.arange(size) ** 2 + 1, 7 * np.arange(size),
+              np.arange(size)]
+    operands = [ExactMatrix.of(v, rng.permutation(size)) for v in values]
+    renumbered, unique = [], np.unique
+
+    def spy(keys, **kwargs):
+        renumbered.append("return_index" not in kwargs)
+        return unique(keys, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    floats, got = elementwise(lambda a, b, c, d: (a * b - c) / (d + 1), *operands)
+    assert renumbered == [True, False]  # the renumbering, then the sort of distinct keys
+    parts = [op.book.num[op.codes].tolist() for op in operands]
+    want = [Fraction(a * b - c, d + 1) for a, b, c, d in zip(*parts)]
+    assert list(zip(got.book.num[got.codes].tolist(), got.book.den[got.codes].tolist())) == [
+        (w.numerator, w.denominator) for w in want]
+    assert floats.tobytes() == np.array([float(w) for w in want]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # int64 and Python-int parts: a codebook keeps int64 parts below 2**53, and a
 # formula runs in int64 while its bit bound is at most 62
