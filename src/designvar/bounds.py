@@ -88,7 +88,7 @@ def certify(
     report = eigen_psd_check(bound.dtilde - dmat.d, tol)
     bound.certified_bounding = "yes" if report.psd else "no"
     bound.diff_min_eig = report.min_eig
-    masked = dmat.mask.mask if mask is dmat.mask else np.maximum(dmat.mask.mask, mask.mask)
+    masked = np.maximum(dmat.mask.mask, mask.mask)
     bound.certified_identified = "yes" if np.all(bound.dtilde[masked == 1.0] == 0.0) else "no"
     return bound
 
@@ -113,6 +113,7 @@ def neyman_bound(
     layout = dmat.layout
     k, n = layout.k, layout.n
     c = layout.check_contrast(c)
+    mask = _mask_for(dmat, mask)
     if not np.all(np.isfinite(c)):
         raise NeymanPreconditionError(f"contrast entries must be finite (got {c})")
     if abs(float(c.sum())) > 1e-12:

@@ -549,7 +549,7 @@ class PiDiagonal:
 
     def __post_init__(self):
         self.probs = self.layout.check_vector(self.probs, "inclusion probabilities")
-        if np.any(self.probs <= 0.0) or np.any(self.probs >= 1.0):
+        if not np.all((self.probs > 0.0) & (self.probs < 1.0)):  # NaN fails too
             bad = int(np.argmin(np.minimum(self.probs, 1.0 - self.probs)))
             arm, unit = divmod(bad, self.layout.n)
             value = f"{self.probs[bad]}"

@@ -325,6 +325,16 @@ def test_mask_of_another_layout_rejected(complete42_matrices, method, layout):
         dv.build_bound(method, dmat, other, contrast=c2())
 
 
+@pytest.mark.parametrize("method", ["neyman", "as", "algm"])
+def test_mask_of_another_layout_rejected_on_paired(paired4_matrices, method):
+    """On paired [[0,1],[2,3]] d's diagonal blocks hold -1, so Neyman must
+    check the mask's layout before its diagonal-block precondition."""
+    dmat, _ = paired4_matrices
+    other = dv.ImpossibilityMask(dv.IndexLayout(4, 2), np.zeros((8, 8)))
+    with pytest.raises(dv.LayoutMismatchError, match="different layouts"):
+        dv.build_bound(method, dmat, other, contrast=c2())
+
+
 @pytest.mark.parametrize("method", [3, None, ["as"]])
 def test_build_bound_rejects_a_non_string_method(complete42_matrices, method):
     dmat, mask = complete42_matrices

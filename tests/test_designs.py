@@ -762,6 +762,8 @@ L22 = dv.IndexLayout(2, 2)
      "each unit must be assigned to exactly one arm"),
     (lambda: dv.PiDiagonal(L22, np.array([0.5, 0.5, 0.4, 0.5])), dv.ValidationError,
      "per-unit inclusion probabilities must sum to 1 across arms"),
+    (lambda: dv.PiDiagonal(L22, np.array([0.5, np.nan, 0.5, 0.5])), dv.NonIdentifiedDesignError,
+     "inclusion probability at flat index 1 (arm 0, unit 1) is nan, outside (0, 1)"),
     (lambda: dv.JointProbMatrix(dv.IndexLayout(2, 1), np.array([[0.5, 0.1], [0.0, 0.5]])),
      dv.ValidationError, "joint probability matrix must be exactly symmetric"),
     (lambda: dv.JointProbMatrix(dv.IndexLayout(2, 1), np.array([[0.5, 1.5], [1.5, 0.5]])),
@@ -769,7 +771,7 @@ L22 = dv.IndexLayout(2, 2)
     (lambda: dv.block_design([([0, 1, 2], dv.complete_design([1, 1]))]), dv.InfeasibleSpecError,
      "block lists 3 units but its design has n=2"),
 ], ids=["lift-float", "formula-truth-value", "no-units", "matrix-shape", "indicators-0-1",
-        "one-arm-per-unit", "pi-unit-sums", "p-asymmetric", "p-range", "block-unit-count"])
+        "one-arm-per-unit", "pi-unit-sums", "pi-nan", "p-asymmetric", "p-range", "block-unit-count"])
 def test_rejections(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call()
