@@ -316,21 +316,16 @@ class TestCertify:
 
 
 @pytest.mark.parametrize("method", ["neyman", "as", "algm"])
-@pytest.mark.parametrize("layout", [(2, 3), (4, 2)], ids=["other-size", "same-size"])
-def test_mask_of_another_layout_rejected(complete42_matrices, method, layout):
-    dmat, _ = complete42_matrices
+@pytest.mark.parametrize("matrices, layout", [
+    ("complete42_matrices", (2, 3)),
+    ("complete42_matrices", (4, 2)),
+    # d's diagonal blocks hold -1: Neyman checks the layout before that precondition
+    ("paired4_matrices", (4, 2)),
+], ids=["other-size", "same-size", "paired"])
+def test_mask_of_another_layout_rejected(request, matrices, method, layout):
+    dmat, _ = request.getfixturevalue(matrices)
     k, n = layout
     other = dv.ImpossibilityMask(dv.IndexLayout(k, n), np.zeros((k * n, k * n)))
-    with pytest.raises(dv.LayoutMismatchError, match="different layouts"):
-        dv.build_bound(method, dmat, other, contrast=c2())
-
-
-@pytest.mark.parametrize("method", ["neyman", "as", "algm"])
-def test_mask_of_another_layout_rejected_on_paired(paired4_matrices, method):
-    """On paired [[0,1],[2,3]] d's diagonal blocks hold -1, so Neyman must
-    check the mask's layout before its diagonal-block precondition."""
-    dmat, _ = paired4_matrices
-    other = dv.ImpossibilityMask(dv.IndexLayout(4, 2), np.zeros((8, 8)))
     with pytest.raises(dv.LayoutMismatchError, match="different layouts"):
         dv.build_bound(method, dmat, other, contrast=c2())
 
