@@ -943,9 +943,9 @@ def bernoulli_design(
 ) -> Design:
     """Independent per-unit assignment.
 
-    ``probs`` may be a scalar (two arms, probability of arm 1), a length-k
-    vector shared by all units, or an n x k matrix of per-unit arm
-    probabilities.  Rows must sum to 1.
+    ``probs`` may be a scalar p (two arms, the row (1 - p, p) shared by all
+    units), a length-k row shared by all units, or an n x k matrix of
+    per-unit arm probabilities.  Rows must sum to 1 within 1e-12.
 
     This is the block design whose blocks are single units: each unit is
     a one-unit part over its arms of positive probability, so the support
@@ -960,62 +960,54 @@ def bernoulli_design(
         return isinstance(x, (int, float, np.integer, np.floating, Fraction, str))
 
     k, n = (None if v is None else spec_int(v) for v in (k, n))
-    # the distinct rows, and each unit's row among them
     if _is_scalar(probs):
         if k not in (None, 2):
             raise InfeasibleSpecError("scalar probability implies k=2")
         if n is None:
             raise InfeasibleSpecError("scalar probability requires explicit n")
-        p1 = _as_fraction(probs)
-        rows, which = [(1 - p1, p1)], np.zeros(n, dtype=np.intp)
-        k = 2
-    else:
-        arr = list(probs)
-        if not arr:
-            raise InfeasibleSpecError("empty probability spec")
-        if _is_scalar(arr[0]):
-            # one length-k row shared across all units
-            if n is None:
-                raise InfeasibleSpecError("shared arm probabilities require explicit n")
-            rows, which = [tuple(_as_fraction(x) for x in arr)], np.zeros(n, dtype=np.intp)
-        else:
-            first: dict[tuple, int] = {}
-            which = np.array([first.setdefault(tuple(_as_fraction(x) for x in row), len(first))
-                              for row in arr], dtype=np.intp)
-            rows = list(first)
-            if n is not None and len(which) != n:
-                raise InfeasibleSpecError("probs row count disagrees with n")
-            n = len(which)
-        k = len(rows[0]) if k is None else k
-        if any(len(row) != k for row in rows):
-            raise InfeasibleSpecError("every probability row must have length k")
-    layout = IndexLayout(k, n)
-    # float rows need not sum to exactly 1 in binary: normalize each distinct
-    # row exactly, once, so the support is a probability measure whose marginals are pi
-    normalized = []
-    for j, row in enumerate(rows):
+        probs = [1 - _as_fraction(probs), probs]
+    rows = list(probs)
+    if not rows:
+        raise InfeasibleSpecError("empty probability spec")
+    shared = _is_scalar(rows[0])
+    if shared and n is None:
+        raise InfeasibleSpecError("shared arm probabilities require explicit n")
+    # the distinct rows, and each unit's index into them
+    first: dict[tuple, int] = {}
+    which = [first.setdefault(tuple(_as_fraction(x) for x in row), len(first))
+             for row in ([rows] if shared else rows)]
+    if shared:
+        which *= n  # empty for a negative n, which IndexLayout refuses
+    elif n not in (None, len(which)):
+        raise InfeasibleSpecError("probs row count disagrees with n")
+    k = len(next(iter(first))) if k is None else k
+    if any(len(row) != k for row in first):
+        raise InfeasibleSpecError("every probability row must have length k")
+    IndexLayout(k, n if shared else len(which))  # refuses k < 2 and n < 1 first
+    # float rows need not sum to exactly 1 in binary: normalize each distinct row
+    # exactly, once, so the support is a probability measure whose marginals are pi
+    parts: dict[tuple, Design] = {}
+    part, floats = [], []
+    for j, row in enumerate(first):
         total = sum(row)
         if abs(float(total) - 1.0) > 1e-12:
-            unit = int(np.argmax(which == j))
+            unit = which.index(j)
             raise InfeasibleSpecError(f"arm probabilities for unit {unit} do not sum to 1")
         if any(float(x) < 0 for x in row):
             raise InfeasibleSpecError("arm probabilities must be nonnegative")
-        normalized.append(tuple(x / total for x in row))
-
-    # one one-unit part per distinct row, over its arms of positive probability
-    parts: dict[tuple, Design] = {}
-    for row in normalized:
-        if row not in parts:
+        row = tuple(x / total for x in row)
+        if row not in parts:  # rows that normalize alike share one part
             parts[row] = custom_design(IndexLayout(k, 1),
-                                       [([r], row[r]) for r in range(k) if row[r] > 0])
-    part = [parts[row] for row in normalized]
-    design = block_design([([i], part[j]) for i, j in enumerate(which.tolist())])
+                                       [([r], x) for r, x in enumerate(row) if x > 0])
+        part.append(parts[row])
+        floats.append([float(x) for x in row])
+    design = block_design([([i], part[j]) for i, j in enumerate(which)])
 
-    cum = np.cumsum(np.array([[float(x) for x in row] for row in normalized])[which], axis=1)
+    cum = np.cumsum(np.array(floats)[which], axis=1)
     cum /= cum[:, -1:]
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
-        return (rng.random(n)[:, None] >= cum).sum(axis=1)
+        return (rng.random(len(cum))[:, None] >= cum).sum(axis=1)
 
     design.family, design.sampler = "bernoulli", sampler
     return design

@@ -184,13 +184,20 @@ class TestDesignCommand:
             ({"type": "custom", "k": 1, "n": 2, "support": [{"arms": [0, 0], "prob": 1}]},
              "arm count k must be >= 2, got 1"),
             ([], "design spec must be a JSON object, got list"),
+            ({"type": "bernoulli", "n": -1, "p": 0.5}, "unit count n must be >= 1, got -1"),
+            ({"type": "bernoulli", "n": -2, "probs": [0.5, 0.5]},
+             "unit count n must be >= 1, got -2"),
+            # lengths are checked before any row's sum
+            ({"type": "bernoulli", "probs": [[0.5, 0.6], [0.2, 0.3, 0.4]]},
+             "every probability row must have length k"),
         ],
         ids=["bernoulli-scalar-k3", "bernoulli-scalar-without-n", "bernoulli-probs-empty",
              "bernoulli-shared-row-without-n", "bernoulli-rows-against-n",
              "bernoulli-rows-unequal", "bernoulli-row-sum", "bernoulli-row-negative",
              "complete-count-negative", "block-none", "block-arm-counts-differ",
              "paired-groups-of-3", "cluster-design-n", "custom-over-cap", "custom-k1",
-             "spec-list"],
+             "spec-list", "bernoulli-scalar-n-negative", "bernoulli-shared-row-n-negative",
+             "bernoulli-row-sum-and-length"],
     )
     def test_infeasible_spec_exits_2_with_its_reason(self, tmp_path, capsys, spec, reason):
         path = write_json(tmp_path / "spec.json", spec)

@@ -448,6 +448,15 @@ class TestClassTables:
         assert not isinstance(design.p_frac, designs.ClassMatrix)
         assert_same_exact(design.p_frac, dense_p({"type": "bernoulli", "probs": rows})[1])
 
+    def test_rows_that_normalize_alike_share_one_part(self):
+        # the second row sums to 1 + 1e-13 and normalizes to the first: one
+        # part type, so two classes, as for the shared row (1/3, 2/3)
+        design = dv.bernoulli_design(
+            [["1/3", "2/3"], ["10000000000001/30000000000000", "20000000000002/30000000000000"]])
+        shared = dv.bernoulli_design("2/3", n=2)
+        assert design.p_frac.pattern.size == shared.p_frac.pattern.size == 2
+        assert_same_exact(design.p_frac, shared.p_frac)
+
 
 class TestJointProbabilities:
     def test_paired_partners_never_share_arms(self, paired4):
