@@ -80,7 +80,8 @@ def certify(
 
     Bounding: the difference dtilde - d must be PSD within tolerance.
     Identified: dtilde must be exactly zero at every pair where d is -1
-    (``dmat.mask``) and at every pair a given mask marks besides.
+    (``dmat.mask``) and at every pair a given mask marks besides, which
+    shows the impossible pairs of a float d whose -1.0 entries were moved.
     """
     if bound.layout != dmat.layout:
         raise LayoutMismatchError("bound and design matrix use different layouts")

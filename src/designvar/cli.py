@@ -52,7 +52,7 @@ if TYPE_CHECKING:
 
 def _parse_contrast(text: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        return np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise ValidationError(f"bad contrast {text!r}: {exc}") from exc
 

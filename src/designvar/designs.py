@@ -607,6 +607,8 @@ class DesignMatrix:
     the pairs where d is -1, those with p_ab = 0.  Exact where d is; float
     impossible entries hold exactly -1.0 (0 / (pi_a pi_b) - 1 is not
     rounded), and a float d also marks a pair too improbable to move -1.0.
+    A float d need only be symmetric within 1e-10, so it marks a pair
+    where either (a, b) or (b, a) is -1.0, and its set is symmetric.
     """
 
     layout: IndexLayout
@@ -622,6 +624,8 @@ class DesignMatrix:
     @cached_property
     def mask(self) -> ImpossibilityMask:
         mask, frac = elementwise(lambda d: d == -1, self.frac or self.d)
+        if frac is None:  # exact values are symmetric by construction
+            mask = np.maximum(mask, mask.T)
         return ImpossibilityMask(self.layout, mask, frac=frac)
 
 

@@ -69,6 +69,8 @@ def expand_covariates(x: np.ndarray | None, layout: IndexLayout) -> np.ndarray:
     if x is None:
         return base
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim != 2:
+        raise LayoutMismatchError(f"covariates must be an n x l matrix, got shape {x.shape}")
     if x.shape[0] != layout.n:
         raise LayoutMismatchError(
             f"covariate matrix has {x.shape[0]} rows, expected n={layout.n}"

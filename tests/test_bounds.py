@@ -457,6 +457,36 @@ class TestOneImpossibilitySet:
         steered = dv.aronow_samii_bound(dmat, more)  # d + mask: 1 at (0, 2), where d is 0
         assert steered.dtilde[0, 2] == 1.0 and steered.certified_identified == "no"
 
+    @staticmethod
+    def raised(exact, blocks):
+        """A float d of complete [2,2] whose off-diagonal ``blocks`` are
+        raised by 5e-13: within the 1e-10 symmetry check, but no longer -1.0."""
+        d = exact.d.copy()
+        for rows, cols in blocks:
+            d[rows, cols] += 5e-13
+        return dv.DesignMatrix(exact.layout, d)
+
+    def test_a_float_d_marks_a_pair_minus_one_on_either_side(self, complete42_matrices):
+        exact, _ = complete42_matrices
+        dmat = self.raised(exact, [(slice(4, 8), slice(0, 4))])
+        assert_array_equal(dmat.mask.mask, exact.mask.mask)  # all 8 pairs, not 4
+        for build in (dv.aronow_samii_bound, dv.algorithm_m_bound):
+            bound = build(dmat)  # dtilde is 5e-13 at the raised pairs
+            assert (bound.certified_bounding, bound.certified_identified) == ("yes", "no")
+        bound = dv.neyman_bound(dmat, c2())
+        assert (bound.certified_bounding, bound.certified_identified) == ("yes", "yes")
+
+    @pytest.mark.parametrize("build", [dv.aronow_samii_bound, dv.algorithm_m_bound])
+    def test_a_given_mask_is_checked_where_d_has_lost_its_minus_ones(self, complete42_matrices,
+                                                                      build):
+        # d's own set is empty, so only the given exact mask sees dtilde's 5e-13
+        # at the 8 impossible pairs: certify checks the union of the two, so a
+        # malformed d.csv that comes with a correct mask.csv certifies "no"
+        exact, mask = complete42_matrices
+        dmat = self.raised(exact, [(slice(4, 8), slice(0, 4)), (slice(0, 4), slice(4, 8))])
+        assert not dmat.mask.mask.any()
+        assert build(dmat, mask).certified_identified == "no"
+
 
 @pytest.mark.parametrize("call, error, fragment", [
     (lambda d: dv.certify(dv.user_bound(np.zeros((6, 6)), dv.IndexLayout(2, 3)), d),

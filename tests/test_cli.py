@@ -323,9 +323,13 @@ class TestBoundCommand:
             # no design.json beside this copy of d to disagree with --k
             (["--method", "as", "--d", "{bare}/d.csv", "--k", "3"],
              "matrix size 8 is not divisible by k=3"),
+            # every comma-separated entry is a number: none is dropped
+            (["--method", "neyman", "--contrast=-1,,1"], "bad contrast '-1,,1'"),
+            (["--method", "neyman", "--contrast=1,2,"], "bad contrast '1,2,'"),
         ],
         ids=["neyman-without-contrast", "verify-without-candidate", "contrast-text",
-             "d-not-square", "k-not-dividing"],
+             "d-not-square", "k-not-dividing", "contrast-empty-entry",
+             "contrast-trailing-comma"],
     )
     def test_bad_options_exit_2_with_their_reason(self, tmp_path, capsys, options, reason):
         cdir, bare = tmp_path / "complete", tmp_path / "bare"
@@ -889,13 +893,17 @@ class TestSimulateCommand:
                         "base_y": [[0.0, 1.0], [1.0, 2.0]], "n_list": [4]}}, '"weights"'),
             ({"sweep": {"estimator": {"kind": "cm", "contrast": [-1, 1]},
                         "base_y": [[], []], "n_list": [4]}}, "base_y"),
+            ({"design": COMPLETE_SPEC, "y": [0.0] * 8,
+              "estimator": {"kind": "ols", "contrast": [-1, 1],
+                            "covariates": [[[1]], [[2]], [[3]], [[4]]]}}, "covariates"),
         ],
         ids=["without-y", "top-level-list", "estimator-without-kind", "replicates-many",
              "seed-text", "sweep-without-estimator", "seed-negative", "kind-number",
              "replicates-fractional", "seed-bool", "copies-fractional", "n-list-fractional",
              "contrast-length-3", "contrast-length-1", "bound-number", "mode-number",
              "weights-zero", "weights-object", "weights-short-list", "sweep-covariates",
-             "sweep-weights-list", "sweep-weights-invpi", "sweep-base-y-empty-rows"],
+             "sweep-weights-list", "sweep-weights-invpi", "sweep-base-y-empty-rows",
+             "covariates-3d"],
     )
     def test_malformed_scenario_field_exits_2(self, tmp_path, capsys, doc, named):
         path = write_json(tmp_path / "s.json", doc)

@@ -377,6 +377,8 @@ PI22 = dv.PiDiagonal(L22, np.full(4, 0.5))
 @pytest.mark.parametrize("call, error, fragment", [
     (lambda: dv.expand_covariates(np.array([[1.0], [np.nan]]), L22), dv.ValidationError,
      "covariates must be finite"),
+    (lambda: dv.expand_covariates(np.ones((2, 1, 1)), L22), dv.LayoutMismatchError,
+     "covariates must be an n x l matrix, got shape (2, 1, 1)"),
     (lambda: dv.EstimatorSpec("wls", contrast2()), dv.ValidationError,
      "wls requires the weighting diagonal"),
     (lambda: dv.EstimatorSpec("wls", contrast2(), weights=np.ones(3)).weight_diag(PI22),
@@ -392,7 +394,7 @@ PI22 = dv.PiDiagonal(L22, np.full(4, 0.5))
     (lambda: dv.taylor_variance(dv.LinearizationVector(dv.IndexLayout(2, 3), np.ones(6)),
                                 dv.first_order_design_matrix(dv.complete_design([1, 1]))[0]),
      dv.LayoutMismatchError, "linearization vector and design matrix disagree"),
-], ids=["covariates-finite", "wls-weights", "wls-weights-shape", "ht-weights", "unobserved-y",
+], ids=["covariates-finite", "covariates-3d", "wls-weights", "wls-weights-shape", "ht-weights", "unobserved-y",
         "evaluate-layout", "taylor-layout"])
 def test_rejections(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
