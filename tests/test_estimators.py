@@ -394,8 +394,8 @@ PI22 = dv.PiDiagonal(L22, np.full(4, 0.5))
     (lambda: dv.taylor_variance(dv.LinearizationVector(dv.IndexLayout(2, 3), np.ones(6)),
                                 dv.first_order_design_matrix(dv.complete_design([1, 1]))[0]),
      dv.LayoutMismatchError, "linearization vector and design matrix disagree"),
-], ids=["covariates-finite", "covariates-3d", "wls-weights", "wls-weights-shape", "ht-weights", "unobserved-y",
-        "evaluate-layout", "taylor-layout"])
+], ids=["covariates-finite", "covariates-3d", "wls-weights", "wls-weights-shape", "ht-weights",
+        "unobserved-y", "evaluate-layout", "taylor-layout"])
 def test_rejections(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call()
